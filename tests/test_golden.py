@@ -1,0 +1,121 @@
+"""Golden seeded traces: the annealer and the evaluation report, bit for bit.
+
+For every suite task p1..p5, every search mode and seeds 0-2, a short
+schedule is annealed on the train set and its ``best_xi``, ``best_z``,
+``z_trace`` and ``acceptance_counts`` are compared exactly against
+``golden_traces.json``. The selected scheme is then evaluated on the held-out
+set under the full, err and err+pmi objectives and each ``z_value`` is
+compared exactly, along with the whole full-objective report.
+
+Floats are compared through ``repr``, so a change in the last bit fails.
+Re-record (only when a behaviour change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+import json
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from dcs import AnnealConfig, ObjectiveWeights, anneal, evaluate
+from dcs.cli import MODES, mode_indices
+from dcs.corrections import default_function_set
+from dcs.synth import benchmark_suite
+
+GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
+SEEDS = (0, 1, 2)
+MAX_OUTER_LOOPS = 10
+OBJECTIVES = ("full", "err", "err+pmi")
+
+
+@lru_cache(maxsize=None)
+def _task_data(name: str):
+    task = next(t for t in benchmark_suite() if t.name == name)
+    return task.train_dataset(), task.eval_dataset()
+
+
+def _floats(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+def run_case(name: str, mode: str, seed: int) -> dict:
+    """Everything the golden file pins for one (task, mode, seed)."""
+    train, held_out = _task_data(name)
+    fs = default_function_set()
+    result = anneal(
+        train,
+        fs,
+        ObjectiveWeights(),
+        AnnealConfig(seed=seed, max_outer_loops=MAX_OUTER_LOOPS),
+        allowed_indices=mode_indices(fs, mode),
+    )
+    reports = {
+        objective: evaluate(
+            held_out, fs, result.best_xi, ObjectiveWeights.from_mode(objective)
+        )
+        for objective in OBJECTIVES
+    }
+    return {
+        "best_xi": list(result.best_xi),
+        "best_z": repr(result.best_z),
+        "z_trace": _floats(result.z_trace),
+        "acceptance_counts": [list(pair) for pair in result.acceptance_counts],
+        "eval_z_value": {
+            objective: repr(report.z_value) for objective, report in reports.items()
+        },
+        "eval_report_full": _repr_floats(reports["full"].to_dict()),
+    }
+
+
+def _repr_floats(value):
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _repr_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_repr_floats(v) for v in value]
+    return value
+
+
+CASES = [
+    (task.name, mode, seed)
+    for task in benchmark_suite()
+    for mode in MODES
+    for seed in SEEDS
+]
+
+
+def _case_id(name: str, mode: str, seed: int) -> str:
+    return f"{name}-{mode}-{seed}"
+
+
+@lru_cache(maxsize=None)
+def _goldens() -> dict:
+    with GOLDEN_PATH.open(encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name,mode,seed", CASES, ids=[_case_id(*c) for c in CASES])
+def test_golden_trace(name, mode, seed):
+    expected = _goldens()[_case_id(name, mode, seed)]
+    got = run_case(name, mode, seed)
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+def _record() -> None:
+    # one case per line keeps re-recordings diffable
+    lines = [
+        f"{json.dumps(_case_id(*case))}: {json.dumps(run_case(*case), sort_keys=True)}"
+        for case in CASES
+    ]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"recorded {len(lines)} cases -> {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden.py --record")
+    _record()
