@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrections import FunctionSet
+from .corrections import FunctionSet, normalize_allowed
 from .data import LabeledDataset
 from .errors import PreconditionError
 from .objective import ObjectiveEvaluator, ObjectiveWeights, objective_value
@@ -173,14 +173,7 @@ def anneal(
         raise PreconditionError(
             f"annealing needs at least two classes present, found {present}"
         )
-    if allowed_indices is None:
-        allowed = tuple(range(1, fs.size + 1))
-    else:
-        allowed = tuple(sorted(set(int(k) for k in allowed_indices)))
-        if any(k < 1 or k > fs.size for k in allowed):
-            raise PreconditionError(
-                f"allowed indices must lie in 1..{fs.size}"
-            )
+    allowed = normalize_allowed(fs, allowed_indices)
     if fs.dont_change_index not in allowed:
         raise PreconditionError(
             "allowed indices must include the Don't Change index"

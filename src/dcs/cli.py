@@ -36,7 +36,7 @@ from .data import (
     split_dataset,
 )
 from .errors import PreconditionError, ValidationError
-from .objective import EvalReport, ObjectiveWeights, evaluate, objective_value, predict
+from .objective import EvalReport, ObjectiveWeights, evaluate, predict
 from .oracle import exhaustive_search
 from .scheme import CorrectionScheme, load_scheme, save_scheme
 from .synth import benchmark_suite, generate, load_profile, save_profile
@@ -241,7 +241,8 @@ def cmd_apply(args) -> int:
     match = scheme.matches_dataset(ds)
     recomputed = None
     if match:
-        recomputed = objective_value(ds, catalog, scheme.selection, scheme.objective)
+        # evaluate's z_value is the objective by construction: one scorer
+        recomputed = corrected.z_value
         if recomputed != scheme.best_z:
             raise PreconditionError(
                 "scheme does not reproduce its recorded objective on its own "
@@ -566,23 +567,26 @@ def cmd_report(args) -> int:
             )
         except KeyError as exc:
             raise ValidationError(f"{path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: malformed solve file: {exc}") from None
 
-    header = ["task", "num_classes", "search_space", "wall_time", "outer_loops"]
-    if args.out is not None:
-        out = Path(args.out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for task, n, space, wall, loops in rows:
-                writer.writerow([task, n, space, repr(wall), loops])
-        print(f"report: {len(rows)} run(s) -> {out}")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
+    def write(fh) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["task", "num_classes", "search_space", "wall_time", "outer_loops"]
+        )
         for task, n, space, wall, loops in rows:
             writer.writerow([task, n, space, repr(wall), loops])
+
+    if args.out is None:
+        write(sys.stdout)
+        return 0
+    out = Path(args.out)
+    if out.parent != Path(""):
+        out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("w", newline="", encoding="utf-8") as fh:
+        write(fh)
+    print(f"report: {len(rows)} run(s) -> {out}")
     return 0
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 
 
 def heaviside(x: float) -> int:
@@ -56,11 +56,6 @@ class TriangularMembership:
         return self.a == 0.0 and self.b == 1.0 and self.c == 1.0
 
 
-def _check_unit_range(p: np.ndarray) -> None:
-    if p.size and (np.min(p) < 0.0 or np.max(p) > 1.0):
-        raise ValidationError("probability outside [0, 1]")
-
-
 def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
     a, b, c = f.a, f.b, f.c
     out = np.zeros_like(p)
@@ -80,6 +75,17 @@ def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _on_values(p, kernel, *args):
+    """Run an array kernel on ``p``: a scalar in gives a float out, an array
+    gives an array. Values are checked against [0, 1] first."""
+    scalar = np.ndim(p) == 0
+    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
+        raise ValidationError("probability outside [0, 1]")
+    out = kernel(*args, arr)
+    return float(out[0]) if scalar else out
+
+
 def eval_membership(f: TriangularMembership, p):
     """Evaluate mu_f at ``p`` (scalar or array of values in [0, 1]).
 
@@ -87,11 +93,7 @@ def eval_membership(f: TriangularMembership, p):
     continuous at the pinned ends: a = b = 0 gives mu(0) = 1 and b = c = 1
     gives mu(1) = 1.
     """
-    scalar = np.ndim(p) == 0
-    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    _check_unit_range(arr)
-    out = _membership_array(f, arr)
-    return float(out[0]) if scalar else out
+    return _on_values(p, _membership_array, f)
 
 
 def eval_weight(k: int, num_memberships: int, num_weights: int, p):
@@ -101,12 +103,7 @@ def eval_weight(k: int, num_memberships: int, num_weights: int, p):
             f"weight index {k} outside "
             f"{num_memberships + 1}..{num_memberships + num_weights}"
         )
-    scalar = np.ndim(p) == 0
-    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    _check_unit_range(arr)
-    factor = (k - num_memberships) / num_weights
-    out = factor * arr
-    return float(out[0]) if scalar else out
+    return _on_values(p, np.multiply, (k - num_memberships) / num_weights)
 
 
 @dataclass(frozen=True)
@@ -173,27 +170,22 @@ class FunctionSet:
             )
 
     def apply_index(self, k: int, p):
-        """Apply the function at index k to ``p`` through the step gates.
-
-        The membership gate step(D_F - k) and the weight gate
-        step(k - D_F - 1) are mutually exclusive for valid k, so exactly one
-        family is evaluated; the other contributes 0.
-        """
+        """Apply the function at index k to ``p`` (scalar or array)."""
         self._check_index(k)
-        d_f = self.num_memberships
-        membership_gate = heaviside(d_f - k)
-        weight_gate = heaviside(k - d_f - 1)
-        scalar = np.ndim(p) == 0
-        value = 0.0 if scalar else np.zeros(np.shape(p), dtype=np.float64)
-        if membership_gate:
-            value = value + membership_gate * eval_membership(
-                self.memberships[k - 1], p
-            )
-        if weight_gate:
-            value = value + weight_gate * eval_weight(
-                k, d_f, self.num_weights, p
-            )
-        return value
+        return _on_values(p, _apply_column, self, k)
+
+
+def _apply_column(fs: FunctionSet, k: int, p: np.ndarray) -> np.ndarray:
+    """Apply catalog index k to a float array, with no index or range check.
+
+    The membership gate step(D_F - k) and the weight gate step(k - D_F - 1)
+    are mutually exclusive for valid k, so exactly one family is evaluated.
+    Callers pass a valid k and values already known to lie in [0, 1].
+    """
+    d_f = fs.num_memberships
+    if heaviside(d_f - k):
+        return _membership_array(fs.memberships[k - 1], p)
+    return fs.weight_factor(k) * p
 
 
 def validate_selection(fs: FunctionSet, xi, num_classes: int | None = None):
@@ -215,6 +207,16 @@ def validate_selection(fs: FunctionSet, xi, num_classes: int | None = None):
                 f"selection entry {i + 1} is {k}, outside 1..{fs.size}"
             )
     return entries
+
+
+def normalize_allowed(fs: FunctionSet, allowed_indices) -> tuple[int, ...]:
+    """Sorted, deduplicated search indices; None means the whole catalog."""
+    if allowed_indices is None:
+        return tuple(range(1, fs.size + 1))
+    allowed = tuple(sorted(set(int(k) for k in allowed_indices)))
+    if any(k < 1 or k > fs.size for k in allowed):
+        raise PreconditionError(f"allowed indices must lie in 1..{fs.size}")
+    return allowed
 
 
 def apply_selection(fs: FunctionSet, xi, row) -> np.ndarray:
@@ -251,15 +253,31 @@ def default_function_set() -> FunctionSet:
     return FunctionSet(memberships=tuple(memberships), num_weights=30)
 
 
-def save_catalog(fs: FunctionSet, path: str | Path) -> None:
-    payload = {
+def catalog_to_dict(fs: FunctionSet) -> dict:
+    """JSON-ready form of a catalog, shared by catalog and scheme files."""
+    return {
         "memberships": [
             {"a": f.a, "b": f.b, "c": f.c} for f in fs.memberships
         ],
         "num_weights": fs.num_weights,
     }
+
+
+def catalog_from_dict(payload: dict) -> FunctionSet:
+    """Inverse of ``catalog_to_dict``; a malformed payload raises KeyError,
+    TypeError or ValueError, which the file loaders report as invalid."""
+    return FunctionSet(
+        memberships=tuple(
+            TriangularMembership(float(m["a"]), float(m["b"]), float(m["c"]))
+            for m in payload["memberships"]
+        ),
+        num_weights=int(payload["num_weights"]),
+    )
+
+
+def save_catalog(fs: FunctionSet, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(catalog_to_dict(fs), fh, indent=2)
         fh.write("\n")
 
 
@@ -270,11 +288,8 @@ def load_catalog(path: str | Path) -> FunctionSet:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
-        memberships = tuple(
-            TriangularMembership(float(m["a"]), float(m["b"]), float(m["c"]))
-            for m in payload["memberships"]
-        )
-        num_weights = int(payload["num_weights"])
-    except (KeyError, TypeError) as exc:
+        return catalog_from_dict(payload)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed catalog: {exc}") from None
-    return FunctionSet(memberships=memberships, num_weights=num_weights)

@@ -13,15 +13,25 @@ exactly 0; at least one must stay enabled.
 
 Predicted labels are 1-based argmaxes of the corrected probability rows, ties
 broken toward the lowest class index. Natural logarithms throughout.
+
+Every term comes from one scoring core: a single N x N confusion-matrix
+count of (label, prediction) pairs yields the true, predicted and correct
+counts per class, and from them err, per-class accuracy, imbalance and PMI.
+The public term functions, ``score_predictions``, ``objective_value``,
+``ObjectiveEvaluator`` and ``evaluate`` all read that core, so the Z that
+the annealer minimizes, the Z a saved scheme records and the Z a report
+prints are the same number by construction.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .corrections import FunctionSet, validate_selection
+from .corrections import FunctionSet, _apply_column, validate_selection
 from .data import LabeledDataset
 from .errors import PreconditionError, ValidationError
 
@@ -65,17 +75,42 @@ def corrected_matrix(
     entries = validate_selection(fs, xi, num_classes=ds.num_classes)
     out = np.empty_like(ds.probabilities)
     for i, k in enumerate(entries):
-        out[:, i] = fs.apply_index(k, ds.probabilities[:, i])
+        out[:, i] = _apply_column(fs, k, ds.probabilities[:, i])
     return out
+
+
+def _argmax_labels(corrected: np.ndarray) -> np.ndarray:
+    return np.argmax(corrected, axis=1).astype(np.int64) + 1
 
 
 def predict(ds: LabeledDataset, fs: FunctionSet, xi) -> np.ndarray:
     """1-based argmax labels of the corrected rows, ties to the lowest index."""
-    return np.argmax(corrected_matrix(ds, fs, xi), axis=1).astype(np.int64) + 1
+    return _argmax_labels(corrected_matrix(ds, fs, xi))
 
 
-def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of instances whose prediction differs from the label."""
+class _Terms(NamedTuple):
+    err: float
+    accuracy: np.ndarray
+    true_counts: np.ndarray
+    cobias: float | None
+    pmi: float
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    iu, ju = np.triu_indices(k, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _terms(
+    predictions, labels, num_classes: int, need_cobias: bool = False
+) -> _Terms:
+    """Every term of one prediction vector, from one confusion-matrix count.
+
+    ``cobias`` is None when fewer than two classes are present, and that
+    raises PreconditionError when ``need_cobias`` is set.
+    """
     preds = np.asarray(predictions)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
@@ -83,36 +118,74 @@ def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
             f"predictions shape {preds.shape} differs from labels "
             f"shape {labels.shape}"
         )
-    return float(np.mean(preds != labels))
+    n = num_classes
+    m = labels.shape[0]
+    # out-of-range values would alias into another cell of the count
+    if m and (
+        min(preds.min(), labels.min()) < 1 or max(preds.max(), labels.max()) > n
+    ):
+        raise ValidationError(f"predictions and labels must lie in 1..{n}")
+    # confusion[t, p] counts instances labeled t + 1 and predicted p + 1
+    confusion = np.bincount(
+        (labels - 1) * n + (preds - 1), minlength=n * n
+    ).reshape(n, n)
+    true_counts = confusion.sum(axis=1)
+    correct = confusion.diagonal()
+    with np.errstate(invalid="ignore"):
+        accuracy = correct / true_counts
+
+    vals = accuracy[true_counts > 0]
+    k = vals.shape[0]
+    if k >= 2:
+        iu, ju = _pairs(k)
+        cobias = float(np.sum(np.abs(vals[iu] - vals[ju])) / (k * (k - 1) // 2))
+    elif need_cobias:
+        raise PreconditionError(
+            "accuracy-imbalance term needs at least two classes present"
+        )
+    else:
+        cobias = None
+
+    total = 0.0
+    for c, p, t in zip(
+        correct.tolist(), confusion.sum(axis=0).tolist(), true_counts.tolist()
+    ):
+        if t == 0:
+            continue
+        if c == 0:
+            total += math.log(PMI_EPSILON)
+        else:
+            total += math.log((c / m) / ((p / m) * (t / m)))
+
+    return _Terms(
+        err=(m - int(correct.sum())) / m if m else math.nan,
+        accuracy=accuracy,
+        true_counts=true_counts,
+        cobias=cobias,
+        pmi=-total,
+    )
+
+
+def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of instances whose prediction differs from the label."""
+    preds = np.asarray(predictions)
+    labels = np.asarray(labels)
+    n = int(max(preds.max(initial=1), labels.max(initial=1)))
+    return _terms(preds, labels, n).err
 
 
 def per_class_accuracy(
     predictions: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Accuracy per class over its true instances; NaN for absent classes."""
-    preds = np.asarray(predictions)
-    labels = np.asarray(labels)
-    true_counts = np.bincount(labels, minlength=num_classes + 1)[1:]
-    correct = np.bincount(
-        labels[preds == labels], minlength=num_classes + 1
-    )[1:]
-    with np.errstate(invalid="ignore"):
-        return correct / true_counts
+    return _terms(predictions, labels, num_classes).accuracy
 
 
 def z_cobias(
     predictions: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> float:
     """Mean absolute accuracy difference over pairs of present classes."""
-    acc = per_class_accuracy(predictions, labels, num_classes)
-    vals = acc[~np.isnan(acc)]
-    k = vals.shape[0]
-    if k < 2:
-        raise PreconditionError(
-            "accuracy-imbalance term needs at least two classes present"
-        )
-    iu, ju = np.triu_indices(k, 1)
-    return float(np.sum(np.abs(vals[iu] - vals[ju])) / (k * (k - 1) // 2))
+    return _terms(predictions, labels, num_classes, need_cobias=True).cobias
 
 
 def z_pmi(
@@ -125,26 +198,7 @@ def z_pmi(
     numerator 0, so its PMI is floored at ln(PMI_EPSILON); this makes never
     predicting a present class expensive rather than undefined.
     """
-    preds = np.asarray(predictions)
-    labels = np.asarray(labels)
-    m = labels.shape[0]
-    true_counts = np.bincount(labels, minlength=num_classes + 1)[1:]
-    pred_counts = np.bincount(preds, minlength=num_classes + 1)[1:]
-    correct = np.bincount(
-        labels[preds == labels], minlength=num_classes + 1
-    )[1:]
-    total = 0.0
-    for j in range(num_classes):
-        if true_counts[j] == 0:
-            continue
-        if correct[j] == 0:
-            total += math.log(PMI_EPSILON)
-        else:
-            total += math.log(
-                (correct[j] / m)
-                / ((pred_counts[j] / m) * (true_counts[j] / m))
-            )
-    return -total
+    return _terms(predictions, labels, num_classes).pmi
 
 
 def combine_terms(
@@ -167,11 +221,9 @@ def score_predictions(
     num_classes: int,
     w: ObjectiveWeights,
 ) -> float:
-    """Objective value of fixed predictions; only enabled terms are computed."""
-    err = z_err(predictions, labels) if w.enable_err else 0.0
-    cb = z_cobias(predictions, labels, num_classes) if w.enable_cobias else None
-    pmi = z_pmi(predictions, labels, num_classes) if w.enable_pmi else None
-    return combine_terms(err, cb, pmi, w)
+    """Objective value of fixed predictions."""
+    t = _terms(predictions, labels, num_classes, need_cobias=w.enable_cobias)
+    return combine_terms(t.err, t.cobias, t.pmi, w)
 
 
 def objective_value(
@@ -185,10 +237,11 @@ def objective_value(
 class ObjectiveEvaluator:
     """Scores many selections over one dataset without recomputing columns.
 
-    Every (class, function-index) corrected column is computed once up front;
-    a candidate evaluation then only gathers columns, takes the argmax, and
-    counts. Values are bit-identical to ``objective_value`` because the same
-    column arithmetic and the same scoring code run in both paths.
+    Every (class, function-index) corrected column is computed once up front
+    by the same kernel ``corrected_matrix`` uses; a candidate evaluation then
+    only gathers columns, takes the argmax and hands the predictions to
+    ``score_predictions``. Values equal ``objective_value`` bit for bit
+    because both paths share the column kernel, the argmax and the scorer.
     """
 
     def __init__(
@@ -198,12 +251,11 @@ class ObjectiveEvaluator:
         self._num_classes = ds.num_classes
         self._num_instances = ds.num_instances
         self._weights = w
-        self._catalog_size = fs.size
         # stacked (D_F + D_W, M) corrected columns, one stack per class
         self._columns = [
             np.stack(
                 [
-                    fs.apply_index(k, ds.probabilities[:, i])
+                    _apply_column(fs, k, ds.probabilities[:, i])
                     for k in range(1, fs.size + 1)
                 ]
             )
@@ -220,7 +272,7 @@ class ObjectiveEvaluator:
         )
         for i, k in enumerate(xi):
             corrected[:, i] = self._columns[i][k - 1]
-        return np.argmax(corrected, axis=1).astype(np.int64) + 1
+        return _argmax_labels(corrected)
 
     def value(self, xi) -> float:
         return score_predictions(
@@ -246,53 +298,18 @@ class EvalReport:
     correction_params: tuple[dict, ...] | None = None
 
     def to_dict(self) -> dict:
+        """Fields in declaration order, tuples as lists."""
         return {
-            "overall_accuracy": self.overall_accuracy,
-            "err": self.err,
-            "per_class_accuracy": list(self.per_class_accuracy),
-            "class_counts": list(self.class_counts),
-            "cobias": self.cobias,
-            "pmi_sum": self.pmi_sum,
-            "z_value": self.z_value,
-            "beta": self.beta,
-            "tau": self.tau,
-            "enabled_terms": list(self.enabled_terms),
-            "correction_kinds": (
-                None
-                if self.correction_kinds is None
-                else list(self.correction_kinds)
-            ),
-            "correction_params": (
-                None
-                if self.correction_params is None
-                else list(self.correction_params)
-            ),
+            f.name: _as(list, getattr(self, f.name)) for f in fields(self)
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(
-            overall_accuracy=payload["overall_accuracy"],
-            err=payload["err"],
-            per_class_accuracy=tuple(payload["per_class_accuracy"]),
-            class_counts=tuple(payload["class_counts"]),
-            cobias=payload["cobias"],
-            pmi_sum=payload["pmi_sum"],
-            z_value=payload["z_value"],
-            beta=payload["beta"],
-            tau=payload["tau"],
-            enabled_terms=tuple(payload["enabled_terms"]),
-            correction_kinds=(
-                None
-                if payload["correction_kinds"] is None
-                else tuple(payload["correction_kinds"])
-            ),
-            correction_params=(
-                None
-                if payload["correction_params"] is None
-                else tuple(payload["correction_params"])
-            ),
-        )
+        return cls(**{f.name: _as(tuple, payload[f.name]) for f in fields(cls)})
+
+
+def _as(sequence_type, value):
+    return sequence_type(value) if isinstance(value, (list, tuple)) else value
 
 
 def evaluate(
@@ -310,19 +327,7 @@ def evaluate(
     """
     entries = validate_selection(fs, xi, num_classes=ds.num_classes)
     preds = predict(ds, fs, entries)
-    err = z_err(preds, ds.labels)
-    acc_arr = per_class_accuracy(preds, ds.labels, ds.num_classes)
-    present = ~np.isnan(acc_arr)
-    if present.sum() >= 2:
-        cb = z_cobias(preds, ds.labels, ds.num_classes)
-    elif w.enable_cobias:
-        raise PreconditionError(
-            "accuracy-imbalance term needs at least two classes present"
-        )
-    else:
-        cb = None
-    pmi = z_pmi(preds, ds.labels, ds.num_classes)
-    z = combine_terms(err, cb, pmi, w)
+    t = _terms(preds, ds.labels, ds.num_classes, need_cobias=w.enable_cobias)
     enabled = tuple(
         name
         for name, on in (
@@ -332,21 +337,20 @@ def evaluate(
         )
         if on
     )
-    true_counts = np.bincount(ds.labels, minlength=ds.num_classes + 1)[1:]
     kinds = params = None
     if attach_scheme:
         kinds = tuple(fs.index_kind(k) for k in entries)
         params = tuple(fs.describe_index(k) for k in entries)
     return EvalReport(
-        overall_accuracy=1.0 - err,
-        err=err,
+        overall_accuracy=1.0 - t.err,
+        err=t.err,
         per_class_accuracy=tuple(
-            float(a) if not np.isnan(a) else None for a in acc_arr
+            float(a) if not np.isnan(a) else None for a in t.accuracy
         ),
-        class_counts=tuple(int(t) for t in true_counts),
-        cobias=cb,
-        pmi_sum=pmi,
-        z_value=z,
+        class_counts=tuple(int(c) for c in t.true_counts),
+        cobias=t.cobias,
+        pmi_sum=t.pmi,
+        z_value=combine_terms(t.err, t.cobias, t.pmi, w),
         beta=w.beta,
         tau=w.tau,
         enabled_terms=enabled,

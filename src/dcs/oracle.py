@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .corrections import FunctionSet
+from .corrections import FunctionSet, normalize_allowed
 from .data import LabeledDataset
 from .errors import PreconditionError
 from .objective import ObjectiveEvaluator, ObjectiveWeights
@@ -46,14 +46,9 @@ def exhaustive_search(
     whole space. Raises PreconditionError when that exceeds ``limit``.
     """
     n = ds.num_classes
-    if allowed_indices is None:
-        allowed = tuple(range(1, fs.size + 1))
-    else:
-        allowed = tuple(sorted(set(int(k) for k in allowed_indices)))
-        if any(k < 1 or k > fs.size for k in allowed):
-            raise PreconditionError(f"allowed indices must lie in 1..{fs.size}")
-        if not allowed:
-            raise PreconditionError("allowed index set is empty")
+    allowed = normalize_allowed(fs, allowed_indices)
+    if not allowed:
+        raise PreconditionError("allowed index set is empty")
     space = len(allowed) ** n
     if space > limit:
         raise PreconditionError(

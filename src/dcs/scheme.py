@@ -9,13 +9,18 @@ followed by load reproduces every value bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .annealing import AnnealConfig
-from .corrections import FunctionSet, TriangularMembership, validate_selection
+from .corrections import (
+    FunctionSet,
+    catalog_from_dict,
+    catalog_to_dict,
+    validate_selection,
+)
 from .data import LabeledDataset
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .objective import ObjectiveWeights
 
 SCHEME_VERSION = 1
@@ -59,30 +64,11 @@ class CorrectionScheme:
         return {
             "version": SCHEME_VERSION,
             "num_classes": self.num_classes,
-            "catalog": {
-                "memberships": [
-                    {"a": f.a, "b": f.b, "c": f.c}
-                    for f in self.catalog.memberships
-                ],
-                "num_weights": self.catalog.num_weights,
-            },
+            "catalog": catalog_to_dict(self.catalog),
             "selection": list(self.selection),
-            "objective": {
-                "beta": self.objective.beta,
-                "tau": self.objective.tau,
-                "enable_err": self.objective.enable_err,
-                "enable_cobias": self.objective.enable_cobias,
-                "enable_pmi": self.objective.enable_pmi,
-            },
-            "anneal_config": {
-                "seed": self.anneal_config.seed,
-                "initial_temperature": self.anneal_config.initial_temperature,
-                "cooling_rate": self.anneal_config.cooling_rate,
-                "lambda1": self.anneal_config.lambda1,
-                "lambda2": self.anneal_config.lambda2,
-                "min_temperature": self.anneal_config.min_temperature,
-                "max_outer_loops": self.anneal_config.max_outer_loops,
-            },
+            # field order is the file's key order
+            "objective": asdict(self.objective),
+            "anneal_config": asdict(self.anneal_config),
             "best_z": self.best_z,
             "dataset_fingerprint": {
                 "num_instances": self.dataset_num_instances,
@@ -110,13 +96,7 @@ def load_scheme(path: str | Path) -> CorrectionScheme:
             raise ValidationError(
                 f"{path}: unsupported scheme version {payload['version']!r}"
             )
-        catalog = FunctionSet(
-            memberships=tuple(
-                TriangularMembership(float(m["a"]), float(m["b"]), float(m["c"]))
-                for m in payload["catalog"]["memberships"]
-            ),
-            num_weights=int(payload["catalog"]["num_weights"]),
-        )
+        catalog = catalog_from_dict(payload["catalog"])
         obj = payload["objective"]
         cfg = payload["anneal_config"]
         fp = payload["dataset_fingerprint"]
@@ -144,5 +124,7 @@ def load_scheme(path: str | Path) -> CorrectionScheme:
             dataset_num_classes=int(fp["num_classes"]),
             dataset_sha256=str(fp["sha256"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (ValidationError, PreconditionError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed scheme file: {exc}") from None

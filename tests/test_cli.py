@@ -201,6 +201,16 @@ class TestApply:
                    "--input", str(two_class), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_mistyped_scheme_exit_2(self, tmp_path, run_dir):
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload["selection"] = ["x", 1]
+        bad = tmp_path / "bad_scheme.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["apply", "--scheme", str(bad),
+                   "--input", str(run_dir / "optimization_set.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+
 
 class TestCompare:
     def test_grid_shape_and_sorting(self, tmp_path, train_csv):
@@ -309,6 +319,21 @@ class TestReport:
         rc = main(["report", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"task": "t", "num_classes": 3, "search_space": 147,
+             "wall_time": "abc", "outer_loops_run": 3},
+            ["task"],
+        ],
+        ids=["wall_time_not_a_number", "top_level_list"],
+    )
+    def test_mistyped_solve_exit_2(self, tmp_path, payload):
+        bad = tmp_path / "solve.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["report", str(bad)])
+        assert rc == 2
+
 
 class TestOracleCommand:
     def test_writes_result(self, tmp_path, tiny_catalog):
@@ -332,6 +357,18 @@ class TestOracleCommand:
         payload = json.loads((out / "oracle.json").read_text())
         assert payload["num_evaluated"] == 16
         assert len(payload["best_xi"]) == 2
+
+    def test_mistyped_catalog_exit_2(self, tmp_path, train_csv, tiny_catalog):
+        from dcs import save_catalog
+
+        cat = tmp_path / "cat.json"
+        save_catalog(tiny_catalog, cat)
+        payload = json.loads(cat.read_text())
+        payload["memberships"][1]["a"] = "x"
+        cat.write_text(json.dumps(payload))
+        rc = main(["oracle", "--input", str(train_csv), "--catalog", str(cat),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
 
     def test_limit_guard_exit_3(self, tmp_path, train_csv):
         rc = main(["oracle", "--input", str(train_csv), "--limit", "100",
