@@ -7,6 +7,11 @@ schedule is annealed on the train set and its ``best_xi``, ``best_z``,
 set under the full, err and err+pmi objectives and each ``z_value`` is
 compared exactly, along with the whole full-objective report.
 
+Those short schedules run at T~2e5 and accept nearly every proposal. The
+``cold`` cases (p1 and p5, full catalog, seeds 0-1) anneal at T in
+[0.05, 0.1] instead: most proposals are rejected, and each run draws
+thousands of proposals, so they pin the rejection path and long RNG streams.
+
 Floats are compared through ``repr``, so a change in the last bit fails.
 Re-record (only when a behaviour change is intended) with
 
@@ -28,6 +33,11 @@ GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
 SEEDS = (0, 1, 2)
 MAX_OUTER_LOOPS = 10
 OBJECTIVES = ("full", "err", "err+pmi")
+# schedule overrides per case variant; "" is the short hot schedule
+SCHEDULES = {
+    "": {"max_outer_loops": MAX_OUTER_LOOPS},
+    "cold": {"initial_temperature": 0.1, "min_temperature": 0.05},
+}
 
 
 @lru_cache(maxsize=None)
@@ -40,15 +50,15 @@ def _floats(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
 
-def run_case(name: str, mode: str, seed: int) -> dict:
-    """Everything the golden file pins for one (task, mode, seed)."""
+def run_case(name: str, mode: str, seed: int, schedule: str = "") -> dict:
+    """Everything the golden file pins for one (task, mode, seed, schedule)."""
     train, held_out = _task_data(name)
     fs = default_function_set()
     result = anneal(
         train,
         fs,
         ObjectiveWeights(),
-        AnnealConfig(seed=seed, max_outer_loops=MAX_OUTER_LOOPS),
+        AnnealConfig(seed=seed, **SCHEDULES[schedule]),
         allowed_indices=mode_indices(fs, mode),
     )
     reports = {
@@ -80,15 +90,15 @@ def _repr_floats(value):
 
 
 CASES = [
-    (task.name, mode, seed)
+    (task.name, mode, seed, "")
     for task in benchmark_suite()
     for mode in MODES
     for seed in SEEDS
-]
+] + [(name, "dcs", seed, "cold") for name in ("p1", "p5") for seed in (0, 1)]
 
 
-def _case_id(name: str, mode: str, seed: int) -> str:
-    return f"{name}-{mode}-{seed}"
+def _case_id(name: str, mode: str, seed: int, schedule: str) -> str:
+    return "-".join([name, mode, str(seed)] + ([schedule] if schedule else []))
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +107,12 @@ def _goldens() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name,mode,seed", CASES, ids=[_case_id(*c) for c in CASES])
-def test_golden_trace(name, mode, seed):
-    expected = _goldens()[_case_id(name, mode, seed)]
-    got = run_case(name, mode, seed)
+@pytest.mark.parametrize(
+    "name,mode,seed,schedule", CASES, ids=[_case_id(*c) for c in CASES]
+)
+def test_golden_trace(name, mode, seed, schedule):
+    expected = _goldens()[_case_id(name, mode, seed, schedule)]
+    got = run_case(name, mode, seed, schedule)
     for key in expected:
         assert got[key] == expected[key], key
 
