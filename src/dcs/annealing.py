@@ -11,12 +11,23 @@ Randomness comes from three independent PCG64 streams spawned from the one
 seed, consumed in a fixed role order: coordinate choice, replacement value
 choice, acceptance draw. This keeps runs bit-reproducible for a given seed
 on any platform.
+
+``anneal`` draws each stream in blocks of ``BLOCK`` values and draws a new
+block when one is used up. Every proposal takes one coordinate and one value
+draw, and only a non-improving move takes an acceptance draw, as with the
+scalar ``neighbor``/``accept`` pair. The values equal scalar
+draws because numpy's ``Generator.integers(n, size=B)`` and ``random(B)``
+return what B scalar ``integers(n)``/``random()`` calls would, so
+bit-reproducibility now rests on that property of the installed numpy;
+``tests/test_annealing.py`` pins it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +35,9 @@ from .corrections import FunctionSet, normalize_allowed
 from .data import LabeledDataset
 from .errors import PreconditionError
 from .objective import ObjectiveEvaluator, ObjectiveWeights, objective_value
+
+# values drawn per RNG call in ``anneal``
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -120,20 +134,23 @@ def neighbor(xi, domain, coord_rng, value_rng) -> tuple[int, ...]:
     """Resample one uniformly chosen coordinate to a different allowed value.
 
     ``domain`` is either the catalog size D (meaning indices 1..D) or an
-    explicit sequence of allowed indices. The replacement is uniform over the
-    allowed values excluding the coordinate's current one, so the result is
-    always at Hamming distance exactly 1 from ``xi``.
+    explicit sequence of distinct allowed indices. The replacement is uniform
+    over the allowed values excluding the coordinate's current one, so the
+    result is always at Hamming distance exactly 1 from ``xi``. A value draw
+    r maps to the r-th of those values by skipping the current one's
+    position, with no list of choices built.
     """
-    values = (
-        tuple(range(1, domain + 1)) if isinstance(domain, int) else tuple(domain)
-    )
+    values = range(1, domain + 1) if isinstance(domain, int) else tuple(domain)
     if len(values) < 2:
         raise PreconditionError("neighbor needs at least two allowed indices")
+    if not isinstance(domain, int) and len(set(values)) < len(values):
+        raise PreconditionError("neighbor needs distinct allowed indices")
     xi = tuple(xi)
     j = int(coord_rng.integers(len(xi)))
-    choices = [k for k in values if k != xi[j]]
-    replacement = choices[int(value_rng.integers(len(choices)))]
-    return xi[:j] + (replacement,) + xi[j + 1 :]
+    # a current value outside the domain leaves every value to choose from
+    at = values.index(xi[j]) if xi[j] in values else len(values)
+    r = int(value_rng.integers(len(values) - (at < len(values))))
+    return xi[:j] + (values[r + (r >= at)],) + xi[j + 1 :]
 
 
 def accept(delta_z: float, temperature: float, rng) -> bool:
@@ -144,6 +161,13 @@ def accept(delta_z: float, temperature: float, rng) -> bool:
     if delta_z < 0.0:
         return True
     return rng.random() < math.exp(-delta_z / temperature)
+
+
+def _blocks(draw):
+    """The values of ``draw(size=BLOCK)``, one at a time, drawn anew when
+    used up."""
+    while True:
+        yield from draw(size=BLOCK).tolist()
 
 
 def make_streams(seed: int):
@@ -182,11 +206,17 @@ def anneal(
         raise PreconditionError("need at least two allowed indices")
 
     coord_rng, value_rng, accept_rng = make_streams(config.seed)
-    evaluator = ObjectiveEvaluator(ds, fs, weights)
+    coords = _blocks(functools.partial(coord_rng.integers, n))
+    # a draw r picks the r-th allowed index other than the current one
+    picks = _blocks(functools.partial(value_rng.integers, len(allowed) - 1))
+    # ``accept`` calls random() only on non-improving moves
+    uniforms = SimpleNamespace(random=_blocks(accept_rng.random).__next__)
+    position = {k: at for at, k in enumerate(allowed)}
 
-    current = initial_solution(fs, n)
-    current_z = evaluator.value(current)
-    best, best_z = current, current_z
+    evaluator = ObjectiveEvaluator(ds, fs, weights)
+    current = list(initial_solution(fs, n))
+    current_z = evaluator._walk_start(current)
+    best, best_z = tuple(current), current_z
 
     accepted_cap = math.ceil(config.lambda1 * n)
     generated_cap = math.ceil(config.lambda2 * n)
@@ -204,14 +234,21 @@ def anneal(
         generated = 0
         accepted = 0
         while accepted < accepted_cap and generated < generated_cap:
-            candidate = neighbor(current, allowed, coord_rng, value_rng)
-            candidate_z = evaluator.value(candidate)
+            j = next(coords)
+            r = next(picks)
+            old = current[j]
+            k = allowed[r + (r >= position[old])]
+            candidate_z = evaluator._walk_try(j, k)
             generated += 1
             if candidate_z < best_z:
-                best, best_z = candidate, candidate_z
-            if accept(candidate_z - current_z, temperature, accept_rng):
-                current, current_z = candidate, candidate_z
+                best = (*current[:j], k, *current[j + 1 :])
+                best_z = candidate_z
+            if accept(candidate_z - current_z, temperature, uniforms):
+                current[j] = k
+                current_z = candidate_z
                 accepted += 1
+            else:
+                evaluator._walk_put(j, old)
         z_trace.append(best_z)
         temperatures.append(temperature)
         counts.append((generated, accepted))

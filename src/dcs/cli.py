@@ -36,7 +36,13 @@ from .data import (
     split_dataset,
 )
 from .errors import PreconditionError, ValidationError
-from .objective import EvalReport, ObjectiveWeights, evaluate, predict
+from .objective import (
+    EvalReport,
+    ObjectiveWeights,
+    _report_from_predictions,
+    evaluate,
+    predict,
+)
 from .oracle import exhaustive_search
 from .scheme import CorrectionScheme, load_scheme, save_scheme
 from .synth import benchmark_suite, generate, load_profile, save_profile
@@ -234,7 +240,9 @@ def cmd_apply(args) -> int:
         )
     catalog = scheme.catalog
     preds = predict(ds, catalog, scheme.selection)
-    corrected = evaluate(ds, catalog, scheme.selection, scheme.objective)
+    corrected = _report_from_predictions(
+        ds, catalog, scheme.selection, preds, scheme.objective
+    )
     identity = (catalog.dont_change_index,) * ds.num_classes
     baseline = evaluate(ds, catalog, identity, scheme.objective)
 

@@ -90,26 +90,23 @@ def predict(ds: LabeledDataset, fs: FunctionSet, xi) -> np.ndarray:
 
 class _Terms(NamedTuple):
     err: float
-    accuracy: np.ndarray
-    true_counts: np.ndarray
+    accuracy: list[float]
+    true_counts: list[int]
     cobias: float | None
     pmi: float
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i, j), i < j, in ``np.triu_indices(k, 1)`` order."""
     iu, ju = np.triu_indices(k, 1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
+    return tuple(zip(iu.tolist(), ju.tolist()))
 
 
-def _terms(
-    predictions, labels, num_classes: int, need_cobias: bool = False
-) -> _Terms:
-    """Every term of one prediction vector, from one confusion-matrix count.
+def _confusion(predictions, labels, num_classes: int) -> list[list[int]]:
+    """The N x N confusion count of one prediction vector, as Python ints.
 
-    ``cobias`` is None when fewer than two classes are present, and that
-    raises PreconditionError when ``need_cobias`` is set.
+    ``confusion[t][p]`` counts instances labeled t + 1 and predicted p + 1.
     """
     preds = np.asarray(predictions)
     labels = np.asarray(labels)
@@ -119,26 +116,36 @@ def _terms(
             f"shape {labels.shape}"
         )
     n = num_classes
-    m = labels.shape[0]
     # out-of-range values would alias into another cell of the count
-    if m and (
+    if labels.shape[0] and (
         min(preds.min(), labels.min()) < 1 or max(preds.max(), labels.max()) > n
     ):
         raise ValidationError(f"predictions and labels must lie in 1..{n}")
-    # confusion[t, p] counts instances labeled t + 1 and predicted p + 1
-    confusion = np.bincount(
-        (labels - 1) * n + (preds - 1), minlength=n * n
-    ).reshape(n, n)
-    true_counts = confusion.sum(axis=1)
-    correct = confusion.diagonal()
-    with np.errstate(invalid="ignore"):
-        accuracy = correct / true_counts
+    return _count((labels - 1) * n + (preds - 1), n)
 
-    vals = accuracy[true_counts > 0]
-    k = vals.shape[0]
+
+def _count(codes: np.ndarray, n: int) -> list[list[int]]:
+    return np.bincount(codes, minlength=n * n).reshape(n, n).tolist()
+
+
+def _score(confusion: list[list[int]], need_cobias: bool = False) -> _Terms:
+    """Every term from the confusion counts.
+
+    ``cobias`` is None when fewer than two classes are present, and that
+    raises PreconditionError when ``need_cobias`` is set.
+    """
+    true_counts = list(map(sum, confusion))
+    pred_counts = list(map(sum, zip(*confusion)))
+    correct = [row[i] for i, row in enumerate(confusion)]
+    m = sum(true_counts)
+    accuracy = [c / t if t else math.nan for c, t in zip(correct, true_counts)]
+
+    vals = [a for a, t in zip(accuracy, true_counts) if t]
+    k = len(vals)
     if k >= 2:
-        iu, ju = _pairs(k)
-        cobias = float(np.sum(np.abs(vals[iu] - vals[ju])) / (k * (k - 1) // 2))
+        # numpy's pairwise sum: a saved scheme's best_z must reproduce exactly
+        diffs = np.array([abs(vals[i] - vals[j]) for i, j in _pairs(k)])
+        cobias = float(diffs.sum()) / len(diffs)
     elif need_cobias:
         raise PreconditionError(
             "accuracy-imbalance term needs at least two classes present"
@@ -147,9 +154,7 @@ def _terms(
         cobias = None
 
     total = 0.0
-    for c, p, t in zip(
-        correct.tolist(), confusion.sum(axis=0).tolist(), true_counts.tolist()
-    ):
+    for c, p, t in zip(correct, pred_counts, true_counts):
         if t == 0:
             continue
         if c == 0:
@@ -158,12 +163,19 @@ def _terms(
             total += math.log((c / m) / ((p / m) * (t / m)))
 
     return _Terms(
-        err=(m - int(correct.sum())) / m if m else math.nan,
+        err=(m - sum(correct)) / m if m else math.nan,
         accuracy=accuracy,
         true_counts=true_counts,
         cobias=cobias,
         pmi=-total,
     )
+
+
+def _terms(
+    predictions, labels, num_classes: int, need_cobias: bool = False
+) -> _Terms:
+    """Every term of one prediction vector: count, then score."""
+    return _score(_confusion(predictions, labels, num_classes), need_cobias)
 
 
 def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -178,7 +190,7 @@ def per_class_accuracy(
     predictions: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Accuracy per class over its true instances; NaN for absent classes."""
-    return _terms(predictions, labels, num_classes).accuracy
+    return np.array(_terms(predictions, labels, num_classes).accuracy)
 
 
 def z_cobias(
@@ -238,10 +250,21 @@ class ObjectiveEvaluator:
     """Scores many selections over one dataset without recomputing columns.
 
     Every (class, function-index) corrected column is computed once up front
-    by the same kernel ``corrected_matrix`` uses; a candidate evaluation then
-    only gathers columns, takes the argmax and hands the predictions to
-    ``score_predictions``. Values equal ``objective_value`` bit for bit
-    because both paths share the column kernel, the argmax and the scorer.
+    by the same kernel ``corrected_matrix`` uses; ``value`` then only gathers
+    columns, takes the argmax and hands the predictions to
+    ``score_predictions``.
+
+    The annealer walks one coordinate at a time instead. ``_walk_start``
+    fills an (M, N) buffer with the columns of a start selection;
+    ``_walk_try(j, k)`` overwrites column j in place with function k's
+    column and scores the buffer; ``_walk_put(j, k)`` writes a column
+    unscored, which puts the old one back after a rejection. A step costs
+    one column write, one argmax and one confusion count, with no range
+    check: the labels were validated when the dataset was built and are
+    read-only, and argmax + 1 lies in 1..N.
+
+    Both routes score through the same confusion count and scoring tail, so
+    their values equal ``objective_value`` bit for bit.
     """
 
     def __init__(
@@ -278,6 +301,32 @@ class ObjectiveEvaluator:
         return score_predictions(
             self.predictions(xi), self._labels, self._num_classes, self._weights
         )
+
+    def _walk_start(self, xi) -> float:
+        """Load ``xi`` into the walk buffer and score it."""
+        m, n = self._num_instances, self._num_classes
+        self._buffer = np.empty((m, n), dtype=np.float64)
+        # confusion-count cell of (label, argmax), label part precomputed
+        self._label_codes = (self._labels - 1) * n
+        self._codes = np.empty(m, dtype=np.intp)
+        for j, k in enumerate(xi):
+            self._walk_put(j, k)
+        return self._walk_value()
+
+    def _walk_try(self, j: int, k: int) -> float:
+        """Put function k on class j and score the buffer."""
+        self._walk_put(j, k)
+        return self._walk_value()
+
+    def _walk_put(self, j: int, k: int) -> None:
+        self._buffer[:, j] = self._columns[j][k - 1]
+
+    def _walk_value(self) -> float:
+        codes = np.argmax(self._buffer, axis=1, out=self._codes)
+        np.add(codes, self._label_codes, out=codes)
+        w = self._weights
+        t = _score(_count(codes, self._num_classes), w.enable_cobias)
+        return combine_terms(t.err, t.cobias, t.pmi, w)
 
 
 @dataclass(frozen=True)
@@ -326,7 +375,21 @@ def evaluate(
     accuracy is defined as 1 - err so the two always sum to 1 exactly.
     """
     entries = validate_selection(fs, xi, num_classes=ds.num_classes)
-    preds = predict(ds, fs, entries)
+    return _report_from_predictions(
+        ds, fs, entries, predict(ds, fs, entries), w, attach_scheme
+    )
+
+
+def _report_from_predictions(
+    ds: LabeledDataset,
+    fs: FunctionSet,
+    entries: tuple[int, ...],
+    preds: np.ndarray,
+    w: ObjectiveWeights,
+    attach_scheme: bool = True,
+) -> EvalReport:
+    """``evaluate``'s report for a validated selection whose predictions on
+    ``ds`` are already computed."""
     t = _terms(preds, ds.labels, ds.num_classes, need_cobias=w.enable_cobias)
     enabled = tuple(
         name

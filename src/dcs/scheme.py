@@ -100,6 +100,19 @@ def load_scheme(path: str | Path) -> CorrectionScheme:
         obj = payload["objective"]
         cfg = payload["anneal_config"]
         fp = payload["dataset_fingerprint"]
+        try:
+            anneal_config = AnnealConfig(
+                seed=int(cfg["seed"]),
+                initial_temperature=float(cfg["initial_temperature"]),
+                cooling_rate=float(cfg["cooling_rate"]),
+                lambda1=float(cfg["lambda1"]),
+                lambda2=float(cfg["lambda2"]),
+                min_temperature=float(cfg["min_temperature"]),
+                max_outer_loops=int(cfg["max_outer_loops"]),
+            )
+        except PreconditionError as exc:
+            # a bad schedule in a file is bad input, not a solver precondition
+            raise ValidationError(f"{path}: invalid anneal_config: {exc}") from None
         return CorrectionScheme(
             catalog=catalog,
             selection=tuple(int(k) for k in payload["selection"]),
@@ -110,15 +123,7 @@ def load_scheme(path: str | Path) -> CorrectionScheme:
                 enable_cobias=bool(obj["enable_cobias"]),
                 enable_pmi=bool(obj["enable_pmi"]),
             ),
-            anneal_config=AnnealConfig(
-                seed=int(cfg["seed"]),
-                initial_temperature=float(cfg["initial_temperature"]),
-                cooling_rate=float(cfg["cooling_rate"]),
-                lambda1=float(cfg["lambda1"]),
-                lambda2=float(cfg["lambda2"]),
-                min_temperature=float(cfg["min_temperature"]),
-                max_outer_loops=int(cfg["max_outer_loops"]),
-            ),
+            anneal_config=anneal_config,
             best_z=float(payload["best_z"]),
             dataset_num_instances=int(fp["num_instances"]),
             dataset_num_classes=int(fp["num_classes"]),

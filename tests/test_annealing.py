@@ -1,4 +1,5 @@
 """Annealer mechanics: acceptance rule, neighbors, schedule, determinism."""
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from dcs import (
     neighbor,
     objective_value,
 )
+from dcs.annealing import BLOCK, _blocks
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
@@ -94,6 +96,42 @@ class TestNeighbor:
         with pytest.raises(PreconditionError):
             neighbor((1, 1), (1,), rng, rng)
 
+    def test_duplicate_domain_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(PreconditionError):
+            neighbor((1, 1), (1, 2, 2), rng, rng)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.one_of(
+            st.integers(2, 12),
+            st.lists(st.integers(1, 20), min_size=2, max_size=8, unique=True),
+        ),
+        st.lists(st.integers(1, 20), min_size=1, max_size=5),
+    )
+    def test_matches_list_rebuilding_reference(self, seed, domain, xi):
+        # the original implementation: rebuild the choices on every call
+        def reference(xi, domain, coord_rng, value_rng):
+            values = (
+                tuple(range(1, domain + 1))
+                if isinstance(domain, int)
+                else tuple(domain)
+            )
+            j = int(coord_rng.integers(len(xi)))
+            choices = [k for k in values if k != xi[j]]
+            replacement = choices[int(value_rng.integers(len(choices)))]
+            return tuple(xi[:j]) + (replacement,) + tuple(xi[j + 1 :])
+
+        got_streams = make_streams(seed)[:2]
+        ref_streams = make_streams(seed)[:2]
+        for _ in range(5):
+            moved = neighbor(xi, domain, *got_streams)
+            assert moved == reference(xi, domain, *ref_streams)
+            xi = moved
+        for got, ref in zip(got_streams, ref_streams):
+            assert got.random() == ref.random()
+
 
 class TestStreams:
     def test_three_independent_streams(self):
@@ -107,6 +145,41 @@ class TestStreams:
         a = make_streams(1)[0]
         b = make_streams(2)[0]
         assert a.random() != b.random()
+
+
+class TestBlockDraws:
+    """``anneal`` draws its streams in blocks; bit-reproducibility rests on
+    block draws returning exactly what scalar draws would."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 48, 1000])
+    def test_integers_block_equals_scalar(self, n):
+        block, scalar = make_streams(7)[0], make_streams(7)[0]
+        assert block.integers(n, size=BLOCK).tolist() == [
+            int(scalar.integers(n)) for _ in range(BLOCK)
+        ]
+
+    def test_random_block_equals_scalar(self):
+        block, scalar = make_streams(7)[2], make_streams(7)[2]
+        assert block.random(BLOCK).tolist() == [
+            scalar.random() for _ in range(BLOCK)
+        ]
+
+    @pytest.mark.parametrize("n", [2, 5, 48])
+    def test_refilled_integers_equal_scalar(self, n):
+        count = 2 * BLOCK + BLOCK // 2
+        blocks = _blocks(functools.partial(make_streams(3)[1].integers, n))
+        scalar = make_streams(3)[1]
+        assert [next(blocks) for _ in range(count)] == [
+            int(scalar.integers(n)) for _ in range(count)
+        ]
+
+    def test_refilled_uniforms_equal_scalar(self):
+        count = 2 * BLOCK + BLOCK // 2
+        blocks = _blocks(make_streams(3)[2].random)
+        scalar = make_streams(3)[2]
+        assert [next(blocks) for _ in range(count)] == [
+            scalar.random() for _ in range(count)
+        ]
 
 
 class TestInitialSolution:

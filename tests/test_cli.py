@@ -211,6 +211,17 @@ class TestApply:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_bad_schedule_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload["anneal_config"]["cooling_rate"] = 2
+        bad = tmp_path / "bad_scheme.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["apply", "--scheme", str(bad),
+                   "--input", str(run_dir / "optimization_set.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "cooling_rate" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_grid_shape_and_sorting(self, tmp_path, train_csv):

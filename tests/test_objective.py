@@ -23,6 +23,7 @@ from dcs import (
     z_pmi,
 )
 from dcs.objective import EvalReport, combine_terms
+from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
 EXACT = 1e-12
@@ -283,6 +284,35 @@ class TestEvaluatorEquivalence:
         for _ in range(50):
             xi = tuple(rng.integers(1, fs.size + 1, size=2))
             assert ev.value(xi) == objective_value(four_row_dataset, fs, xi, w)
+
+    @pytest.mark.parametrize("mode", ["full", "err", "err+pmi"])
+    def test_walk_bit_identical_to_plain_path(self, mode):
+        # the annealer's in-place walk: try a move, then keep it or put the
+        # old column back; every score must equal the from-scratch value
+        profile = BiasProfile(
+            num_classes=4,
+            class_priors=(0.4, 0.3, 0.2, 0.1),
+            target_accuracy=(0.9, 0.6, 0.5, 0.3),
+            confusion_temperature=1.0,
+            seed=11,
+        )
+        ds = generate(profile, 400)
+        fs = default_function_set()
+        w = ObjectiveWeights.from_mode(mode)
+        ev = ObjectiveEvaluator(ds, fs, w)
+        rng = np.random.default_rng(3)
+        xi = [int(k) for k in rng.integers(1, fs.size + 1, size=4)]
+        assert ev._walk_start(xi) == objective_value(ds, fs, xi, w)
+        for _ in range(300):
+            j = int(rng.integers(4))
+            k = int(rng.integers(1, fs.size + 1))
+            moved = xi[:j] + [k] + xi[j + 1 :]
+            assert ev._walk_try(j, k) == objective_value(ds, fs, moved, w)
+            if rng.random() < 0.5:
+                xi = moved
+            else:
+                ev._walk_put(j, xi[j])
+        assert ev._walk_try(0, xi[0]) == objective_value(ds, fs, xi, w)
 
     def test_deterministic_repeat(self, four_row_dataset):
         fs = default_function_set()
