@@ -15,8 +15,10 @@ on any platform.
 ``anneal`` draws each stream in blocks of ``BLOCK`` values and draws a new
 block when one is used up. Every proposal takes one coordinate and one value
 draw, and only a non-improving move takes an acceptance draw, as with the
-scalar ``neighbor``/``accept`` pair. The values equal scalar
-draws because numpy's ``Generator.integers(n, size=B)`` and ``random(B)``
+scalar ``neighbor``/``accept`` pair. A value draw r maps to the r-th allowed
+index other than the current one through a position map, which is the value
+``neighbor`` picks from its list of choices. The values equal scalar draws
+because numpy's ``Generator.integers(n, size=B)`` and ``random(B)``
 return what B scalar ``integers(n)``/``random()`` calls would, so
 bit-reproducibility now rests on that property of the installed numpy;
 ``tests/test_annealing.py`` pins it.
@@ -134,23 +136,20 @@ def neighbor(xi, domain, coord_rng, value_rng) -> tuple[int, ...]:
     """Resample one uniformly chosen coordinate to a different allowed value.
 
     ``domain`` is either the catalog size D (meaning indices 1..D) or an
-    explicit sequence of distinct allowed indices. The replacement is uniform
-    over the allowed values excluding the coordinate's current one, so the
-    result is always at Hamming distance exactly 1 from ``xi``. A value draw
-    r maps to the r-th of those values by skipping the current one's
-    position, with no list of choices built.
+    explicit sequence of allowed indices. The replacement is uniform over the
+    allowed values excluding the coordinate's current one, so the result is
+    always at Hamming distance exactly 1 from ``xi``.
     """
-    values = range(1, domain + 1) if isinstance(domain, int) else tuple(domain)
+    values = (
+        tuple(range(1, domain + 1)) if isinstance(domain, int) else tuple(domain)
+    )
     if len(values) < 2:
         raise PreconditionError("neighbor needs at least two allowed indices")
-    if not isinstance(domain, int) and len(set(values)) < len(values):
-        raise PreconditionError("neighbor needs distinct allowed indices")
     xi = tuple(xi)
     j = int(coord_rng.integers(len(xi)))
-    # a current value outside the domain leaves every value to choose from
-    at = values.index(xi[j]) if xi[j] in values else len(values)
-    r = int(value_rng.integers(len(values) - (at < len(values))))
-    return xi[:j] + (values[r + (r >= at)],) + xi[j + 1 :]
+    choices = [k for k in values if k != xi[j]]
+    replacement = choices[int(value_rng.integers(len(choices)))]
+    return xi[:j] + (replacement,) + xi[j + 1 :]
 
 
 def accept(delta_z: float, temperature: float, rng) -> bool:
@@ -215,7 +214,7 @@ def anneal(
 
     evaluator = ObjectiveEvaluator(ds, fs, weights)
     current = list(initial_solution(fs, n))
-    current_z = evaluator._walk_start(current)
+    current_z = evaluator.value(current)
     best, best_z = tuple(current), current_z
 
     accepted_cap = math.ceil(config.lambda1 * n)

@@ -250,21 +250,19 @@ class ObjectiveEvaluator:
     """Scores many selections over one dataset without recomputing columns.
 
     Every (class, function-index) corrected column is computed once up front
-    by the same kernel ``corrected_matrix`` uses; ``value`` then only gathers
-    columns, takes the argmax and hands the predictions to
-    ``score_predictions``.
+    by the same kernel ``corrected_matrix`` uses. Scores come from one
+    C-contiguous (M, N) buffer of the current selection's columns:
+    ``value(xi)`` writes all N columns and scores the buffer. The annealer
+    walks one coordinate at a time on the same buffer: ``_walk_try(j, k)``
+    overwrites column j in place with function k's column and scores it, and
+    ``_walk_put(j, k)`` writes a column unscored, which puts the old one back
+    after a rejection. A step costs one column write, one argmax and one
+    confusion count, with no range check: the labels were validated when the
+    dataset was built and are read-only, and argmax + 1 lies in 1..N.
 
-    The annealer walks one coordinate at a time instead. ``_walk_start``
-    fills an (M, N) buffer with the columns of a start selection;
-    ``_walk_try(j, k)`` overwrites column j in place with function k's
-    column and scores the buffer; ``_walk_put(j, k)`` writes a column
-    unscored, which puts the old one back after a rejection. A step costs
-    one column write, one argmax and one confusion count, with no range
-    check: the labels were validated when the dataset was built and are
-    read-only, and argmax + 1 lies in 1..N.
-
-    Both routes score through the same confusion count and scoring tail, so
-    their values equal ``objective_value`` bit for bit.
+    Scores go through the same scoring tail as ``score_predictions``, so
+    they equal ``objective_value`` bit for bit. ``predictions`` gathers a
+    fresh matrix and leaves the buffer alone.
     """
 
     def __init__(
@@ -284,6 +282,11 @@ class ObjectiveEvaluator:
             )
             for i in range(ds.num_classes)
         ]
+        m, n = ds.num_instances, ds.num_classes
+        self._buffer = np.empty((m, n), dtype=np.float64)
+        # confusion-count cell of (label, argmax), label part precomputed
+        self._label_codes = (self._labels - 1) * n
+        self._codes = np.empty(m, dtype=np.intp)
 
     @property
     def num_classes(self) -> int:
@@ -298,17 +301,7 @@ class ObjectiveEvaluator:
         return _argmax_labels(corrected)
 
     def value(self, xi) -> float:
-        return score_predictions(
-            self.predictions(xi), self._labels, self._num_classes, self._weights
-        )
-
-    def _walk_start(self, xi) -> float:
-        """Load ``xi`` into the walk buffer and score it."""
-        m, n = self._num_instances, self._num_classes
-        self._buffer = np.empty((m, n), dtype=np.float64)
-        # confusion-count cell of (label, argmax), label part precomputed
-        self._label_codes = (self._labels - 1) * n
-        self._codes = np.empty(m, dtype=np.intp)
+        """Load ``xi`` into the buffer and score it."""
         for j, k in enumerate(xi):
             self._walk_put(j, k)
         return self._walk_value()

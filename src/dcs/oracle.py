@@ -1,9 +1,10 @@
 """Exhaustive search over selection vectors, used as a ground-truth check.
 
 Enumerates the full cartesian product of allowed indices in lexicographic
-order and scores every vector with the same cached evaluator the annealer
-uses, so values are bit-comparable. Intended for small instances; the space
-size is guarded by an explicit limit.
+order and scores every vector with ``ObjectiveEvaluator.value``, the
+evaluator and column buffer the annealer walks, so values are
+bit-comparable. Intended for small instances; the space size is guarded by
+an explicit limit.
 """
 from __future__ import annotations
 

@@ -286,7 +286,7 @@ class TestEvaluatorEquivalence:
             assert ev.value(xi) == objective_value(four_row_dataset, fs, xi, w)
 
     @pytest.mark.parametrize("mode", ["full", "err", "err+pmi"])
-    def test_walk_bit_identical_to_plain_path(self, mode):
+    def test_walk_bit_identical_to_objective_value(self, mode):
         # the annealer's in-place walk: try a move, then keep it or put the
         # old column back; every score must equal the from-scratch value
         profile = BiasProfile(
@@ -302,7 +302,7 @@ class TestEvaluatorEquivalence:
         ev = ObjectiveEvaluator(ds, fs, w)
         rng = np.random.default_rng(3)
         xi = [int(k) for k in rng.integers(1, fs.size + 1, size=4)]
-        assert ev._walk_start(xi) == objective_value(ds, fs, xi, w)
+        assert ev.value(xi) == objective_value(ds, fs, xi, w)
         for _ in range(300):
             j = int(rng.integers(4))
             k = int(rng.integers(1, fs.size + 1))
@@ -313,6 +313,9 @@ class TestEvaluatorEquivalence:
             else:
                 ev._walk_put(j, xi[j])
         assert ev._walk_try(0, xi[0]) == objective_value(ds, fs, xi, w)
+        # value reloads every column, whatever the walk left in the buffer
+        fresh = [int(k) for k in rng.integers(1, fs.size + 1, size=4)]
+        assert ev.value(fresh) == objective_value(ds, fs, fresh, w)
 
     def test_deterministic_repeat(self, four_row_dataset):
         fs = default_function_set()
