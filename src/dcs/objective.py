@@ -251,14 +251,25 @@ class ObjectiveEvaluator:
 
     Every (class, function-index) corrected column is computed once up front
     by the same kernel ``corrected_matrix`` uses. Scores come from one
-    C-contiguous (M, N) buffer of the current selection's columns:
-    ``value(xi)`` writes all N columns and scores the buffer. The annealer
-    walks one coordinate at a time on the same buffer: ``_walk_try(j, k)``
-    overwrites column j in place with function k's column and scores it, and
-    ``_walk_put(j, k)`` writes a column unscored, which puts the old one back
-    after a rejection. A step costs one column write, one argmax and one
-    confusion count, with no range check: the labels were validated when the
-    dataset was built and are read-only, and argmax + 1 lies in 1..N.
+    C-contiguous (N, M) buffer of the current selection's columns, where row
+    j holds class j's corrected column: ``value(xi)`` writes all N rows and
+    scores the buffer. The annealer walks one coordinate at a time on the
+    same buffer: ``_walk_try(j, k)`` overwrites row j in place with function
+    k's column and scores it, and ``_walk_put(j, k)`` writes a row unscored,
+    which puts the old one back after a rejection. A step costs one
+    contiguous row copy, one top-class reduction and one confusion count,
+    with no range check: the labels were validated when the dataset was
+    built and are read-only, and the top class lies in 1..N.
+
+    The top class of an instance is found by whole-buffer ufuncs over the N
+    rows instead of a per-instance argmax: the column maximum, the rows that
+    equal it, each tie ranked by ``N - 1 - j`` and the largest rank kept, so
+    ties go to the lowest class index, as ``np.argmax`` breaks them. That is
+    exact because every buffer value is finite (``LabeledDataset`` rejects
+    non-finite probabilities and every kernel maps [0, 1] to finite values),
+    so no NaN can be a maximum that equals nothing; and ``==`` treats
+    ``-0.0`` and ``0.0`` as equal, just as argmax's ``>`` never prefers one
+    over the other.
 
     Scores go through the same scoring tail as ``score_predictions``, so
     they equal ``objective_value`` bit for bit. ``predictions`` gathers a
@@ -272,20 +283,28 @@ class ObjectiveEvaluator:
         self._num_classes = ds.num_classes
         self._num_instances = ds.num_instances
         self._weights = w
-        # stacked (D_F + D_W, M) corrected columns, one stack per class
-        self._columns = [
-            np.stack(
-                [
-                    _apply_column(fs, k, ds.probabilities[:, i])
-                    for k in range(1, fs.size + 1)
-                ]
-            )
-            for i in range(ds.num_classes)
-        ]
         m, n = ds.num_instances, ds.num_classes
-        self._buffer = np.empty((m, n), dtype=np.float64)
-        # confusion-count cell of (label, argmax), label part precomputed
-        self._label_codes = (self._labels - 1) * n
+        # (D_F + D_W, M) corrected columns, one table per class
+        self._columns = []
+        for i in range(n):
+            table = np.empty((fs.size, m), dtype=np.float64)
+            for k in range(1, fs.size + 1):
+                table[k - 1] = _apply_column(fs, k, ds.probabilities[:, i])
+            self._columns.append(table)
+        self._buffer = np.empty((n, m), dtype=np.float64)
+        # scratch of the top-class reduction, reused by every step; the tie
+        # mask is written as bools and read as 0/1 bytes, with no cast
+        self._max = np.empty(m, dtype=np.float64)
+        self._ties = np.empty((n, m), dtype=np.uint8)
+        self._tie_mask = self._ties.view(bool)
+        # rank N - 1 - j of class j, in the smallest type that holds N - 1
+        rank_type = np.min_scalar_type(n - 1)
+        self._rank = np.arange(n - 1, -1, -1, dtype=rank_type)[:, None]
+        self._ranked = np.empty((n, m), dtype=rank_type)
+        self._top = np.empty(m, dtype=rank_type)
+        # confusion-count cell of (label, top class) is this minus the
+        # top tie's rank N - 1 - j
+        self._label_codes = (self._labels - 1) * n + (n - 1)
         self._codes = np.empty(m, dtype=np.intp)
 
     @property
@@ -312,13 +331,21 @@ class ObjectiveEvaluator:
         return self._walk_value()
 
     def _walk_put(self, j: int, k: int) -> None:
-        self._buffer[:, j] = self._columns[j][k - 1]
+        self._buffer[j] = self._columns[j][k - 1]
+
+    def _walk_codes(self) -> np.ndarray:
+        """Confusion-count cell of (label, top class) per instance."""
+        buf = self._buffer
+        np.maximum.reduce(buf, axis=0, out=self._max)
+        np.equal(buf, self._max, out=self._tie_mask)
+        np.multiply(self._ties, self._rank, out=self._ranked)
+        np.maximum.reduce(self._ranked, axis=0, out=self._top)
+        return np.subtract(self._label_codes, self._top, out=self._codes)
 
     def _walk_value(self) -> float:
-        codes = np.argmax(self._buffer, axis=1, out=self._codes)
-        np.add(codes, self._label_codes, out=codes)
         w = self._weights
-        t = _score(_count(codes, self._num_classes), w.enable_cobias)
+        counts = _count(self._walk_codes(), self._num_classes)
+        t = _score(counts, w.enable_cobias)
         return combine_terms(t.err, t.cobias, t.pmi, w)
 
 

@@ -27,6 +27,8 @@ from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
 EXACT = 1e-12
+# every value a tie can hinge on: both signed zeros and two exact levels
+TIE_VALUES = (0.0, -0.0, 0.25, 1.0)
 
 
 class TestPredict:
@@ -316,6 +318,57 @@ class TestEvaluatorEquivalence:
         # value reloads every column, whatever the walk left in the buffer
         fresh = [int(k) for k in rng.integers(1, fs.size + 1, size=4)]
         assert ev.value(fresh) == objective_value(ds, fs, fresh, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_walk_top_class_is_row_argmax(self, data):
+        # the walk's max/tie reduction over the (N, M) buffer must pick the
+        # same class as a per-row argmax, ties to the lowest index, on
+        # values full of ties: signed zeros, all-zero rows, equal columns
+        n = data.draw(st.integers(2, 8), label="N")
+        m = data.draw(st.integers(1, 30), label="M")
+        values = np.array(
+            data.draw(
+                st.lists(
+                    st.sampled_from(TIE_VALUES), min_size=m * n, max_size=m * n
+                ),
+                label="values",
+            )
+        ).reshape(m, n)
+        zero_row = data.draw(st.integers(0, m - 1), label="zero row")
+        values[zero_row] = data.draw(
+            st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n),
+            label="signed zeros",
+        )
+        src = data.draw(st.integers(0, n - 1), label="copied column")
+        dst = data.draw(st.integers(0, n - 1), label="overwritten column")
+        values[:, dst] = values[:, src]
+        labels = data.draw(
+            st.lists(st.integers(1, n), min_size=m, max_size=m), label="labels"
+        )
+        ds = make_dataset(values, labels)
+        fs = default_function_set()
+        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights())
+        # Don't Change passes every value through, signed zeros included
+        for j in range(n):
+            ev._walk_put(j, fs.dont_change_index)
+        expected = (ds.labels - 1) * n + np.argmax(values, axis=1)
+        assert np.array_equal(ev._walk_codes(), expected)
+
+    def test_walk_top_class_past_one_byte_ranks(self):
+        # 300 classes: tie ranks up to 299 no longer fit in one byte
+        n = 300
+        values = np.zeros((3, n))
+        values[0, [280, 290]] = 0.5  # a tie high up: class 280 wins
+        values[2, n - 1] = 1.0  # the last class alone on top
+        ds = make_dataset(values, [1, n, 7])  # row 1 is all zero: class 0
+        fs = default_function_set()
+        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights())
+        for j in range(n):
+            ev._walk_put(j, fs.dont_change_index)
+        top = ev._walk_codes() - (ds.labels - 1) * n
+        assert top.tolist() == [280, 0, n - 1]
+        assert np.array_equal(top, np.argmax(values, axis=1))
 
     def test_deterministic_repeat(self, four_row_dataset):
         fs = default_function_set()
