@@ -9,6 +9,7 @@ followed by load reproduces every value bit-for-bit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -79,9 +80,19 @@ class CorrectionScheme:
 
 
 def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(scheme.to_dict(), fh, indent=2)
-        fh.write("\n")
+    """Write the scheme atomically: it goes to a sibling temp file that then
+    replaces ``path``, so an interrupted save leaves any earlier file whole
+    and never a half-written one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            json.dump(scheme.to_dict(), fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_scheme(path: str | Path) -> CorrectionScheme:

@@ -42,6 +42,24 @@ def test_round_trip_is_exact(tmp_path, four_row_dataset):
     assert loaded.best_z == -1.2345678901234567
 
 
+def test_interrupted_save_keeps_earlier_file(
+    tmp_path, four_row_dataset, monkeypatch
+):
+    path = tmp_path / "scheme.json"
+    save_scheme(make_scheme(four_row_dataset), path)
+    before = path.read_bytes()
+
+    def dump_half(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_scheme(make_scheme(four_row_dataset, (1, 1)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scheme.json"]
+
+
 def test_round_trip_preserves_predictions(tmp_path, four_row_dataset):
     scheme = make_scheme(four_row_dataset)
     path = tmp_path / "scheme.json"
