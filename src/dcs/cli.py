@@ -193,6 +193,12 @@ def cmd_optimize(args) -> int:
         "search_space": ds.num_classes * catalog.size,
         "num_allowed": len(allowed),
         **result.to_dict(),
+        "evaluations": sum(g for g, _ in result.acceptance_counts),
+        "stop_reason": (
+            "max_outer_loops"
+            if result.outer_loops_run == config.max_outer_loops
+            else "min_temperature"
+        ),
     }
     _write_json(out / "solve.json", solve_payload)
     _write_trace_csv(out / "trace.csv", result)

@@ -69,6 +69,29 @@ class TestOptimize:
         assert payload["outer_loops_run"] == len(payload["temperatures"])
         assert payload["wall_time"] > 0
 
+    @pytest.mark.parametrize(
+        "schedule, stop_reason, loops",
+        [
+            # paper defaults: the 150-loop cap binds long before T < 1e-2
+            ((), "max_outer_loops", 150),
+            # 0.1 * 0.95^t < 0.05 first at t = 14
+            (("--init-temp", "0.1", "--min-temp", "0.05"), "min_temperature", 14),
+        ],
+        ids=["default-cap-bound", "cold"],
+    )
+    def test_solve_json_run_record(
+        self, tmp_path, train_csv, schedule, stop_reason, loops
+    ):
+        out = tmp_path / "run"
+        main(["optimize", "--input", str(train_csv), "--seed", "1",
+              "--out", str(out), *schedule])
+        payload = json.loads((out / "solve.json").read_text())
+        assert payload["stop_reason"] == stop_reason
+        assert payload["outer_loops_run"] == loops
+        with (out / "trace.csv").open() as fh:
+            generated = sum(int(row["generated"]) for row in csv.DictReader(fh))
+        assert payload["evaluations"] == generated > 0
+
     def test_trace_csv_matches_solve(self, tmp_path, train_csv):
         out = tmp_path / "run"
         main(["optimize", "--input", str(train_csv), "--seed", "1",
