@@ -11,6 +11,7 @@ from dcs import (
     save_predictions,
     split_dataset,
 )
+from dcs.cli import main
 from conftest import make_dataset
 
 
@@ -138,6 +139,216 @@ class TestSerialization:
         assert lines[0] == "id,label,prediction"
         assert lines[1] == "r0,1,1"
         assert len(lines) == 5
+
+
+AWKWARD = dict(
+    probs=[
+        [1 / 3, 0.1 + 0.2, -0.0],
+        [5e-324, 1.0, 0.0],
+        [0.123456789012345, 1e-17, 2 / 3],
+        [0.5, 0.9999999999999999, 1e-5],
+    ],
+    labels=[1, 2, 3, 1],
+    ids=("a,b", 'say "hi"', "plain", "x"),
+)
+
+GOLDEN_CSV = (
+    b'id,label,p_1,p_2,p_3\r\n'
+    b'"a,b",1,0.333333333333,0.3,-0\r\n'
+    b'"say ""hi""",2,4.94065645841e-324,1,0\r\n'
+    b'plain,3,0.123456789012,1e-17,0.666666666667\r\n'
+    b'x,1,0.5,1,1e-05\r\n'
+)
+GOLDEN_JSON = (
+    b'[{"id": "a,b", "label": 1, "probs": '
+    b'[0.3333333333333333, 0.30000000000000004, -0.0]}, '
+    b'{"id": "say \\"hi\\"", "label": 2, "probs": [5e-324, 1.0, 0.0]}, '
+    b'{"id": "plain", "label": 3, "probs": '
+    b'[0.123456789012345, 1e-17, 0.6666666666666666]}, '
+    b'{"id": "x", "label": 1, "probs": [0.5, 0.9999999999999999, 1e-05]}]\n'
+)
+GOLDEN_PREDICTIONS = (
+    b'id,label,prediction\r\n'
+    b'"a,b",1,2\r\n'
+    b'"say ""hi""",2,2\r\n'
+    b'plain,3,3\r\n'
+    b'x,1,1\r\n'
+)
+
+
+class TestWriters:
+    def test_save_dataset_bytes(self, tmp_path):
+        ds = make_dataset(**AWKWARD)
+        save_dataset(ds, tmp_path / "ds.csv")
+        save_dataset(ds, tmp_path / "ds.json")
+        assert (tmp_path / "ds.csv").read_bytes() == GOLDEN_CSV
+        assert (tmp_path / "ds.json").read_bytes() == GOLDEN_JSON
+
+    def test_save_predictions_bytes(self, tmp_path):
+        ds = make_dataset(**AWKWARD)
+        path = tmp_path / "preds.csv"
+        save_predictions(ds, np.array([2, 2, 3, 1]), path)
+        assert path.read_bytes() == GOLDEN_PREDICTIONS
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_round_trip_arrays(self, tmp_path, suffix):
+        ds = make_dataset(**AWKWARD)
+        path = tmp_path / f"ds.{suffix}"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        probs = loaded.probabilities
+        assert probs.dtype == np.float64 and probs.flags.c_contiguous
+        assert loaded.labels.dtype == np.int64
+        assert loaded.labels.flags.c_contiguous
+        assert loaded.instance_ids == ds.instance_ids
+        assert loaded.labels.tolist() == ds.labels.tolist()
+        if suffix == "json":
+            expected = ds.probabilities
+        else:
+            expected = np.array(
+                [[float("%.12g" % v) for v in row] for row in AWKWARD["probs"]]
+            )
+        # bit-level equality: -0.0 and subnormals included
+        assert probs.tobytes() == expected.tobytes()
+
+
+# (file name, content, exit code, stderr message); "{path}" is the input file
+LOADER_CASES = [
+    pytest.param(
+        "ragged.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\n\nb,2,0.5\n",
+        2, "{path}: row 3 has 3 fields, expected 4",
+        id="csv-ragged-after-blank",
+    ),
+    pytest.param(
+        "label.csv",
+        b"id,label,p_1,p_2\na,x,0.5,0.5\n",
+        2, "{path}: row 1 has non-integer label 'x'",
+        id="csv-bad-label",
+    ),
+    pytest.param(
+        "cell.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\nb,2,oops,0.5\n",
+        2, "{path}: row 2 has a non-numeric probability",
+        id="csv-bad-cell",
+    ),
+    pytest.param(
+        "first.csv",
+        b"id,label,p_1,p_2\na,1,oops,0.5\nb,2,0.5\n",
+        2, "{path}: row 1 has a non-numeric probability",
+        id="csv-bad-cell-before-ragged",
+    ),
+    pytest.param(
+        "nan.csv",
+        b"id,label,p_1,p_2\na,1,0.5,nan\n",
+        2, "non-finite probability at row 1, class 2",
+        id="csv-nan",
+    ),
+    pytest.param(
+        "inf.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\nb,2,1e999,0.5\n",
+        2, "non-finite probability at row 2, class 1",
+        id="csv-overflow-to-inf",
+    ),
+    pytest.param(
+        "bom.csv",
+        b"\xef\xbb\xbfid,label,p_1,p_2\na,1,0.5,0.5\n",
+        2, "{path}: header must be id,label,p_1,...,p_N",
+        id="csv-bom-header",
+    ),
+    pytest.param(
+        "empty.csv", b"", 2, "{path}: empty file", id="csv-empty"
+    ),
+    pytest.param(
+        "header.csv",
+        b"id,label,p_1,p_2\n\n",
+        2, "{path}: no data rows",
+        id="csv-header-only",
+    ),
+    pytest.param(
+        "null.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, null]}]',
+        2, "{path}: record 1 has a non-numeric probability",
+        id="json-null-cell",
+    ),
+    pytest.param(
+        "bool.json",
+        b'[{"id": "a", "label": true, "probs": [0.5, 0.5]}]',
+        2, "{path}: record 1 has non-integer label",
+        id="json-bool-label",
+    ),
+    pytest.param(
+        "float.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 2.0, "probs": [0.5, 0.5]}]',
+        2, "{path}: record 2 has non-integer label",
+        id="json-float-label",
+    ),
+    pytest.param(
+        "collide.json",
+        b'[{"id": 1, "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "1", "label": 2, "probs": [0.5, 0.5]}]',
+        2, "duplicate instance id '1' at rows 1 and 2",
+        id="json-ids-collide-after-str",
+    ),
+    pytest.param(
+        "nan.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, NaN]}]',
+        2, "non-finite probability at row 1, class 2",
+        id="json-nan",
+    ),
+    pytest.param(
+        "inf.json",
+        b'[{"id": "a", "label": 1, "probs": [1e999, 0.5]}]',
+        2, "non-finite probability at row 1, class 1",
+        id="json-overflow-to-inf",
+    ),
+    pytest.param(
+        "bom.json",
+        b'\xef\xbb\xbf[{"id": "a", "label": 1, "probs": [0.5, 0.5]}]',
+        2, "{path}: invalid JSON: Unexpected UTF-8 BOM (decode using "
+        "utf-8-sig): line 1 column 1 (char 0)",
+        id="json-bom",
+    ),
+    pytest.param(
+        "keys.json",
+        b'[{"id": "a", "probs": [0.5, 0.5]}]',
+        2, "{path}: record 1 must have id, label, probs",
+        id="json-missing-key",
+    ),
+    pytest.param(
+        "record.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]}, [1, 2]]',
+        2, "{path}: record 2 must have id, label, probs",
+        id="json-record-not-object",
+    ),
+    pytest.param(
+        "array.json", b"{}", 2, "{path}: expected a non-empty JSON array",
+        id="json-not-array",
+    ),
+    pytest.param(
+        "ragged.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 1, "probs": [0.5]}]',
+        2, "{path}: record 2 has 1 probabilities, expected 2",
+        id="json-ragged",
+    ),
+]
+
+
+class TestLoaderErrors:
+    """Malformed dataset files end in a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("name, content, code, message", LOADER_CASES)
+    def test_cli_exit_and_message(
+        self, tmp_path, capsys, name, content, code, message
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        rc = main(["oracle", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err == "error: " + message.format(path=path) + "\n"
 
 
 class TestSplit:
