@@ -12,6 +12,13 @@ is inferred from the header (CSV) or the first record (JSON).
 
 CSV probability cells are written with 12 significant digits, which round-trips
 values within 1e-12. JSON writes use ``repr`` floats and round-trip exactly.
+
+The loaders stream every row into flat lists (ids, int labels, and one list
+of all probabilities, reshaped to (M, N) once at the end) rather than keeping
+a list per row. Each container that survives until the end of the load is
+rescanned by CPython's cyclic garbage collector on every collection, so
+100k surviving row lists made the collector a third of the load time. The
+writers likewise walk ``tolist()`` values instead of numpy scalars per row.
 """
 from __future__ import annotations
 
@@ -165,9 +172,25 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
     """
     path = Path(path)
     fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        return _load_csv(path)
-    return _load_json(path)
+    try:
+        if fmt == "csv":
+            return _load_csv(path)
+        return _load_json(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
+    # a decode error from a text stream counts from the start of the chunk it
+    # was decoding; decode the whole file once more to get the file offset
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    return ValidationError(
+        f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) "
+        "is not valid UTF-8"
+    )
 
 
 def _load_csv(path: Path) -> LabeledDataset:
@@ -189,7 +212,7 @@ def _load_csv(path: Path) -> LabeledDataset:
             )
         ids: list[str] = []
         labels: list[int] = []
-        rows: list[list[float]] = []
+        flat: list[float] = []
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
@@ -206,15 +229,15 @@ def _load_csv(path: Path) -> LabeledDataset:
                     f"{path}: row {row_no} has non-integer label {row[1]!r}"
                 ) from None
             try:
-                rows.append([float(v) for v in row[2:]])
+                flat += map(float, row[2:])
             except ValueError:
                 raise ValidationError(
                     f"{path}: row {row_no} has a non-numeric probability"
                 ) from None
-    if not rows:
+    if not ids:
         raise ValidationError(f"{path}: no data rows")
     return LabeledDataset(
-        probabilities=np.array(rows, dtype=np.float64),
+        probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
         labels=np.array(labels, dtype=np.int64),
         instance_ids=tuple(ids),
     )
@@ -231,13 +254,17 @@ def _load_json(path: Path) -> LabeledDataset:
     n: int | None = None
     ids: list[str] = []
     labels: list[int] = []
-    rows: list[list[float]] = []
+    flat: list[float] = []
     for row_no, rec in enumerate(records, start=1):
-        if not isinstance(rec, dict) or not {"id", "label", "probs"} <= set(rec):
+        if not isinstance(rec, dict) or not rec.keys() >= {"id", "label", "probs"}:
             raise ValidationError(
                 f"{path}: record {row_no} must have id, label, probs"
             )
         probs = rec["probs"]
+        if not isinstance(probs, list):
+            raise ValidationError(
+                f"{path}: record {row_no} probs must be a JSON array"
+            )
         if n is None:
             n = len(probs)
         if len(probs) != n:
@@ -250,7 +277,7 @@ def _load_json(path: Path) -> LabeledDataset:
                 f"{path}: record {row_no} has non-integer label"
             )
         try:
-            rows.append([float(v) for v in probs])
+            flat += map(float, probs)
         except (TypeError, ValueError):
             raise ValidationError(
                 f"{path}: record {row_no} has a non-numeric probability"
@@ -258,7 +285,7 @@ def _load_json(path: Path) -> LabeledDataset:
         ids.append(str(rec["id"]))
         labels.append(rec["label"])
     return LabeledDataset(
-        probabilities=np.array(rows, dtype=np.float64),
+        probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
         labels=np.array(labels, dtype=np.int64),
         instance_ids=tuple(ids),
     )
@@ -275,19 +302,17 @@ def save_dataset(
             writer = csv.writer(fh)
             n = ds.num_classes
             writer.writerow(["id", "label"] + [f"p_{j}" for j in range(1, n + 1)])
-            for i in range(ds.num_instances):
-                writer.writerow(
-                    [ds.instance_ids[i], int(ds.labels[i])]
-                    + [f"%.{CSV_PROB_DIGITS}g" % v for v in ds.probabilities[i]]
-                )
+            cell = f"%.{CSV_PROB_DIGITS}g"
+            for ident, label, row in zip(
+                ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist()
+            ):
+                writer.writerow([ident, label] + [cell % v for v in row])
     else:
         records = [
-            {
-                "id": ds.instance_ids[i],
-                "label": int(ds.labels[i]),
-                "probs": [float(v) for v in ds.probabilities[i]],
-            }
-            for i in range(ds.num_instances)
+            {"id": ident, "label": label, "probs": row}
+            for ident, label, row in zip(
+                ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist()
+            )
         ]
         with path.open("w", encoding="utf-8") as fh:
             json.dump(records, fh)
@@ -307,10 +332,7 @@ def save_predictions(
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label", "prediction"])
-        for i in range(ds.num_instances):
-            writer.writerow(
-                [ds.instance_ids[i], int(ds.labels[i]), int(preds[i])]
-            )
+        writer.writerows(zip(ds.instance_ids, ds.labels.tolist(), preds.tolist()))
 
 
 def split_dataset(

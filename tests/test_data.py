@@ -212,6 +212,11 @@ class TestWriters:
         assert probs.tobytes() == expected.tobytes()
 
 
+# a bad byte past the text stream's first decode chunk, so that the error
+# must name its offset in the file, not in the chunk
+CSV_NOT_UTF8 = b"id,label,p_1,p_2\n" + b"r,1,0.5,0.5\n" * 2000 + b"s,2,\xff,0.5\n"
+JSON_NOT_UTF8 = b'[{"id": "a\xff", "label": 1, "probs": [0.5, 0.5]}]'
+
 # (file name, content, exit code, stderr message); "{path}" is the input file
 LOADER_CASES = [
     pytest.param(
@@ -332,6 +337,43 @@ LOADER_CASES = [
         b' {"id": "b", "label": 1, "probs": [0.5]}]',
         2, "{path}: record 2 has 1 probabilities, expected 2",
         id="json-ragged",
+    ),
+    pytest.param(
+        "int.json",
+        b'[{"id": "a", "label": 1, "probs": 5}]',
+        2, "{path}: record 1 probs must be a JSON array",
+        id="json-probs-int",
+    ),
+    pytest.param(
+        "null.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 2, "probs": null}]',
+        2, "{path}: record 2 probs must be a JSON array",
+        id="json-probs-null",
+    ),
+    pytest.param(
+        "true.json",
+        b'[{"id": "a", "label": 1, "probs": true}]',
+        2, "{path}: record 1 probs must be a JSON array",
+        id="json-probs-bool",
+    ),
+    pytest.param(
+        # a string is a sequence of the right length whose characters parse
+        "string.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 2, "probs": "01"}]',
+        2, "{path}: record 2 probs must be a JSON array",
+        id="json-probs-string",
+    ),
+    pytest.param(
+        "bytes.csv", CSV_NOT_UTF8,
+        2, f"{{path}}: byte {CSV_NOT_UTF8.index(0xFF)} (0xff) is not valid UTF-8",
+        id="csv-not-utf8",
+    ),
+    pytest.param(
+        "bytes.json", JSON_NOT_UTF8,
+        2, f"{{path}}: byte {JSON_NOT_UTF8.index(0xFF)} (0xff) is not valid UTF-8",
+        id="json-not-utf8",
     ),
 ]
 
