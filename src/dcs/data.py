@@ -299,22 +299,19 @@ def save_dataset(
     """Write ``ds`` to ``path`` in CSV or JSON form (inferred from suffix)."""
     path = Path(path)
     fmt = _infer_format(path, fmt)
+    rows = zip(ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist())
     if fmt == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             n = ds.num_classes
             writer.writerow(["id", "label"] + [f"p_{j}" for j in range(1, n + 1)])
             cell = f"%.{CSV_PROB_DIGITS}g"
-            for ident, label, row in zip(
-                ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist()
-            ):
-                writer.writerow([ident, label] + [cell % v for v in row])
+            for ident, label, probs in rows:
+                writer.writerow([ident, label] + [cell % v for v in probs])
     else:
         records = [
-            {"id": ident, "label": label, "probs": row}
-            for ident, label, row in zip(
-                ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist()
-            )
+            {"id": ident, "label": label, "probs": probs}
+            for ident, label, probs in rows
         ]
         with path.open("w", encoding="utf-8") as fh:
             json.dump(records, fh)
