@@ -443,6 +443,67 @@ class TestGenerate:
         assert eval_ds.num_instances == 30
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("confusion_temperature", "abc"), ("class_priors", "ab")],
+    )
+    def test_non_numeric_profile_field_exit_2(
+        self, tmp_path, capsys, field, value
+    ):
+        ppath = tmp_path / "bad_profile.json"
+        payload = {
+            "num_classes": 2,
+            "class_priors": [0.5, 0.5],
+            "target_accuracy": [0.8, 0.4],
+            "confusion_temperature": 1.0,
+            "seed": 13,
+        }
+        payload[field] = value
+        ppath.write_text(json.dumps(payload))
+        rc = main(["generate", "--out", str(tmp_path / "x"),
+                   "--profile", str(ppath)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+
+# one bad file per case, each read through one JSON reader
+BAD_JSON = {
+    "not-utf8": b'{"task": "\xff"}',
+    "long-number": b'{"task": 1' + b"0" * 5000 + b"}",
+    "deep": b"[" * 10**5 + b"]" * 10**5,
+    "truncated": b'{"task": [1, 2',
+}
+
+
+def _reader_argv(reader, bad, train_csv, out):
+    """CLI arguments that make ``reader`` read the file ``bad``."""
+    return {
+        "scheme": ["apply", "--scheme", bad, "--input", train_csv,
+                   "--out", out],
+        "catalog": ["oracle", "--input", train_csv, "--catalog", bad,
+                    "--out", out],
+        "profile": ["generate", "--profile", bad, "--out", out],
+        "solve": ["report", bad],
+    }[reader]
+
+
+class TestJsonReaders:
+    """Every JSON input the CLI reads rejects bad bytes with exit 2 and a
+    one-line error that names the file once, never with a traceback."""
+
+    @pytest.mark.parametrize("case", BAD_JSON)
+    @pytest.mark.parametrize("reader", ["scheme", "catalog", "profile", "solve"])
+    def test_bad_file_exit_2(self, tmp_path, capsys, train_csv, reader, case):
+        bad = tmp_path / f"bad-{case}.json"
+        bad.write_bytes(BAD_JSON[case])
+        argv = _reader_argv(reader, str(bad), str(train_csv), str(tmp_path / "o"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count(str(bad)) == 1
+
+
 class TestModeIndices:
     def test_partition_of_catalog(self):
         fs = default_function_set()

@@ -1,4 +1,6 @@
 """Dataset ingestion, validation, serialization, and splitting."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,6 +366,38 @@ LOADER_CASES = [
         b' {"id": "b", "label": 2, "probs": "01"}]',
         2, "{path}: record 2 probs must be a JSON array",
         id="json-probs-string",
+    ),
+    pytest.param(
+        "big.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 2, "probs": [0.5, 1' + b"0" * 400 + b']}]',
+        2, "{path}: record 2 has a probability out of [0, 1]",
+        id="json-int-probability-beyond-float",
+    ),
+    pytest.param(
+        "label.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\nb,99999999999999999999,0.5,0.5\n",
+        2, "label out of range 1..2 at row 2: 99999999999999999999",
+        id="csv-label-beyond-int64",
+    ),
+    pytest.param(
+        "label.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": -99999999999999999999, "probs": [0.5, 0.5]}]',
+        2, "label out of range 1..2 at row 2: -99999999999999999999",
+        id="json-label-beyond-int64",
+    ),
+    pytest.param(
+        "digits.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 1' + b"0" * 4999 + b"]}]",
+        2, "{path}: invalid JSON: a number has more than "
+        f"{sys.get_int_max_str_digits()} digits",
+        id="json-number-beyond-digit-limit",
+    ),
+    pytest.param(
+        "deep.json", b"[" * 10**5 + b"]" * 10**5,
+        2, "{path}: invalid JSON: nested too deeply",
+        id="json-nested-too-deeply",
     ),
     pytest.param(
         "bytes.csv", CSV_NOT_UTF8,

@@ -34,6 +34,15 @@ class TestProfileValidation:
         with pytest.raises(ValidationError):
             profile(target_accuracy=(1.2, 0.2, 0.9))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("confusion_temperature", "abc"), ("class_priors", "ab"), ("seed", None)],
+    )
+    def test_from_dict_rejects_mistyped_field(self, field, value):
+        payload = {**profile().to_dict(), field: value}
+        with pytest.raises(ValidationError, match=field):
+            BiasProfile.from_dict(payload)
+
     def test_round_trip(self, tmp_path):
         p = profile(seed=9)
         path = tmp_path / "profile.json"
