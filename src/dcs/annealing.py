@@ -37,13 +37,14 @@ from .corrections import FunctionSet, normalize_allowed
 from .data import LabeledDataset
 from .errors import PreconditionError
 from .objective import ObjectiveEvaluator, ObjectiveWeights, objective_value
+from .records import Record
 
 # values drawn per RNG call in ``anneal``
 BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class AnnealConfig:
+class AnnealConfig(Record):
     """Cooling schedule and stopping parameters.
 
     The inner loop at temperature T_t = initial_temperature * cooling_rate**t
@@ -82,7 +83,7 @@ class AnnealConfig:
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Outcome of one annealing run."""
 
     best_xi: tuple[int, ...]
@@ -92,31 +93,6 @@ class SolveResult:
     acceptance_counts: tuple[tuple[int, int], ...]
     outer_loops_run: int
     wall_time: float
-
-    def to_dict(self) -> dict:
-        return {
-            "best_xi": list(self.best_xi),
-            "best_z": self.best_z,
-            "z_trace": list(self.z_trace),
-            "temperatures": list(self.temperatures),
-            "acceptance_counts": [list(pair) for pair in self.acceptance_counts],
-            "outer_loops_run": self.outer_loops_run,
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SolveResult":
-        return cls(
-            best_xi=tuple(int(k) for k in payload["best_xi"]),
-            best_z=float(payload["best_z"]),
-            z_trace=tuple(float(z) for z in payload["z_trace"]),
-            temperatures=tuple(float(t) for t in payload["temperatures"]),
-            acceptance_counts=tuple(
-                (int(g), int(a)) for g, a in payload["acceptance_counts"]
-            ),
-            outer_loops_run=int(payload["outer_loops_run"]),
-            wall_time=float(payload["wall_time"]),
-        )
 
     def trace_rows(self):
         """(outer_loop, temperature, best_z, generated, accepted) tuples."""

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .objective import (
     predict,
 )
 from .oracle import exhaustive_search
+from .records import Record, read_record, write_json
 from .scheme import CorrectionScheme, load_scheme, save_scheme
 from .synth import benchmark_suite, generate, load_profile, save_profile
 
@@ -98,12 +99,6 @@ def _catalog_from_args(args) -> FunctionSet:
     if args.catalog is not None:
         return load_catalog(args.catalog)
     return default_function_set()
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _write_trace_csv(path: Path, result: SolveResult) -> None:
@@ -200,12 +195,12 @@ def cmd_optimize(args) -> int:
             else "min_temperature"
         ),
     }
-    _write_json(out / "solve.json", solve_payload)
+    write_json(out / "solve.json", solve_payload)
     _write_trace_csv(out / "trace.csv", result)
     save_dataset(opt, out / "optimization_set.json")
     save_dataset(split.dev_set, out / "dev_set.json")
-    _write_json(out / "dev_report.json", dev_corrected.to_dict())
-    _write_json(out / "dev_baseline.json", dev_baseline.to_dict())
+    write_json(out / "dev_report.json", dev_corrected.to_dict())
+    write_json(out / "dev_baseline.json", dev_baseline.to_dict())
     _write_per_class_csv(
         out / "dev_report.csv", catalog, result.best_xi, dev_corrected
     )
@@ -266,7 +261,7 @@ def cmd_apply(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_predictions(ds, preds, out / "predictions.csv")
-    _write_json(
+    write_json(
         out / "report.json",
         {
             "dataset": str(args.input),
@@ -561,36 +556,27 @@ def cmd_compare(args) -> int:
 # ------------------------------------------------------------------- report
 
 
+@dataclass(frozen=True)
+class _SolveRow(Record):
+    """The fields of a solve file that ``report`` tabulates."""
+
+    task: str
+    num_classes: int
+    search_space: int
+    wall_time: float
+    outer_loops_run: int
+
+
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.solve_files:
-        with Path(path).open(encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-        try:
-            rows.append(
-                (
-                    payload["task"],
-                    int(payload["num_classes"]),
-                    int(payload["search_space"]),
-                    float(payload["wall_time"]),
-                    int(payload["outer_loops_run"]),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed solve file: {exc}") from None
+    rows = [read_record(p, _SolveRow, "solve file") for p in args.solve_files]
 
     def write(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["task", "num_classes", "search_space", "wall_time", "outer_loops"]
         )
-        for task, n, space, wall, loops in rows:
-            writer.writerow([task, n, space, repr(wall), loops])
+        # str(float) is repr(float): wall_time round-trips exactly
+        writer.writerows(r.to_dict().values() for r in rows)
 
     if args.out is None:
         write(sys.stdout)
@@ -617,7 +603,7 @@ def cmd_oracle(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "oracle.json",
         {
             "task": Path(args.input).stem,
@@ -678,7 +664,7 @@ def cmd_generate(args) -> int:
             f"generate: {name} N={profile.num_classes} "
             f"train={train_size} eval={eval_size}"
         )
-    _write_json(out / "suite.json", {"tasks": manifest})
+    write_json(out / "suite.json", {"tasks": manifest})
     print(f"wrote {len(manifest)} task(s) + suite.json -> {out}")
     return 0
 

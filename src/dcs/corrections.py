@@ -18,13 +18,13 @@ class untouched.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
+from .records import Record, read_record, write_json
 
 
 def heaviside(x: float) -> int:
@@ -33,7 +33,7 @@ def heaviside(x: float) -> int:
 
 
 @dataclass(frozen=True)
-class TriangularMembership:
+class TriangularMembership(Record):
     """Triangle vertices 0 <= a <= b <= c <= 1, not all equal."""
 
     a: float
@@ -107,7 +107,7 @@ def eval_weight(k: int, num_memberships: int, num_weights: int, p):
 
 
 @dataclass(frozen=True)
-class FunctionSet:
+class FunctionSet(Record):
     """An ordered catalog of D_F memberships plus D_W weight coefficients.
 
     Indices are 1-based: 1..D_F address memberships in order, D_F+1..D_F+D_W
@@ -159,8 +159,7 @@ class FunctionSet:
         """Parameters of the function at index k, for reports."""
         self._check_index(k)
         if k <= self.num_memberships:
-            f = self.memberships[k - 1]
-            return {"kind": "membership", "a": f.a, "b": f.b, "c": f.c}
+            return {"kind": "membership", **self.memberships[k - 1].to_dict()}
         return {"kind": "weight", "factor": self.weight_factor(k)}
 
     def _check_index(self, k: int) -> None:
@@ -253,43 +252,9 @@ def default_function_set() -> FunctionSet:
     return FunctionSet(memberships=tuple(memberships), num_weights=30)
 
 
-def catalog_to_dict(fs: FunctionSet) -> dict:
-    """JSON-ready form of a catalog, shared by catalog and scheme files."""
-    return {
-        "memberships": [
-            {"a": f.a, "b": f.b, "c": f.c} for f in fs.memberships
-        ],
-        "num_weights": fs.num_weights,
-    }
-
-
-def catalog_from_dict(payload: dict) -> FunctionSet:
-    """Inverse of ``catalog_to_dict``; a malformed payload raises KeyError,
-    TypeError or ValueError, which the file loaders report as invalid."""
-    return FunctionSet(
-        memberships=tuple(
-            TriangularMembership(float(m["a"]), float(m["b"]), float(m["c"]))
-            for m in payload["memberships"]
-        ),
-        num_weights=int(payload["num_weights"]),
-    )
-
-
 def save_catalog(fs: FunctionSet, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(catalog_to_dict(fs), fh, indent=2)
-        fh.write("\n")
+    write_json(path, fs.to_dict())
 
 
 def load_catalog(path: str | Path) -> FunctionSet:
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return catalog_from_dict(payload)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed catalog: {exc}") from None
+    return read_record(path, FunctionSet, "catalog")

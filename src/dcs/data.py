@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .records import _not_utf8, read_json, write_json
 
 CSV_PROB_DIGITS = 12
 
@@ -59,7 +59,12 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        try:
+            labels = np.array(self.labels, dtype=np.int64)
+        except OverflowError:
+            # a label beyond int64 is out of range; as a Python int it
+            # reaches the range check below, which reports its row
+            labels = np.array(self.labels, dtype=object)
         ids = tuple(self.instance_ids)
 
         if probs.ndim != 2:
@@ -173,26 +178,12 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
     raise OSError.
     """
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    try:
-        if fmt == "csv":
-            return _load_csv(path)
+    if _infer_format(path, fmt) == "json":
         return _load_json(path)
+    try:
+        return _load_csv(path)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-
-
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
-    # a decode error from a text stream counts from the start of the chunk it
-    # was decoding; decode the whole file once more to get the file offset
-    try:
-        path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as whole:
-        exc = whole
-    return ValidationError(
-        f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) "
-        "is not valid UTF-8"
-    )
 
 
 def _load_csv(path: Path) -> LabeledDataset:
@@ -240,17 +231,13 @@ def _load_csv(path: Path) -> LabeledDataset:
         raise ValidationError(f"{path}: no data rows")
     return LabeledDataset(
         probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
-        labels=np.array(labels, dtype=np.int64),
+        labels=labels,
         instance_ids=tuple(ids),
     )
 
 
 def _load_json(path: Path) -> LabeledDataset:
-    with path.open(encoding="utf-8") as fh:
-        try:
-            records = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    records = read_json(path)
     if not isinstance(records, list) or not records:
         raise ValidationError(f"{path}: expected a non-empty JSON array")
     n: int | None = None
@@ -284,11 +271,16 @@ def _load_json(path: Path) -> LabeledDataset:
             raise ValidationError(
                 f"{path}: record {row_no} has a non-numeric probability"
             ) from None
+        except OverflowError:
+            # an integer too large for a float
+            raise ValidationError(
+                f"{path}: record {row_no} has a probability out of [0, 1]"
+            ) from None
         ids.append(str(rec["id"]))
         labels.append(rec["label"])
     return LabeledDataset(
         probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
-        labels=np.array(labels, dtype=np.int64),
+        labels=labels,
         instance_ids=tuple(ids),
     )
 
@@ -313,9 +305,7 @@ def save_dataset(
             {"id": ident, "label": label, "probs": probs}
             for ident, label, probs in rows
         ]
-        with path.open("w", encoding="utf-8") as fh:
-            json.dump(records, fh)
-            fh.write("\n")
+        write_json(path, records, indent=None)
 
 
 def save_predictions(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,12 +34,13 @@ import numpy as np
 from .corrections import FunctionSet, _apply_column, validate_selection
 from .data import LabeledDataset
 from .errors import PreconditionError, ValidationError
+from .records import Record
 
 PMI_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
-class ObjectiveWeights:
+class ObjectiveWeights(Record):
     """Term weights and enable flags for the combined objective."""
 
     beta: float = 1.0
@@ -350,7 +351,7 @@ class ObjectiveEvaluator:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Evaluation summary of one selection (or raw baseline) on one dataset."""
 
     overall_accuracy: float
@@ -365,20 +366,6 @@ class EvalReport:
     enabled_terms: tuple[str, ...]
     correction_kinds: tuple[str, ...] | None = None
     correction_params: tuple[dict, ...] | None = None
-
-    def to_dict(self) -> dict:
-        """Fields in declaration order, tuples as lists."""
-        return {
-            f.name: _as(list, getattr(self, f.name)) for f in fields(self)
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(**{f.name: _as(tuple, payload[f.name]) for f in fields(cls)})
-
-
-def _as(sequence_type, value):
-    return sequence_type(value) if isinstance(value, (list, tuple)) else value
 
 
 def evaluate(

@@ -15,22 +15,15 @@ from .corrections import FunctionSet, normalize_allowed
 from .data import LabeledDataset
 from .errors import PreconditionError
 from .objective import ObjectiveEvaluator, ObjectiveWeights
+from .records import Record
 
 
 @dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     best_xi: tuple[int, ...]
     best_z: float
     num_evaluated: int
     ties: int
-
-    def to_dict(self) -> dict:
-        return {
-            "best_xi": list(self.best_xi),
-            "best_z": self.best_z,
-            "num_evaluated": self.num_evaluated,
-            "ties": self.ties,
-        }
 
 
 def exhaustive_search(

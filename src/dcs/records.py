@@ -1,0 +1,142 @@
+"""The JSON file format of every file dcs reads or writes.
+
+``read_json`` is the package's one JSON reader. Whatever bytes a file holds,
+it returns the parsed value or raises ``ValidationError`` with a one-line
+message that starts with the file's path: bytes that are not UTF-8 (with
+the offset of the first bad byte), malformed or truncated JSON, an integer
+longer than Python's digit limit for string conversion, and arrays or
+objects nested too deeply to parse. A missing or unreadable file raises
+``OSError``. ``write_json`` is the one writer: floats go out as ``repr``, so
+a write followed by a read returns every value bit for bit.
+
+``Record`` gives a frozen dataclass its JSON form from its fields.
+``to_dict`` lists them in declaration order, tuples as lists and nested
+records as dicts; ``from_dict`` converts each value by the field's type
+annotation and raises ``FieldError`` naming a missing or mistyped field.
+"""
+from __future__ import annotations
+
+import functools
+import json
+import sys
+import typing
+from dataclasses import fields
+from pathlib import Path
+
+from .errors import ValidationError
+
+# a dataclass's fields and their types, in declaration order
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+class FieldError(ValidationError):
+    """A record payload lacks a field or holds a value of the wrong type."""
+
+
+def read_json(path: str | Path):
+    """The parsed content of the JSON file at ``path``."""
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        detail = str(exc)
+    except ValueError:
+        # the one other ValueError json.load raises: int() past the digit limit
+        detail = f"a number has more than {sys.get_int_max_str_digits()} digits"
+    except RecursionError:
+        detail = "nested too deeply"
+    raise ValidationError(f"{path}: invalid JSON: {detail}")
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
+    # a decode error from a text stream counts from the start of the chunk it
+    # was decoding; decode the whole file once more to get the file offset
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    return ValidationError(
+        f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) "
+        "is not valid UTF-8"
+    )
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
+
+
+def read_record(path: str | Path, cls, what: str):
+    """``cls.from_dict`` of the JSON file at ``path``; a missing or mistyped
+    field is reported as ``<path>: malformed <what>: <field problem>``."""
+    payload = read_json(path)
+    try:
+        return cls.from_dict(payload)
+    except FieldError as exc:
+        raise ValidationError(f"{path}: malformed {what}: {exc}") from None
+
+
+class Record:
+    """JSON form for a frozen dataclass, driven by its fields."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, payload, where: str = ""):
+        """``where`` is the payload's field path in an enclosing record."""
+        if not isinstance(payload, dict):
+            raise _mistyped(where, "an object", payload)
+        values = {}
+        for name, tp in _type_hints(cls).items():
+            key = f"{where}.{name}" if where else name
+            if name not in payload:
+                raise FieldError(f"missing field {key!r}")
+            values[name] = _convert(tp, payload[name], key)
+        return cls(**values)
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _convert(tp, value, where: str):
+    """``value`` as type ``tp``: X | None, tuple[X, ...], tuple[X, Y],
+    a Record, float (which takes integers too), int, bool, str or dict."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _convert(args[0], value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _mistyped(where, "an array", value)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(args) != len(value):
+            raise _mistyped(where, f"an array of {len(args)}", value)
+        return tuple(
+            _convert(a, v, f"{where}[{i}]")
+            for i, (a, v) in enumerate(zip(args, value))
+        )
+    if issubclass(tp, Record):
+        return tp.from_dict(value, where)
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise _mistyped(where, "within float range", value) from None
+    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise _mistyped(where, tp.__name__, value)
+
+
+def _mistyped(where: str, expected: str, value) -> FieldError:
+    subject = f"field {where!r}" if where else "the top level"
+    return FieldError(f"{subject} must be {expected}, got {value!r:.40}")

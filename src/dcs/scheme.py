@@ -8,21 +8,16 @@ followed by load reproduces every value bit-for-bit.
 """
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .annealing import AnnealConfig
-from .corrections import (
-    FunctionSet,
-    catalog_from_dict,
-    catalog_to_dict,
-    validate_selection,
-)
+from .corrections import FunctionSet, validate_selection
 from .data import LabeledDataset
 from .errors import PreconditionError, ValidationError
 from .objective import ObjectiveWeights
+from .records import FieldError, Record, read_json, write_json
 
 SCHEME_VERSION = 1
 
@@ -62,21 +57,41 @@ class CorrectionScheme:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "version": SCHEME_VERSION,
-            "num_classes": self.num_classes,
-            "catalog": catalog_to_dict(self.catalog),
-            "selection": list(self.selection),
-            # field order is the file's key order
-            "objective": asdict(self.objective),
-            "anneal_config": asdict(self.anneal_config),
-            "best_z": self.best_z,
-            "dataset_fingerprint": {
-                "num_instances": self.dataset_num_instances,
-                "num_classes": self.dataset_num_classes,
-                "sha256": self.dataset_sha256,
-            },
-        }
+        return _SchemeFile(
+            SCHEME_VERSION,
+            self.num_classes,
+            self.catalog,
+            self.selection,
+            self.objective,
+            self.anneal_config,
+            self.best_z,
+            _Fingerprint(
+                self.dataset_num_instances,
+                self.dataset_num_classes,
+                self.dataset_sha256,
+            ),
+        ).to_dict()
+
+
+@dataclass(frozen=True)
+class _Fingerprint(Record):
+    num_instances: int
+    num_classes: int
+    sha256: str
+
+
+@dataclass(frozen=True)
+class _SchemeFile(Record):
+    """The layout of a scheme file; field order is the file's key order."""
+
+    version: int
+    num_classes: int
+    catalog: FunctionSet
+    selection: tuple[int, ...]
+    objective: ObjectiveWeights
+    anneal_config: AnnealConfig
+    best_z: float
+    dataset_fingerprint: _Fingerprint
 
 
 def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
@@ -86,9 +101,7 @@ def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(scheme.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(tmp, scheme.to_dict())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -96,51 +109,25 @@ def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
 
 
 def load_scheme(path: str | Path) -> CorrectionScheme:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    payload = read_json(path)
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version not in (None, SCHEME_VERSION):
+        raise ValidationError(f"{path}: unsupported scheme version {version!r}")
     try:
-        if payload["version"] != SCHEME_VERSION:
-            raise ValidationError(
-                f"{path}: unsupported scheme version {payload['version']!r}"
-            )
-        catalog = catalog_from_dict(payload["catalog"])
-        obj = payload["objective"]
-        cfg = payload["anneal_config"]
-        fp = payload["dataset_fingerprint"]
-        try:
-            anneal_config = AnnealConfig(
-                seed=int(cfg["seed"]),
-                initial_temperature=float(cfg["initial_temperature"]),
-                cooling_rate=float(cfg["cooling_rate"]),
-                lambda1=float(cfg["lambda1"]),
-                lambda2=float(cfg["lambda2"]),
-                min_temperature=float(cfg["min_temperature"]),
-                max_outer_loops=int(cfg["max_outer_loops"]),
-            )
-        except PreconditionError as exc:
-            # a bad schedule in a file is bad input, not a solver precondition
-            raise ValidationError(f"{path}: invalid anneal_config: {exc}") from None
-        return CorrectionScheme(
-            catalog=catalog,
-            selection=tuple(int(k) for k in payload["selection"]),
-            objective=ObjectiveWeights(
-                beta=float(obj["beta"]),
-                tau=float(obj["tau"]),
-                enable_err=bool(obj["enable_err"]),
-                enable_cobias=bool(obj["enable_cobias"]),
-                enable_pmi=bool(obj["enable_pmi"]),
-            ),
-            anneal_config=anneal_config,
-            best_z=float(payload["best_z"]),
-            dataset_num_instances=int(fp["num_instances"]),
-            dataset_num_classes=int(fp["num_classes"]),
-            dataset_sha256=str(fp["sha256"]),
-        )
-    except (ValidationError, PreconditionError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        file = _SchemeFile.from_dict(payload)
+    except FieldError as exc:
         raise ValidationError(f"{path}: malformed scheme file: {exc}") from None
+    except PreconditionError as exc:
+        # a bad schedule in a file is bad input, not a solver precondition
+        raise ValidationError(f"{path}: invalid anneal_config: {exc}") from None
+    fp = file.dataset_fingerprint
+    return CorrectionScheme(
+        catalog=file.catalog,
+        selection=file.selection,
+        objective=file.objective,
+        anneal_config=file.anneal_config,
+        best_z=file.best_z,
+        dataset_num_instances=fp.num_instances,
+        dataset_num_classes=fp.num_classes,
+        dataset_sha256=fp.sha256,
+    )

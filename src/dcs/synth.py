@@ -23,7 +23,6 @@ is meant to repair.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ValidationError
+from .records import Record, read_record, write_json
 
 _WINNER_LOW = 0.505
 _WINNER_HIGH = 0.75
@@ -41,7 +41,7 @@ _SELF_TRUST = 6.0
 
 
 @dataclass(frozen=True)
-class BiasProfile:
+class BiasProfile(Record):
     """Recipe for one synthetic dataset family."""
 
     num_classes: int
@@ -64,53 +64,25 @@ class BiasProfile:
             )
         if any(p < 0.0 for p in priors):
             raise ValidationError("class priors must be non-negative")
-        if abs(sum(priors) - 1.0) > 1e-9:
+        # negated comparisons, so that a NaN fails them too
+        if not abs(sum(priors) - 1.0) <= 1e-9:
             raise ValidationError(
                 f"class priors must sum to 1, got {sum(priors)!r}"
             )
         if any(not 0.0 <= t <= 1.0 for t in targets):
             raise ValidationError("target accuracies must lie in [0, 1]")
-        if self.confusion_temperature <= 0.0:
+        if not self.confusion_temperature > 0.0:
             raise ValidationError("confusion_temperature must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "class_priors": list(self.class_priors),
-            "target_accuracy": list(self.target_accuracy),
-            "confusion_temperature": self.confusion_temperature,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BiasProfile":
-        try:
-            return cls(
-                num_classes=int(payload["num_classes"]),
-                class_priors=tuple(payload["class_priors"]),
-                target_accuracy=tuple(payload["target_accuracy"]),
-                confusion_temperature=float(payload["confusion_temperature"]),
-                seed=int(payload["seed"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed profile: {exc}") from None
-
 
 def save_profile(profile: BiasProfile, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(profile.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, profile.to_dict())
 
 
 def load_profile(path: str | Path) -> BiasProfile:
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    return BiasProfile.from_dict(payload)
+    return read_record(path, BiasProfile, "profile")
 
 
 def confusion_logits(profile: BiasProfile) -> np.ndarray:

@@ -30,6 +30,17 @@ class TestProfileValidation:
         with pytest.raises(ValidationError):
             profile(class_priors=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("class_priors", (float("nan"), 0.5, 0.5)),
+            ("confusion_temperature", float("nan")),
+        ],
+    )
+    def test_rejects_nan(self, field, value):
+        with pytest.raises(ValidationError):
+            profile(**{field: value})
+
     def test_targets_must_be_probabilities(self):
         with pytest.raises(ValidationError):
             profile(target_accuracy=(1.2, 0.2, 0.9))
