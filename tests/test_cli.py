@@ -442,7 +442,6 @@ class TestGenerate:
         assert train.num_instances == 40
         assert eval_ds.num_instances == 30
 
-
     @pytest.mark.parametrize(
         "field, value",
         [("confusion_temperature", "abc"), ("class_priors", "ab")],
