@@ -11,6 +11,9 @@ Those short schedules run at T~2e5 and accept nearly every proposal. The
 ``cold`` cases (p1 and p5, full catalog, seeds 0-1) anneal at T in
 [0.05, 0.1] instead: most proposals are rejected, and each run draws
 thousands of proposals, so they pin the rejection path and long RNG streams.
+The ``w6`` and ``w8`` tasks (N = 6 and N = 8, wider than any suite task) run
+the same cold schedule, so the walk's top-class reduction is pinned at class
+counts that are not powers of two, as on the benchmark's wide fit.
 
 Floats are compared through ``repr``, so a change in the last bit fails.
 Re-record (only when a behaviour change is intended) with
@@ -27,7 +30,7 @@ import pytest
 from dcs import AnnealConfig, ObjectiveWeights, anneal, evaluate
 from dcs.cli import MODES, mode_indices
 from dcs.corrections import default_function_set
-from dcs.synth import benchmark_suite
+from dcs.synth import BiasProfile, SuiteTask, benchmark_suite
 
 GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
 SEEDS = (0, 1, 2)
@@ -38,11 +41,38 @@ SCHEDULES = {
     "": {"max_outer_loops": MAX_OUTER_LOOPS},
     "cold": {"initial_temperature": 0.1, "min_temperature": 0.05},
 }
+# cold-start fits wider than the suite, with fixed skewed priors and targets
+WIDE_TASKS = (
+    SuiteTask(
+        name="w6",
+        profile=BiasProfile(
+            num_classes=6,
+            class_priors=(0.22, 0.2, 0.18, 0.16, 0.14, 0.1),
+            target_accuracy=(0.9, 0.45, 0.75, 0.6, 0.35, 0.85),
+            confusion_temperature=1.1,
+            seed=61,
+        ),
+        train_size=1500,
+        eval_size=1500,
+    ),
+    SuiteTask(
+        name="w8",
+        profile=BiasProfile(
+            num_classes=8,
+            class_priors=(0.16, 0.15, 0.14, 0.13, 0.12, 0.11, 0.1, 0.09),
+            target_accuracy=(0.9, 0.4, 0.8, 0.55, 0.7, 0.35, 0.95, 0.6),
+            confusion_temperature=0.9,
+            seed=81,
+        ),
+        train_size=1500,
+        eval_size=1500,
+    ),
+)
 
 
 @lru_cache(maxsize=None)
 def _task_data(name: str):
-    task = next(t for t in benchmark_suite() if t.name == name)
+    task = next(t for t in benchmark_suite() + WIDE_TASKS if t.name == name)
     return task.train_dataset(), task.eval_dataset()
 
 
@@ -94,7 +124,11 @@ CASES = [
     for task in benchmark_suite()
     for mode in MODES
     for seed in SEEDS
-] + [(name, "dcs", seed, "cold") for name in ("p1", "p5") for seed in (0, 1)]
+] + [
+    (name, "dcs", seed, "cold")
+    for name in ("p1", "p5", "w6", "w8")
+    for seed in (0, 1)
+]
 
 
 def _case_id(name: str, mode: str, seed: int, schedule: str) -> str:
