@@ -64,17 +64,18 @@ class AnnealConfig(Record):
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise PreconditionError("seed must be a non-negative integer")
-        if self.initial_temperature <= 0.0:
+        # negated comparisons, so that a NaN fails them too
+        if not self.initial_temperature > 0.0:
             raise PreconditionError("initial_temperature must be positive")
         if not 0.0 < self.cooling_rate < 1.0:
             raise PreconditionError("cooling_rate must lie in (0, 1)")
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
+        if not (self.lambda1 > 0.0 and self.lambda2 > 0.0):
             raise PreconditionError("lambda1 and lambda2 must be positive")
-        if self.lambda2 < self.lambda1:
+        if not self.lambda2 >= self.lambda1:
             raise PreconditionError("lambda2 must be at least lambda1")
-        if self.min_temperature <= 0.0:
+        if not self.min_temperature > 0.0:
             raise PreconditionError("min_temperature must be positive")
-        if self.min_temperature >= self.initial_temperature:
+        if not self.min_temperature < self.initial_temperature:
             raise PreconditionError(
                 "min_temperature must be below initial_temperature"
             )

@@ -26,6 +26,12 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .records import Record, read_record, write_json
 
+# The largest catalog num_weights. Far past any useful catalog (the stock one
+# has 30), it keeps index ranges small, and with it every catalog that fits
+# in memory (under 2^30 memberships) gives ``ObjectiveEvaluator`` rank keys
+# within 64 bits for up to 1,024 classes.
+MAX_WEIGHTS = 2**20
+
 
 def heaviside(x: float) -> int:
     """Unit step: 1 for x >= 0, else 0."""
@@ -125,6 +131,11 @@ class FunctionSet(Record):
             raise ValidationError("catalog needs at least one membership")
         if self.num_weights < 1:
             raise ValidationError("catalog needs at least one weight")
+        if self.num_weights > MAX_WEIGHTS:
+            raise ValidationError(
+                f"num_weights must be at most {MAX_WEIGHTS}, "
+                f"got {self.num_weights}"
+            )
         k0 = next(
             (i + 1 for i, f in enumerate(memberships) if f.is_dont_change),
             None,

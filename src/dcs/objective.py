@@ -37,6 +37,9 @@ from .errors import PreconditionError, ValidationError
 from .records import Record
 
 PMI_EPSILON = 1e-12
+# instances the ObjectiveEvaluator build ranks at a time: its float scratch
+# holds _CHUNK x N x D values, never the whole N x D x M table
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,8 @@ class ObjectiveWeights(Record):
     def __post_init__(self) -> None:
         if not (self.enable_err or self.enable_cobias or self.enable_pmi):
             raise ValidationError("at least one objective term must be enabled")
-        if self.beta < 0.0 or self.tau < 0.0:
+        # negated, so that a NaN fails it too
+        if not (self.beta >= 0.0 and self.tau >= 0.0):
             raise ValidationError("beta and tau must be non-negative")
 
     @classmethod
@@ -248,64 +252,82 @@ def objective_value(
 
 
 class ObjectiveEvaluator:
-    """Scores many selections over one dataset without recomputing columns.
+    """Scores many selections over one dataset from precomputed rank keys.
 
-    Every (class, function-index) corrected column is computed once up front
-    by the same kernel ``corrected_matrix`` uses. Scores come from one
-    C-contiguous (N, M) buffer of the current selection's columns, where row
-    j holds class j's corrected column: ``value(xi)`` writes all N rows and
-    scores the buffer. The annealer walks one coordinate at a time on the
-    same buffer: ``_walk_try(j, k)`` overwrites row j in place with function
-    k's column and scores it, and ``_walk_put(j, k)`` writes a row unscored,
-    which puts the old one back after a rejection. A step costs one
-    contiguous row copy, one top-class reduction and one confusion count,
-    with no range check: the labels were validated when the dataset was
-    built and are read-only, and the top class lies in 1..N.
+    Every corrected value ``f_k(p_ij)`` (instance i, class j, catalog index
+    k) is computed once up front, by the kernel ``corrected_matrix`` uses,
+    and stored as a small unsigned integer key::
 
-    The top class of an instance is found by whole-buffer ufuncs over the N
-    rows instead of a per-instance argmax: the column maximum, the rows that
-    equal it, each tie ranked by ``N - 1 - j`` and the largest rank kept, so
-    ties go to the lowest class index, as ``np.argmax`` breaks them. That is
-    exact because every buffer value is finite (``LabeledDataset`` rejects
-    non-finite probabilities and every kernel maps [0, 1] to finite values),
-    so no NaN can be a maximum that equals nothing; and ``==`` treats
-    ``-0.0`` and ``0.0`` as equal, just as argmax's ``>`` never prefers one
-    over the other.
+        key = (N*D - 1 - r) << S | (label_i - 1) * N + j
+
+    where r is the dense rank of the value among instance i's N*D candidate
+    values (D the catalog size) and S = (N*N - 1).bit_length() bits hold
+    the confusion-count cell. The smallest key of an instance is therefore
+    its largest value, and among equal values the lowest class index, as
+    ``np.argmax`` breaks ties; its low S bits are the cell of (label, top
+    class). The ranks come from a sort and a ``!=`` compare of neighbours,
+    so equal values (``-0.0`` and ``0.0`` included) share a rank and strict
+    order is kept. That is exact because every value is finite:
+    ``LabeledDataset`` rejects non-finite probabilities and every kernel
+    maps [0, 1] into [0, 1]. The keys take the smallest unsigned type that
+    holds them, uint16 for the stock catalog up to 10 classes.
+
+    The build ranks ``_CHUNK`` instances at a time, so it never holds the
+    float N*D*M table, only the (N, D, M) keys.
+
+    Scores come from one C-contiguous (N, M) key buffer of the current
+    selection, where row j holds class j's keys: ``value(xi)`` writes all N
+    rows and scores the buffer. The annealer walks one coordinate at a time
+    on the same buffer: ``_walk_try(j, k)`` overwrites row j in place with
+    function k's keys and scores it, and ``_walk_put(j, k)`` writes a row
+    unscored, which puts the old one back after a rejection. A step costs
+    one contiguous row copy, one ``minimum`` reduction, one mask and one
+    confusion count, with no range check: the labels were validated when the
+    dataset was built, so every cell lies in 0..N*N - 1.
 
     Scores go through the same scoring tail as ``score_predictions``, so
-    they equal ``objective_value`` bit for bit. ``predictions`` gathers a
-    fresh matrix and leaves the buffer alone.
+    they equal ``objective_value`` bit for bit. ``predictions`` reads the
+    top classes of a selection from the keys and leaves the buffer alone.
     """
 
     def __init__(
         self, ds: LabeledDataset, fs: FunctionSet, w: ObjectiveWeights
     ) -> None:
-        self._labels = ds.labels
         self._num_classes = ds.num_classes
-        self._num_instances = ds.num_instances
         self._weights = w
-        m, n = ds.num_instances, ds.num_classes
-        # (D_F + D_W, M) corrected columns, one table per class
-        self._columns = []
-        for i in range(n):
-            table = np.empty((fs.size, m), dtype=np.float64)
-            for k in range(1, fs.size + 1):
-                table[k - 1] = _apply_column(fs, k, ds.probabilities[:, i])
-            self._columns.append(table)
-        self._buffer = np.empty((n, m), dtype=np.float64)
-        # scratch of the top-class reduction, reused by every step; the tie
-        # mask is written as bools and read as 0/1 bytes, with no cast
-        self._max = np.empty(m, dtype=np.float64)
-        self._ties = np.empty((n, m), dtype=np.uint8)
-        self._tie_mask = self._ties.view(bool)
-        # rank N - 1 - j of class j, in the smallest type that holds N - 1
-        rank_type = np.min_scalar_type(n - 1)
-        self._rank = np.arange(n - 1, -1, -1, dtype=rank_type)[:, None]
-        self._ranked = np.empty((n, m), dtype=rank_type)
-        self._top = np.empty(m, dtype=rank_type)
-        # confusion-count cell of (label, top class) is this minus the
-        # top tie's rank N - 1 - j
-        self._label_codes = (self._labels - 1) * n + (n - 1)
+        m, n, d = ds.num_instances, ds.num_classes, fs.size
+        nd = n * d
+        shift = (n * n - 1).bit_length()
+        key_type = np.min_scalar_type((nd << shift) - 1)
+        if key_type.kind != "u":
+            raise PreconditionError(
+                f"{n} classes x {d} functions do not fit a 64-bit rank key"
+            )
+        self._mask = (1 << shift) - 1
+        self._keys = np.empty((n, d, m), dtype=key_type)
+        # row j * D + k - 1, column i: the key of f_k(p_ij)
+        table = self._keys.reshape(nd, m)
+        label_cells = ((ds.labels - 1) * n).astype(key_type)[:, None]
+        classes = np.repeat(np.arange(n, dtype=key_type), d)
+        values = np.empty((min(m, _CHUNK), n, d), dtype=np.float64)
+        for start in range(0, m, _CHUNK):
+            stop = min(start + _CHUNK, m)
+            p = ds.probabilities[start:stop]
+            for k in range(1, d + 1):
+                values[: stop - start, :, k - 1] = _apply_column(fs, k, p)
+            # instance i's candidates, f_k(p_ij) at column j * D + k - 1
+            chunk = values[: stop - start].reshape(stop - start, nd)
+            order = np.argsort(chunk, axis=1)
+            ordered = np.take_along_axis(chunk, order, axis=1)
+            rank = np.zeros(chunk.shape, dtype=key_type)
+            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rank[:, 1:])
+            np.cumsum(rank, axis=1, out=rank)
+            keys = table[:, start:stop].T
+            np.put_along_axis(keys, order, nd - 1 - rank, axis=1)
+            keys <<= shift
+            keys |= label_cells[start:stop] + classes
+        self._buffer = np.empty((n, m), dtype=key_type)
+        self._top = np.empty(m, dtype=key_type)
         self._codes = np.empty(m, dtype=np.intp)
 
     @property
@@ -313,12 +335,10 @@ class ObjectiveEvaluator:
         return self._num_classes
 
     def predictions(self, xi) -> np.ndarray:
-        corrected = np.empty(
-            (self._num_instances, self._num_classes), dtype=np.float64
-        )
-        for i, k in enumerate(xi):
-            corrected[:, i] = self._columns[i][k - 1]
-        return _argmax_labels(corrected)
+        """1-based top classes of a selection, as ``predict`` gives them."""
+        rows = [self._keys[j, k - 1] for j, k in enumerate(xi)]
+        cells = np.minimum.reduce(rows, axis=0) & self._mask
+        return (cells % self._num_classes + 1).astype(np.int64)
 
     def value(self, xi) -> float:
         """Load ``xi`` into the buffer and score it."""
@@ -332,16 +352,12 @@ class ObjectiveEvaluator:
         return self._walk_value()
 
     def _walk_put(self, j: int, k: int) -> None:
-        self._buffer[j] = self._columns[j][k - 1]
+        self._buffer[j] = self._keys[j, k - 1]
 
     def _walk_codes(self) -> np.ndarray:
         """Confusion-count cell of (label, top class) per instance."""
-        buf = self._buffer
-        np.maximum.reduce(buf, axis=0, out=self._max)
-        np.equal(buf, self._max, out=self._tie_mask)
-        np.multiply(self._ties, self._rank, out=self._ranked)
-        np.maximum.reduce(self._ranked, axis=0, out=self._top)
-        return np.subtract(self._label_codes, self._top, out=self._codes)
+        np.minimum.reduce(self._buffer, axis=0, out=self._top)
+        return np.bitwise_and(self._top, self._mask, out=self._codes)
 
     def _walk_value(self) -> float:
         w = self._weights

@@ -276,3 +276,17 @@ class TestAnnealConfig:
             AnnealConfig(seed=0, initial_temperature=0.0)
         with pytest.raises(PreconditionError):
             AnnealConfig(seed=0, min_temperature=300_000.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "initial_temperature",
+            "cooling_rate",
+            "lambda1",
+            "lambda2",
+            "min_temperature",
+        ],
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(PreconditionError, match=field):
+            AnnealConfig(seed=0, **{field: math.nan})

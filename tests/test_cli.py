@@ -171,6 +171,31 @@ class TestOptimize:
                    "--alpha", "1.5", "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--init-temp", "initial_temperature"),
+            ("--min-temp", "min_temperature"),
+            ("--lambda1", "lambda1"),
+            ("--beta", "beta"),
+            ("--tau", "tau"),
+        ],
+    )
+    def test_nan_exits_like_negative(
+        self, tmp_path, capsys, train_csv, flag, field
+    ):
+        def run(value):
+            capsys.readouterr()
+            rc = main(["optimize", "--input", str(train_csv), "--seed", "0",
+                       "--max-outer", "2", flag, value,
+                       "--out", str(tmp_path / value)])
+            return rc, capsys.readouterr().err
+
+        rc, err = run("nan")
+        assert (rc, err) == run("-1")
+        assert rc in (2, 3) and field in err
+        assert not (tmp_path / "nan").exists()
+
 
 class TestApply:
     @pytest.fixture()
@@ -244,6 +269,17 @@ class TestApply:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "cooling_rate" in capsys.readouterr().err
+
+    def test_nan_beta_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload["objective"]["beta"] = float("nan")
+        bad = tmp_path / "bad_scheme.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["apply", "--scheme", str(bad),
+                   "--input", str(run_dir / "optimization_set.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "beta" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -403,6 +439,24 @@ class TestOracleCommand:
         rc = main(["oracle", "--input", str(train_csv), "--catalog", str(cat),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["oracle", "optimize"])
+    def test_huge_num_weights_exit_2(
+        self, tmp_path, capsys, train_csv, tiny_catalog, command
+    ):
+        from dcs import save_catalog
+
+        cat = tmp_path / "cat.json"
+        save_catalog(tiny_catalog, cat)
+        payload = json.loads(cat.read_text())
+        payload["num_weights"] = 2**70
+        cat.write_text(json.dumps(payload))
+        argv = [command, "--input", str(train_csv), "--catalog", str(cat),
+                "--out", str(tmp_path / "x")]
+        if command == "optimize":
+            argv += ["--seed", "0"]
+        assert main(argv) == 2
+        assert "num_weights" in capsys.readouterr().err
 
     def test_limit_guard_exit_3(self, tmp_path, train_csv):
         rc = main(["oracle", "--input", str(train_csv), "--limit", "100",

@@ -18,6 +18,7 @@ from dcs import (
     save_catalog,
     validate_selection,
 )
+from dcs.corrections import MAX_WEIGHTS
 
 EXACT = 1e-12
 
@@ -263,3 +264,12 @@ def test_catalog_without_dont_change_rejected():
             memberships=(TriangularMembership(0.0, 0.0, 0.6),),
             num_weights=2,
         )
+
+
+def test_num_weights_bound():
+    dont_change = (TriangularMembership(0.0, 1.0, 1.0),)
+    assert FunctionSet(dont_change, num_weights=MAX_WEIGHTS).size == (
+        MAX_WEIGHTS + 1
+    )
+    with pytest.raises(ValidationError, match="num_weights"):
+        FunctionSet(dont_change, num_weights=MAX_WEIGHTS + 1)

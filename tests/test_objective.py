@@ -22,7 +22,7 @@ from dcs import (
     z_err,
     z_pmi,
 )
-from dcs.objective import EvalReport, combine_terms
+from dcs.objective import _CHUNK, EvalReport, combine_terms
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
@@ -262,6 +262,10 @@ class TestCombination:
             ObjectiveWeights(beta=-0.1)
         with pytest.raises(ValidationError):
             ObjectiveWeights(tau=-1.0)
+        with pytest.raises(ValidationError):
+            ObjectiveWeights(beta=math.nan)
+        with pytest.raises(ValidationError):
+            ObjectiveWeights(tau=math.nan)
 
     def test_from_mode_wiring(self):
         full = ObjectiveWeights.from_mode("full", beta=2.0, tau=0.5)
@@ -322,8 +326,8 @@ class TestEvaluatorEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_walk_top_class_is_row_argmax(self, data):
-        # the walk's max/tie reduction over the (N, M) buffer must pick the
-        # same class as a per-row argmax, ties to the lowest index, on
+        # the smallest rank key of each column of the (N, M) buffer must
+        # pick the same class as a per-row argmax, ties to the lowest index, on
         # values full of ties: signed zeros, all-zero rows, equal columns
         n = data.draw(st.integers(2, 8), label="N")
         m = data.draw(st.integers(1, 30), label="M")
@@ -356,7 +360,7 @@ class TestEvaluatorEquivalence:
         assert np.array_equal(ev._walk_codes(), expected)
 
     def test_walk_top_class_past_one_byte_ranks(self):
-        # 300 classes: tie ranks up to 299 no longer fit in one byte
+        # 300 classes: class indices and confusion cells past one byte
         n = 300
         values = np.zeros((3, n))
         values[0, [280, 290]] = 0.5  # a tie high up: class 280 wins
@@ -369,6 +373,86 @@ class TestEvaluatorEquivalence:
         top = ev._walk_codes() - (ds.labels - 1) * n
         assert top.tolist() == [280, 0, n - 1]
         assert np.array_equal(top, np.argmax(values, axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_predictions_match_predict_on_ties(self, data):
+        # the rank keys must reproduce ``predict`` where corrections make
+        # ties: shoulders and triangles send many values to 0, and weights
+        # scale 1.0 and 0.25 onto equal values across classes
+        fs = default_function_set()
+        n = data.draw(st.integers(2, 8), label="N")
+        m = data.draw(st.integers(1, 30), label="M")
+        values = data.draw(
+            st.lists(
+                st.sampled_from(TIE_VALUES + (0.5,)),
+                min_size=m * n,
+                max_size=m * n,
+            ),
+            label="values",
+        )
+        labels = data.draw(
+            st.lists(st.integers(1, n), min_size=m, max_size=m), label="labels"
+        )
+        ds = make_dataset(np.reshape(values, (m, n)), labels)
+        corrections = [
+            k for k in range(1, fs.size + 1) if k != fs.dont_change_index
+        ]
+        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights())
+        for _ in range(3):
+            xi = data.draw(
+                st.lists(
+                    st.sampled_from(corrections), min_size=n, max_size=n
+                ),
+                label="xi",
+            )
+            assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
+
+    def test_walk_across_chunk_boundary(self):
+        # the keys are built _CHUNK instances at a time; instances on both
+        # sides of each boundary must score as one table
+        profile = BiasProfile(
+            num_classes=5,
+            class_priors=(0.3, 0.2, 0.2, 0.2, 0.1),
+            target_accuracy=(0.9, 0.5, 0.7, 0.4, 0.8),
+            confusion_temperature=1.0,
+            seed=17,
+        )
+        ds = generate(profile, 2 * _CHUNK + 1)
+        fs = default_function_set()
+        w = ObjectiveWeights()
+        ev = ObjectiveEvaluator(ds, fs, w)
+        rng = np.random.default_rng(5)
+        xi = [fs.dont_change_index] * 5
+        assert ev.value(xi) == objective_value(ds, fs, xi, w)
+        for _ in range(200):
+            j = int(rng.integers(5))
+            k = int(rng.integers(1, fs.size + 1))
+            moved = xi[:j] + [k] + xi[j + 1 :]
+            assert ev._walk_try(j, k) == objective_value(ds, fs, moved, w)
+            if rng.random() < 0.3:
+                xi = moved
+            else:
+                ev._walk_put(j, xi[j])
+        assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
+
+    @pytest.mark.parametrize(
+        "num_classes, key_type", [(8, np.uint16), (300, np.uint32)]
+    )
+    def test_smallest_key_type(self, num_classes, key_type):
+        ds = make_dataset(np.eye(num_classes)[:2], [1, 2])
+        ev = ObjectiveEvaluator(ds, default_function_set(), ObjectiveWeights())
+        assert ev._keys.dtype == key_type
+
+    def test_keys_past_64_bits_rejected(self):
+        # 2^15 classes and a 2^20-weight catalog need a 66-bit key
+        fs = FunctionSet(
+            memberships=(TriangularMembership(0.0, 1.0, 1.0),),
+            num_weights=2**20,
+        )
+        ds = make_dataset(np.full((1, 2**15), 0.5), [1])
+        with pytest.raises(PreconditionError, match="64-bit"):
+            ObjectiveEvaluator(ds, fs, ObjectiveWeights())
 
     def test_deterministic_repeat(self, four_row_dataset):
         fs = default_function_set()
