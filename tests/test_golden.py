@@ -13,7 +13,11 @@ Those short schedules run at T~2e5 and accept nearly every proposal. The
 thousands of proposals, so they pin the rejection path and long RNG streams.
 The ``w6`` and ``w8`` tasks (N = 6 and N = 8, wider than any suite task) run
 the same cold schedule, so the walk's top-class reduction is pinned at class
-counts that are not powers of two, as on the benchmark's wide fit.
+counts that are not powers of two, as on the benchmark's wide fit. The
+``w17`` task (N = 17) has 136 pairs of present classes, so the imbalance
+term's pairwise sum takes numpy's recursive branch (more than 128 terms).
+In the ``a5`` task class 3 has prior 0, so it never appears in the labels
+and the scorer must leave it out of the imbalance and PMI terms.
 
 Floats are compared through ``repr``, so a change in the last bit fails.
 Re-record (only when a behaviour change is intended) with
@@ -41,8 +45,8 @@ SCHEDULES = {
     "": {"max_outer_loops": MAX_OUTER_LOOPS},
     "cold": {"initial_temperature": 0.1, "min_temperature": 0.05},
 }
-# cold-start fits wider than the suite, with fixed skewed priors and targets
-WIDE_TASKS = (
+# cold-start fits beyond the suite's shapes, with fixed skewed priors and targets
+EXTRA_TASKS = (
     SuiteTask(
         name="w6",
         profile=BiasProfile(
@@ -67,12 +71,38 @@ WIDE_TASKS = (
         train_size=1500,
         eval_size=1500,
     ),
+    SuiteTask(
+        name="w17",
+        profile=BiasProfile(
+            num_classes=17,
+            class_priors=tuple((21 - i) / 221 for i in range(17)),
+            target_accuracy=tuple(
+                0.3 + 0.65 * (7 * i % 17) / 16 for i in range(17)
+            ),
+            confusion_temperature=1.0,
+            seed=171,
+        ),
+        train_size=1500,
+        eval_size=1500,
+    ),
+    SuiteTask(
+        name="a5",
+        profile=BiasProfile(
+            num_classes=5,
+            class_priors=(0.3, 0.25, 0.0, 0.25, 0.2),
+            target_accuracy=(0.9, 0.5, 0.8, 0.4, 0.85),
+            confusion_temperature=1.2,
+            seed=51,
+        ),
+        train_size=1500,
+        eval_size=1500,
+    ),
 )
 
 
 @lru_cache(maxsize=None)
 def _task_data(name: str):
-    task = next(t for t in benchmark_suite() + WIDE_TASKS if t.name == name)
+    task = next(t for t in benchmark_suite() + EXTRA_TASKS if t.name == name)
     return task.train_dataset(), task.eval_dataset()
 
 
@@ -128,7 +158,7 @@ CASES = [
     (name, "dcs", seed, "cold")
     for name in ("p1", "p5", "w6", "w8")
     for seed in (0, 1)
-]
+] + [(name, "dcs", 0, "cold") for name in ("w17", "a5")]
 
 
 def _case_id(name: str, mode: str, seed: int, schedule: str) -> str:
