@@ -14,13 +14,20 @@ exactly 0; at least one must stay enabled.
 Predicted labels are 1-based argmaxes of the corrected probability rows, ties
 broken toward the lowest class index. Natural logarithms throughout.
 
-Every term comes from one scoring core: a single N x N confusion-matrix
-count of (label, prediction) pairs yields the true, predicted and correct
-counts per class, and from them err, per-class accuracy, imbalance and PMI.
-The public term functions, ``score_predictions``, ``objective_value``,
-``ObjectiveEvaluator`` and ``evaluate`` all read that core, so the Z that
-the annealer minimizes, the Z a saved scheme records and the Z a report
-prints are the same number by construction.
+Every term comes from one scoring tail. A single flat N x N confusion count
+of (label, prediction) pairs yields the correct and predicted counts per
+class, and from them err, per-class accuracy, imbalance and PMI. The tail is
+a scorer bound to one label vector: what the labels alone fix (true counts
+per class, M, the present classes, their pairs) is computed when it is
+built. ``ObjectiveEvaluator`` builds one for its dataset and reuses it on
+every candidate; the public term functions, ``score_predictions``,
+``objective_value`` and ``evaluate`` build one per call from the count's
+row sums. So the Z that the annealer minimizes, the Z a saved scheme
+records and the Z a report prints are the same number by construction.
+
+The imbalance term's mean of pair gaps is summed in pure Python in the
+exact order numpy's ``add.reduce`` uses, so Z keeps the bits it had when
+the sum ran through numpy (see ``_pairwise_sum``).
 """
 from __future__ import annotations
 
@@ -108,11 +115,116 @@ def _pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(iu.tolist(), ju.tolist()))
 
 
-def _confusion(predictions, labels, num_classes: int) -> list[list[int]]:
-    """The N x N confusion count of one prediction vector, as Python ints.
+def _pairwise_sum(
+    values: list[float], start: int = 0, size: int | None = None
+) -> float:
+    """Sum of ``values[start:start + size]`` (all of ``values`` by default)
+    in the order ``np.add.reduce`` adds a contiguous float64 array.
 
-    ``confusion[t][p]`` counts instances labeled t + 1 and predicted p + 1.
+    numpy sums fewer than 8 terms one by one from 0.0, up to 128 terms in 8
+    interleaved accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    with the remainder added in order, and more terms by splitting at half
+    the length, rounded down to a multiple of 8 (pairwise summation, Higham,
+    SIAM J. Sci. Comput. 14, 1993). Python's ``sum`` compensates from 3.12
+    on and ``math.fsum`` rounds once, so neither gives numpy's bits.
     """
+    if size is None:
+        size = len(values) - start
+    stop = start + size
+    if size < 8:
+        total = 0.0
+        for v in values[start:stop]:
+            total += v
+        return total
+    if size <= 128:
+        tail = stop - size % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start : start + 8]
+        for i in range(start + 8, tail, 8):
+            v0, v1, v2, v3, v4, v5, v6, v7 = values[i : i + 8]
+            r0 += v0
+            r1 += v1
+            r2 += v2
+            r3 += v3
+            r4 += v4
+            r5 += v5
+            r6 += v6
+            r7 += v7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in values[tail:stop]:
+            total += v
+        return total
+    half = size // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, size - half
+    )
+
+
+_LOG_EPSILON = math.log(PMI_EPSILON)
+
+
+class _Scorer:
+    """Every term from the flat confusion count, for one label vector.
+
+    ``flat[t * N + p]`` counts instances labeled t + 1 and predicted p + 1.
+    What depends on the labels alone is computed once: the per-class true
+    counts, M, the present classes with their t / M, and the pairs of
+    present classes.
+    """
+
+    __slots__ = ("_true_counts", "_n", "_m", "_present", "_pairs")
+
+    def __init__(self, true_counts: list[int]) -> None:
+        self._true_counts = true_counts
+        self._n = len(true_counts)
+        self._m = m = sum(true_counts)
+        self._present = [(j, t, t / m) for j, t in enumerate(true_counts) if t]
+        self._pairs = _pairs(len(self._present))
+
+    def terms(self, flat: list[int], need_cobias: bool = False) -> _Terms:
+        """``cobias`` is None when fewer than two classes are present, and
+        that raises PreconditionError when ``need_cobias`` is set."""
+        err, present_accuracy, cobias, pmi = self._score(flat, need_cobias)
+        accuracy = [math.nan] * self._n
+        for (j, _, _), a in zip(self._present, present_accuracy):
+            accuracy[j] = a
+        return _Terms(err, accuracy, self._true_counts, cobias, pmi)
+
+    def value(self, flat: list[int], w: ObjectiveWeights) -> float:
+        err, _, cobias, pmi = self._score(flat, w.enable_cobias)
+        return combine_terms(err, cobias, pmi, w)
+
+    def _score(self, flat: list[int], need_cobias: bool):
+        """err, the present classes' accuracies, cobias and PMI."""
+        n, m = self._n, self._m
+        correct = flat[:: n + 1]
+        acc = []
+        total = 0.0
+        for j, t, t_m in self._present:
+            c = correct[j]
+            acc.append(c / t)
+            if c == 0:
+                total += _LOG_EPSILON
+            else:
+                total += math.log((c / m) / ((sum(flat[j::n]) / m) * t_m))
+
+        if self._pairs:
+            diffs = [abs(acc[i] - acc[j]) for i, j in self._pairs]
+            cobias = _pairwise_sum(diffs) / len(diffs)
+        elif need_cobias:
+            raise PreconditionError(
+                "accuracy-imbalance term needs at least two classes present"
+            )
+        else:
+            cobias = None
+        err = (m - sum(correct)) / m if m else math.nan
+        return err, acc, cobias, -total
+
+
+def _confusion(predictions, labels, num_classes: int) -> list[int]:
+    """The flat N x N confusion count of one prediction vector, as Python
+    ints: ``flat[t * N + p]`` counts instances labeled t + 1 and predicted
+    p + 1."""
     preds = np.asarray(predictions)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
@@ -120,67 +232,30 @@ def _confusion(predictions, labels, num_classes: int) -> list[list[int]]:
             f"predictions shape {preds.shape} differs from labels "
             f"shape {labels.shape}"
         )
+    for name, values in (("predictions", preds), ("labels", labels)):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValidationError(
+                f"{name} must be integers, got dtype {values.dtype}"
+            )
     n = num_classes
     # out-of-range values would alias into another cell of the count
     if labels.shape[0] and (
         min(preds.min(), labels.min()) < 1 or max(preds.max(), labels.max()) > n
     ):
         raise ValidationError(f"predictions and labels must lie in 1..{n}")
-    return _count((labels - 1) * n + (preds - 1), n)
-
-
-def _count(codes: np.ndarray, n: int) -> list[list[int]]:
-    return np.bincount(codes, minlength=n * n).reshape(n, n).tolist()
-
-
-def _score(confusion: list[list[int]], need_cobias: bool = False) -> _Terms:
-    """Every term from the confusion counts.
-
-    ``cobias`` is None when fewer than two classes are present, and that
-    raises PreconditionError when ``need_cobias`` is set.
-    """
-    true_counts = list(map(sum, confusion))
-    pred_counts = list(map(sum, zip(*confusion)))
-    correct = [row[i] for i, row in enumerate(confusion)]
-    m = sum(true_counts)
-    accuracy = [c / t if t else math.nan for c, t in zip(correct, true_counts)]
-
-    vals = [a for a, t in zip(accuracy, true_counts) if t]
-    k = len(vals)
-    if k >= 2:
-        # numpy's pairwise sum: a saved scheme's best_z must reproduce exactly
-        diffs = np.array([abs(vals[i] - vals[j]) for i, j in _pairs(k)])
-        cobias = float(diffs.sum()) / len(diffs)
-    elif need_cobias:
-        raise PreconditionError(
-            "accuracy-imbalance term needs at least two classes present"
-        )
-    else:
-        cobias = None
-
-    total = 0.0
-    for c, p, t in zip(correct, pred_counts, true_counts):
-        if t == 0:
-            continue
-        if c == 0:
-            total += math.log(PMI_EPSILON)
-        else:
-            total += math.log((c / m) / ((p / m) * (t / m)))
-
-    return _Terms(
-        err=(m - sum(correct)) / m if m else math.nan,
-        accuracy=accuracy,
-        true_counts=true_counts,
-        cobias=cobias,
-        pmi=-total,
-    )
+    # in intp: a narrow caller dtype would wrap (label - 1) * N
+    cells = (labels.astype(np.intp) - 1) * n + (preds.astype(np.intp) - 1)
+    return np.bincount(cells, minlength=n * n).tolist()
 
 
 def _terms(
     predictions, labels, num_classes: int, need_cobias: bool = False
 ) -> _Terms:
     """Every term of one prediction vector: count, then score."""
-    return _score(_confusion(predictions, labels, num_classes), need_cobias)
+    flat = _confusion(predictions, labels, num_classes)
+    n = num_classes
+    scorer = _Scorer([sum(flat[t * n : t * n + n]) for t in range(n)])
+    return scorer.terms(flat, need_cobias)
 
 
 def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -285,9 +360,11 @@ class ObjectiveEvaluator:
     confusion count, with no range check: the labels were validated when the
     dataset was built, so every cell lies in 0..N*N - 1.
 
-    Scores go through the same scoring tail as ``score_predictions``, so
-    they equal ``objective_value`` bit for bit. ``predictions`` reads the
-    top classes of a selection from the keys and leaves the buffer alone.
+    The scorer of the dataset's labels is built once, here; a step counts
+    the cells into a flat list and hands it to that scorer, the same
+    scoring tail ``score_predictions`` uses, so scores equal
+    ``objective_value`` bit for bit. ``predictions`` reads the top classes
+    of a selection from the keys and leaves the buffer alone.
     """
 
     def __init__(
@@ -326,6 +403,8 @@ class ObjectiveEvaluator:
             np.put_along_axis(keys, order, nd - 1 - rank, axis=1)
             keys <<= shift
             keys |= label_cells[start:stop] + classes
+        self._scorer = _Scorer(np.bincount(ds.labels - 1, minlength=n).tolist())
+        self._cells = n * n
         self._buffer = np.empty((n, m), dtype=key_type)
         self._top = np.empty(m, dtype=key_type)
         self._codes = np.empty(m, dtype=np.intp)
@@ -360,10 +439,8 @@ class ObjectiveEvaluator:
         return np.bitwise_and(self._top, self._mask, out=self._codes)
 
     def _walk_value(self) -> float:
-        w = self._weights
-        counts = _count(self._walk_codes(), self._num_classes)
-        t = _score(counts, w.enable_cobias)
-        return combine_terms(t.err, t.cobias, t.pmi, w)
+        flat = np.bincount(self._walk_codes(), minlength=self._cells).tolist()
+        return self._scorer.value(flat, self._weights)
 
 
 @dataclass(frozen=True)

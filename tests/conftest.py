@@ -1,8 +1,16 @@
 """Shared fixtures: tiny hand-checkable datasets and small catalogs."""
+import platform
+
 import numpy as np
 import pytest
 
 from dcs import FunctionSet, LabeledDataset, TriangularMembership
+
+
+def pytest_report_header(config):
+    # golden traces and the pairwise-sum pin hold bit for bit only on the
+    # numpy they were recorded with (RNG streams, summation order)
+    return f"python {platform.python_version()}, numpy {np.__version__}"
 
 
 def make_dataset(probs, labels, ids=None) -> LabeledDataset:

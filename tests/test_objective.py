@@ -1,10 +1,11 @@
 """Objective terms against hand-worked values and an independent oracle."""
 import itertools
 import math
+from operator import truediv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcs import (
     FunctionSet,
@@ -22,7 +23,13 @@ from dcs import (
     z_err,
     z_pmi,
 )
-from dcs.objective import _CHUNK, EvalReport, combine_terms
+from dcs.objective import (
+    _CHUNK,
+    EvalReport,
+    _pairwise_sum,
+    combine_terms,
+    score_predictions,
+)
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
@@ -77,6 +84,39 @@ class TestErr:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             z_err(np.array([1]), np.array([1, 2]))
+
+
+class TestCountInputTypes:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16])
+    def test_narrow_integers_count_in_full_width(self, dtype):
+        # (label - 1) * 20 + (pred - 1) runs up to 399, past any 8-bit type
+        labels = np.arange(1, 21, dtype=dtype)
+        assert z_err(labels, labels) == 0.0
+        assert per_class_accuracy(labels, labels, 20).tolist() == [1.0] * 20
+        assert z_cobias(labels, labels, 20) == 0.0
+
+    def test_narrow_integers_score_like_int64(self):
+        rng = np.random.default_rng(5)
+        preds = rng.integers(1, 21, size=300)
+        labels = rng.integers(1, 21, size=300)
+        w = ObjectiveWeights()
+        expected = score_predictions(preds, labels, 20, w)
+        narrow = score_predictions(
+            preds.astype(np.uint8), labels.astype(np.int8), 20, w
+        )
+        assert narrow == expected
+
+    @pytest.mark.parametrize(
+        "preds,labels",
+        [
+            (np.array([1.0, 2.0]), np.array([1, 2])),
+            (np.array([1, 2]), np.array([1.0, 2.0])),
+            (np.array([True, False]), np.array([1, 2])),
+        ],
+    )
+    def test_non_integer_values_rejected(self, preds, labels):
+        with pytest.raises(ValidationError, match="must be integers"):
+            z_pmi(preds, labels, 2)
 
 
 class TestPerClassAccuracy:
@@ -135,6 +175,53 @@ class TestCobias:
         assert abs(
             z_cobias(preds, labels, 3) - z_cobias(p2, l2, 3)
         ) <= EXACT
+
+
+# values shaped like accuracy gaps: exact fractions c / t and differences of
+# two of them, 0.0, and subnormals
+_GAPS = st.one_of(
+    st.just(0.0),
+    st.builds(truediv, st.integers(0, 3000), st.integers(1, 3000)),
+    st.builds(
+        lambda a, b, c, d: abs(a / b - c / d),
+        st.integers(0, 3000),
+        st.integers(1, 3000),
+        st.integers(0, 3000),
+        st.integers(1, 3000),
+    ),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+)
+# n gaps drawn with repeats from a pool of up to 40 distinct ones, as k
+# classes give k(k-1)/2 gaps between only k accuracies
+_GAP_LISTS = st.builds(
+    lambda n, pool, rnd: [rnd.choice(pool) for _ in range(n)],
+    st.integers(0, 300),
+    st.lists(_GAPS, min_size=1, max_size=40),
+    st.randoms(use_true_random=False),
+)
+
+
+class TestPairwiseSum:
+    """The imbalance term's sum of pair gaps, pinned to ``np.add.reduce``.
+
+    The scorer adds the gaps in pure Python in numpy's pairwise order, so
+    that Z matches the bits numpy's sum gave it before. Z's
+    bit-reproducibility (golden traces, a saved scheme's ``best_z``) now
+    rests on this property of the installed numpy, as it already does for
+    the RNG block draws. Lengths run over 0..300, which covers the
+    sequential (< 8), 8-accumulator (8..128) and recursive (> 128) branches.
+    """
+
+    @settings(max_examples=250, deadline=None)
+    @given(_GAP_LISTS)
+    @example([0.1] * 7)
+    @example([1 / 3] * 8)
+    @example([2 / 7] * 128)
+    @example([0.3] * 129)
+    @example([i / 300 for i in range(300)])
+    def test_matches_numpy_add_reduce(self, values):
+        expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
+        assert _pairwise_sum(values).hex() == expected.hex()
 
 
 class TestPmi:
