@@ -1,13 +1,16 @@
-"""Byte goldens for the JSON files dcs writes.
+"""Byte goldens for the JSON and CSV files dcs writes.
 
 Each file is produced from fixed seeds and compared byte for byte with its
-copy in ``golden_files/``, so key order, indentation, float ``repr`` and the
-trailing newline are all pinned. ``solve.json``'s ``wall_time`` differs from
-run to run and is masked. Re-record (only when a format change is intended)
-with
+copy in ``golden_files/``, so key order, indentation, float ``repr``, CSV
+quoting and line endings and the trailing newline are all pinned. The
+``wall_time`` of ``solve.json``, ``runs.csv`` and the ``report`` table
+differs from run to run and is masked. Re-record (only when a format change
+is intended) with
 
     PYTHONPATH=src python tests/test_file_goldens.py --record
 """
+import contextlib
+import io
 import re
 import sys
 import tempfile
@@ -33,6 +36,14 @@ NAMES = (
     "oracle.json",
     "catalog.json",
     "profile.json",
+    "trace.csv",
+    "dev_report.csv",
+    "predictions.csv",
+    "report.csv",
+    "runs.csv",
+    "summary.csv",
+    "solve_report.csv",
+    "solve_report_stdout.csv",
 )
 FAST = ["--init-temp", "100.0", "--alpha", "0.6", "--min-temp", "0.01"]
 WALL_TIME = re.compile(rb'"wall_time": [^,\n]+')
@@ -50,12 +61,36 @@ def _profile(num_classes: int, seed: int) -> BiasProfile:
     )
 
 
+def _mask_csv_column(content: bytes, column: str) -> bytes:
+    """``content`` with every cell of ``column`` below the header masked;
+    the masked tables hold no quoted commas, so a plain split is exact."""
+    lines = content.split(b"\r\n")
+    col = lines[0].split(b",").index(column.encode())
+    for i in range(1, len(lines)):
+        if lines[i]:
+            cells = lines[i].split(b",")
+            cells[col] = b"<masked>"
+            lines[i] = b",".join(cells)
+    return b"\r\n".join(lines)
+
+
 def write_files(out: Path) -> dict[str, bytes]:
     """Every golden file, written into ``out`` by the library and the CLI."""
     train = out / "train.csv"
     save_dataset(generate(_profile(3, 3), 300), train)
     assert main(["optimize", "--input", str(train), "--seed", "0",
                  "--out", str(out / "run"), *FAST]) == 0
+    held_out = out / "held_out.csv"
+    save_dataset(generate(_profile(3, 3), 40, replica=1), held_out)
+    assert main(["apply", "--scheme", str(out / "run" / "scheme.json"),
+                 "--input", str(held_out), "--out", str(out / "app")]) == 0
+    assert main(["compare", "--input", str(train), "--mode", "dcs,furud",
+                 "--seed", "0,1", "--out", str(out / "cmp"), *FAST]) == 0
+    solve = str(out / "run" / "solve.json")
+    assert main(["report", solve, "--out", str(out / "solve_report.csv")]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["report", solve]) == 0
     small = out / "small.csv"
     save_dataset(generate(_profile(2, 5), 50), small)
     assert main(["oracle", "--input", str(small), "--mode", "dnip",
@@ -69,11 +104,21 @@ def write_files(out: Path) -> dict[str, bytes]:
         "oracle.json": out / "orc" / "oracle.json",
         "catalog.json": out / "catalog.json",
         "profile.json": out / "profile.json",
+        "trace.csv": out / "run" / "trace.csv",
+        "dev_report.csv": out / "run" / "dev_report.csv",
+        "predictions.csv": out / "app" / "predictions.csv",
+        "report.csv": out / "app" / "report.csv",
+        "runs.csv": out / "cmp" / "runs.csv",
+        "summary.csv": out / "cmp" / "summary.csv",
+        "solve_report.csv": out / "solve_report.csv",
     }
     files = {name: path.read_bytes() for name, path in paths.items()}
+    files["solve_report_stdout.csv"] = stdout.getvalue().encode("utf-8")
     files["solve.json"] = WALL_TIME.sub(
         b'"wall_time": "<masked>"', files["solve.json"]
     )
+    for name in ("runs.csv", "solve_report.csv", "solve_report_stdout.csv"):
+        files[name] = _mask_csv_column(files[name], "wall_time")
     return files
 
 
