@@ -64,15 +64,17 @@ class AnnealConfig(Record):
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise PreconditionError("seed must be a non-negative integer")
-        # negated comparisons, so that a NaN fails them too
-        if not self.initial_temperature > 0.0:
-            raise PreconditionError("initial_temperature must be positive")
+        # negated comparisons, so that a NaN fails them too; a finite
+        # initial_temperature and lambda2 bound min_temperature and lambda1
+        t0 = self.initial_temperature
+        if not (t0 > 0.0 and math.isfinite(t0)):
+            raise PreconditionError("initial_temperature must be positive and finite")
         if not 0.0 < self.cooling_rate < 1.0:
             raise PreconditionError("cooling_rate must lie in (0, 1)")
         if not (self.lambda1 > 0.0 and self.lambda2 > 0.0):
             raise PreconditionError("lambda1 and lambda2 must be positive")
-        if not self.lambda2 >= self.lambda1:
-            raise PreconditionError("lambda2 must be at least lambda1")
+        if not (self.lambda2 >= self.lambda1 and math.isfinite(self.lambda2)):
+            raise PreconditionError("lambda2 must be finite and at least lambda1")
         if not self.min_temperature > 0.0:
             raise PreconditionError("min_temperature must be positive")
         if not self.min_temperature < self.initial_temperature:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealing import AnnealConfig, SolveResult, anneal
+from .annealing import AnnealConfig, anneal, initial_solution
 from .corrections import FunctionSet, default_function_set, load_catalog
 from .data import (
     LabeledDataset,
@@ -44,7 +44,7 @@ from .objective import (
     predict,
 )
 from .oracle import exhaustive_search
-from .records import Record, read_record, write_json
+from .records import Record, read_record, write_csv, write_json
 from .scheme import CorrectionScheme, load_scheme, save_scheme
 from .synth import benchmark_suite, generate, load_profile, save_profile
 
@@ -83,32 +83,26 @@ def _weights_from_args(args) -> ObjectiveWeights:
     return ObjectiveWeights.from_mode(args.objective, beta=args.beta, tau=args.tau)
 
 
-def _config_from_args(args, seed: int) -> AnnealConfig:
-    return AnnealConfig(
-        seed=seed,
-        initial_temperature=args.init_temp,
-        cooling_rate=args.alpha,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        min_temperature=args.min_temp,
-        max_outer_loops=args.max_outer,
-    )
+# AnnealConfig field -> the parsed schedule flag that sets it
+_SCHEDULE_FLAGS = {
+    "initial_temperature": "init_temp",
+    "cooling_rate": "alpha",
+    "lambda1": "lambda1",
+    "lambda2": "lambda2",
+    "min_temperature": "min_temp",
+    "max_outer_loops": "max_outer",
+}
+
+
+def _schedule_from_args(args) -> dict:
+    """The AnnealConfig fields other than seed, from the schedule flags."""
+    return {field: getattr(args, flag) for field, flag in _SCHEDULE_FLAGS.items()}
 
 
 def _catalog_from_args(args) -> FunctionSet:
     if args.catalog is not None:
         return load_catalog(args.catalog)
     return default_function_set()
-
-
-def _write_trace_csv(path: Path, result: SolveResult) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["outer_loop", "temperature", "best_z", "generated", "accepted"]
-        )
-        for t, temp, z, g, a in result.trace_rows():
-            writer.writerow([t, repr(temp), repr(z), g, a])
 
 
 def _write_per_class_csv(
@@ -118,27 +112,19 @@ def _write_per_class_csv(
     report: EvalReport,
 ) -> None:
     """Human-readable per-class table for one evaluation report."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["class", "n_true", "accuracy", "correction_kind", "correction_params"]
+    rows = []
+    for c, k in enumerate(selection):
+        desc = fs.describe_index(k)
+        params = ";".join(
+            f"{key}={desc[key]}" for key in sorted(desc) if key != "kind"
         )
-        for c in range(len(selection)):
-            k = selection[c]
-            desc = fs.describe_index(k)
-            params = ";".join(
-                f"{key}={desc[key]}" for key in sorted(desc) if key != "kind"
-            )
-            acc = report.per_class_accuracy[c]
-            writer.writerow(
-                [
-                    c + 1,
-                    report.class_counts[c],
-                    "" if acc is None else repr(acc),
-                    kind_bucket(fs, k),
-                    params,
-                ]
-            )
+        acc = report.per_class_accuracy[c]  # an absent class: None, written ""
+        rows.append([c + 1, report.class_counts[c], acc, kind_bucket(fs, k), params])
+    write_csv(
+        path,
+        ["class", "n_true", "accuracy", "correction_kind", "correction_params"],
+        rows,
+    )
 
 
 def _fmt(x: float) -> str:
@@ -152,7 +138,7 @@ def cmd_optimize(args) -> int:
     ds = load_dataset(args.input, args.format)
     catalog = _catalog_from_args(args)
     weights = _weights_from_args(args)
-    config = _config_from_args(args, args.seed)
+    config = AnnealConfig(seed=args.seed, **_schedule_from_args(args))
     split = split_dataset(ds, args.dev_fraction, args.seed)
     allowed = mode_indices(catalog, args.mode)
 
@@ -172,7 +158,7 @@ def cmd_optimize(args) -> int:
         dataset_sha256=opt.fingerprint(),
     )
 
-    identity = (catalog.dont_change_index,) * ds.num_classes
+    identity = initial_solution(catalog, ds.num_classes)
     dev_corrected = evaluate(split.dev_set, catalog, result.best_xi, weights)
     dev_baseline = evaluate(split.dev_set, catalog, identity, weights)
 
@@ -196,7 +182,11 @@ def cmd_optimize(args) -> int:
         ),
     }
     write_json(out / "solve.json", solve_payload)
-    _write_trace_csv(out / "trace.csv", result)
+    write_csv(
+        out / "trace.csv",
+        ["outer_loop", "temperature", "best_z", "generated", "accepted"],
+        result.trace_rows(),
+    )
     save_dataset(opt, out / "optimization_set.json")
     save_dataset(split.dev_set, out / "dev_set.json")
     write_json(out / "dev_report.json", dev_corrected.to_dict())
@@ -244,7 +234,7 @@ def cmd_apply(args) -> int:
     corrected = _report_from_predictions(
         ds, catalog, scheme.selection, preds, scheme.objective
     )
-    identity = (catalog.dont_change_index,) * ds.num_classes
+    identity = initial_solution(catalog, ds.num_classes)
     baseline = evaluate(ds, catalog, identity, scheme.objective)
 
     match = scheme.matches_dataset(ds)
@@ -301,7 +291,7 @@ def _run_cell(payload: tuple) -> dict:
     config = AnnealConfig(seed=seed, **config_kw)
     allowed = mode_indices(catalog, mode)
     result = anneal(train, catalog, weights, config, allowed_indices=allowed)
-    identity = (catalog.dont_change_index,) * train.num_classes
+    identity = initial_solution(catalog, train.num_classes)
     corrected = evaluate(eval_ds, catalog, result.best_xi, weights)
     baseline = evaluate(eval_ds, catalog, identity, weights)
     train_corrected = evaluate(train, catalog, result.best_xi, weights)
@@ -385,42 +375,18 @@ def run_compare_grid(
     return rows
 
 
-RUNS_COLUMNS = (
-    "dataset",
-    "mode",
-    "seed",
-    "num_classes",
-    "best_z",
-    "train_accuracy",
-    "eval_accuracy",
-    "eval_cobias",
-    "baseline_eval_accuracy",
-    "baseline_eval_cobias",
-    "num_dont_change",
-    "num_membership",
-    "num_weight",
-    "weakest_class",
-    "weakest_class_baseline_accuracy",
-    "weakest_kind",
-    "wall_time",
-)
+def _column(rows: list[dict], key: str) -> list:
+    """The values of ``key`` in ``rows`` that are not None."""
+    return [r[key] for r in rows if r[key] is not None]
 
-SUMMARY_COLUMNS = (
-    "dataset",
-    "mode",
-    "num_seeds",
-    "accuracy_mean",
-    "accuracy_std",
-    "cobias_mean",
-    "cobias_std",
-    "baseline_accuracy_mean",
-    "baseline_cobias_mean",
-    "dont_change_total",
-    "membership_total",
-    "weight_total",
-    "kind_tally",
-    "weakest_membership_seeds",
-)
+
+def _mean(values: list) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
+def _std(values: list) -> float:
+    """Sample standard deviation; 0.0 below two values."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def summarize_rows(rows: list[dict]) -> list[dict]:
@@ -430,11 +396,8 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
         groups.setdefault((row["dataset"], row["mode"]), []).append(row)
     out = []
     for (dataset, mode), members in sorted(groups.items()):
-        accs = np.array([r["eval_accuracy"] for r in members], dtype=np.float64)
-        cobs = np.array(
-            [r["eval_cobias"] for r in members if r["eval_cobias"] is not None],
-            dtype=np.float64,
-        )
+        accs = _column(members, "eval_accuracy")
+        cobs = _column(members, "eval_cobias")
         dc = sum(r["num_dont_change"] for r in members)
         mem = sum(r["num_membership"] for r in members)
         wgt = sum(r["num_weight"] for r in members)
@@ -443,29 +406,15 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
                 "dataset": dataset,
                 "mode": mode,
                 "num_seeds": len(members),
-                "accuracy_mean": float(accs.mean()),
-                "accuracy_std": (
-                    float(accs.std(ddof=1)) if len(accs) > 1 else 0.0
+                "accuracy_mean": _mean(accs),
+                "accuracy_std": _std(accs),
+                "cobias_mean": _mean(cobs),
+                "cobias_std": _std(cobs),
+                "baseline_accuracy_mean": _mean(
+                    _column(members, "baseline_eval_accuracy")
                 ),
-                "cobias_mean": float(cobs.mean()) if cobs.size else None,
-                "cobias_std": (
-                    float(cobs.std(ddof=1)) if cobs.size > 1 else 0.0
-                ),
-                "baseline_accuracy_mean": float(
-                    np.mean([r["baseline_eval_accuracy"] for r in members])
-                ),
-                "baseline_cobias_mean": (
-                    float(
-                        np.mean(
-                            [
-                                r["baseline_eval_cobias"]
-                                for r in members
-                                if r["baseline_eval_cobias"] is not None
-                            ]
-                        )
-                    )
-                    if any(r["baseline_eval_cobias"] is not None for r in members)
-                    else None
+                "baseline_cobias_mean": _mean(
+                    _column(members, "baseline_eval_cobias")
                 ),
                 "dont_change_total": dc,
                 "membership_total": mem,
@@ -479,21 +428,9 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _write_rows_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            record = []
-            for col in columns:
-                value = row[col]
-                if value is None:
-                    record.append("")
-                elif isinstance(value, float):
-                    record.append(repr(value))
-                else:
-                    record.append(value)
-            writer.writerow(record)
+def _write_rows_csv(path: Path, rows: list[dict]) -> None:
+    """``rows`` as a table; the first row's keys name the columns."""
+    write_csv(path, rows[0].keys(), (row.values() for row in rows))
 
 
 def cmd_compare(args) -> int:
@@ -519,23 +456,20 @@ def cmd_compare(args) -> int:
 
     catalog = _catalog_from_args(args)
     weights = _weights_from_args(args)
-    config_kw = {
-        "initial_temperature": args.init_temp,
-        "cooling_rate": args.alpha,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "min_temperature": args.min_temp,
-        "max_outer_loops": args.max_outer,
-    }
     rows = run_compare_grid(
-        named, tuple(args.mode), tuple(args.seed), catalog, weights, config_kw
+        named,
+        tuple(args.mode),
+        tuple(args.seed),
+        catalog,
+        weights,
+        _schedule_from_args(args),
     )
     summary = summarize_rows(rows)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_rows_csv(out / "runs.csv", RUNS_COLUMNS, rows)
-    _write_rows_csv(out / "summary.csv", SUMMARY_COLUMNS, summary)
+    _write_rows_csv(out / "runs.csv", rows)
+    _write_rows_csv(out / "summary.csv", summary)
 
     print(
         f"compare: {len(named)} dataset(s) x {len(args.mode)} mode(s) x "
@@ -569,23 +503,15 @@ class _SolveRow(Record):
 
 def cmd_report(args) -> int:
     rows = [read_record(p, _SolveRow, "solve file") for p in args.solve_files]
-
-    def write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["task", "num_classes", "search_space", "wall_time", "outer_loops"]
-        )
-        # str(float) is repr(float): wall_time round-trips exactly
-        writer.writerows(r.to_dict().values() for r in rows)
-
+    header = ["task", "num_classes", "search_space", "wall_time", "outer_loops"]
+    # str(float) is repr(float): wall_time round-trips exactly
+    values = [r.to_dict().values() for r in rows]
     if args.out is None:
-        write(sys.stdout)
+        csv.writer(sys.stdout).writerows([header, *values])
         return 0
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        write(fh)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(out, header, values)
     print(f"report: {len(rows)} run(s) -> {out}")
     return 0
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .records import _not_utf8, read_json, write_json
+from .records import _not_utf8, read_json, write_csv, write_json
 
 CSV_PROB_DIGITS = 12
 
@@ -293,13 +293,16 @@ def save_dataset(
     fmt = _infer_format(path, fmt)
     rows = zip(ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist())
     if fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            n = ds.num_classes
-            writer.writerow(["id", "label"] + [f"p_{j}" for j in range(1, n + 1)])
-            cell = f"%.{CSV_PROB_DIGITS}g"
-            for ident, label, probs in rows:
-                writer.writerow([ident, label] + [cell % v for v in probs])
+        n = ds.num_classes
+        cell = f"%.{CSV_PROB_DIGITS}g"
+        write_csv(
+            path,
+            ["id", "label"] + [f"p_{j}" for j in range(1, n + 1)],
+            (
+                [ident, label] + [cell % v for v in probs]
+                for ident, label, probs in rows
+            ),
+        )
     else:
         records = [
             {"id": ident, "label": label, "probs": probs}
@@ -317,11 +320,11 @@ def save_predictions(
         raise ValidationError(
             f"expected {ds.num_instances} predictions, got {preds.shape}"
         )
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "prediction"])
-        writer.writerows(zip(ds.instance_ids, ds.labels.tolist(), preds.tolist()))
+    write_csv(
+        path,
+        ["id", "label", "prediction"],
+        zip(ds.instance_ids, ds.labels.tolist(), preds.tolist()),
+    )
 
 
 def split_dataset(

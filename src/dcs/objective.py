@@ -63,8 +63,8 @@ class ObjectiveWeights(Record):
         if not (self.enable_err or self.enable_cobias or self.enable_pmi):
             raise ValidationError("at least one objective term must be enabled")
         # negated, so that a NaN fails it too
-        if not (self.beta >= 0.0 and self.tau >= 0.0):
-            raise ValidationError("beta and tau must be non-negative")
+        if not all(w >= 0.0 and math.isfinite(w) for w in (self.beta, self.tau)):
+            raise ValidationError("beta and tau must be finite and non-negative")
 
     @classmethod
     def from_mode(

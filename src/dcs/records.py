@@ -1,4 +1,4 @@
-"""The JSON file format of every file dcs reads or writes.
+"""The file formats of every file dcs writes, and of the JSON it reads.
 
 ``read_json`` is the package's one JSON reader. Whatever bytes a file holds,
 it returns the parsed value or raises ``ValidationError`` with a one-line
@@ -6,8 +6,18 @@ message that starts with the file's path: bytes that are not UTF-8 (with
 the offset of the first bad byte), malformed or truncated JSON, an integer
 longer than Python's digit limit for string conversion, and arrays or
 objects nested too deeply to parse. A missing or unreadable file raises
-``OSError``. ``write_json`` is the one writer: floats go out as ``repr``, so
-a write followed by a read returns every value bit for bit.
+``OSError``.
+
+``write_json`` and ``write_csv`` are the package's only writers. JSON floats
+go out as ``repr``, so a write followed by a read returns every value bit for
+bit; CSV cells go through ``csv.writer`` as they are (floats as ``repr``,
+None as an empty cell). Both write a sibling temp file, ``.<name>.<pid>.tmp``,
+and ``os.replace`` it over the target, so a reader sees the earlier file or
+the new one, never a half-written one, and an interrupted write leaves the
+earlier file and no temp file. The new file gets the umask's permissions, not
+the earlier file's. A symlink or device at the target is not written
+through: the rename replaces it with a regular file, or the write fails with
+an ``OSError`` (exit 4 from the CLI).
 
 ``Record`` gives a frozen dataclass its JSON form from its fields.
 ``to_dict`` lists them in declaration order, tuples as lists and nested
@@ -16,8 +26,10 @@ annotation and raises ``FieldError`` naming a missing or mistyped field.
 """
 from __future__ import annotations
 
+import csv
 import functools
 import json
+import os
 import sys
 import typing
 from dataclasses import fields
@@ -64,10 +76,37 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
     )
 
 
+def _replace(path: str | Path, dump) -> None:
+    """Write ``path`` atomically: ``dump(fh)`` fills a sibling temp file,
+    which then replaces ``path``; on any exception the temp file goes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            dump(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    def dump(fh) -> None:
         json.dump(payload, fh, indent=indent)
         fh.write("\n")
+
+    _replace(path, dump)
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """``header`` and then each of ``rows``, one CSV line each."""
+
+    def dump(fh) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _replace(path, dump)
 
 
 def read_record(path: str | Path, cls, what: str):

@@ -8,7 +8,6 @@ followed by load reproduces every value bit-for-bit.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,17 +94,9 @@ class _SchemeFile(Record):
 
 
 def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
-    """Write the scheme atomically: it goes to a sibling temp file that then
-    replaces ``path``, so an interrupted save leaves any earlier file whole
-    and never a half-written one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        write_json(tmp, scheme.to_dict())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the scheme atomically (see ``records``): an interrupted save
+    leaves any earlier file whole and never a half-written one."""
+    write_json(path, scheme.to_dict())
 
 
 def load_scheme(path: str | Path) -> CorrectionScheme:

@@ -288,5 +288,6 @@ class TestAnnealConfig:
         ],
     )
     def test_rejects_nan(self, field):
-        with pytest.raises(PreconditionError, match=field):
-            AnnealConfig(seed=0, **{field: math.nan})
+        for value in (math.nan, math.inf):
+            with pytest.raises(PreconditionError, match=field):
+                AnnealConfig(seed=0, **{field: value})

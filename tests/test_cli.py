@@ -1,6 +1,7 @@
 """End-to-end subcommand tests against temp directories."""
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,6 +178,7 @@ class TestOptimize:
             ("--init-temp", "initial_temperature"),
             ("--min-temp", "min_temperature"),
             ("--lambda1", "lambda1"),
+            ("--lambda2", "lambda2"),
             ("--beta", "beta"),
             ("--tau", "tau"),
         ],
@@ -195,6 +197,10 @@ class TestOptimize:
         assert (rc, err) == run("-1")
         assert rc in (2, 3) and field in err
         assert not (tmp_path / "nan").exists()
+        # infinity fails the same check, or a finite bound checked after it
+        rc_inf, err_inf = run("inf")
+        assert rc_inf == rc and field in err_inf
+        assert not (tmp_path / "inf").exists()
 
 
 class TestApply:
@@ -269,6 +275,24 @@ class TestApply:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "cooling_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field", [("anneal_config", "initial_temperature"),
+                           ("anneal_config", "lambda2"),
+                           ("objective", "beta")]
+    )
+    def test_infinity_in_scheme_exit_2(
+        self, tmp_path, run_dir, capsys, section, field
+    ):
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload[section][field] = math.inf
+        bad = tmp_path / "bad_scheme.json"
+        bad.write_text(json.dumps(payload))  # writes the token Infinity
+        rc = main(["apply", "--scheme", str(bad),
+                   "--input", str(run_dir / "optimization_set.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
 
     def test_nan_beta_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
         payload = json.loads((run_dir / "scheme.json").read_text())

@@ -16,6 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dcs import (
@@ -40,6 +41,7 @@ NAMES = (
     "dev_report.csv",
     "predictions.csv",
     "report.csv",
+    "report_absent_class.csv",
     "runs.csv",
     "summary.csv",
     "solve_report.csv",
@@ -80,10 +82,13 @@ def write_files(out: Path) -> dict[str, bytes]:
     save_dataset(generate(_profile(3, 3), 300), train)
     assert main(["optimize", "--input", str(train), "--seed", "0",
                  "--out", str(out / "run"), *FAST]) == 0
-    held_out = out / "held_out.csv"
-    save_dataset(generate(_profile(3, 3), 40, replica=1), held_out)
-    assert main(["apply", "--scheme", str(out / "run" / "scheme.json"),
-                 "--input", str(held_out), "--out", str(out / "app")]) == 0
+    held = generate(_profile(3, 3), 40, replica=1)
+    save_dataset(held, out / "held_out.csv")
+    # class 2 absent: its accuracy cell is empty
+    save_dataset(held.subset(np.flatnonzero(held.labels != 2)), out / "absent.csv")
+    for name, app in (("held_out.csv", "app"), ("absent.csv", "app_absent")):
+        assert main(["apply", "--scheme", str(out / "run" / "scheme.json"),
+                     "--input", str(out / name), "--out", str(out / app)]) == 0
     assert main(["compare", "--input", str(train), "--mode", "dcs,furud",
                  "--seed", "0,1", "--out", str(out / "cmp"), *FAST]) == 0
     solve = str(out / "run" / "solve.json")
@@ -108,6 +113,7 @@ def write_files(out: Path) -> dict[str, bytes]:
         "dev_report.csv": out / "run" / "dev_report.csv",
         "predictions.csv": out / "app" / "predictions.csv",
         "report.csv": out / "app" / "report.csv",
+        "report_absent_class.csv": out / "app_absent" / "report.csv",
         "runs.csv": out / "cmp" / "runs.csv",
         "summary.csv": out / "cmp" / "summary.csv",
         "solve_report.csv": out / "solve_report.csv",

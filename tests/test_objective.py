@@ -353,6 +353,10 @@ class TestCombination:
             ObjectiveWeights(beta=math.nan)
         with pytest.raises(ValidationError):
             ObjectiveWeights(tau=math.nan)
+        with pytest.raises(ValidationError):
+            ObjectiveWeights(beta=math.inf)
+        with pytest.raises(ValidationError):
+            ObjectiveWeights(tau=math.inf)
 
     def test_from_mode_wiring(self):
         full = ObjectiveWeights.from_mode("full", beta=2.0, tau=0.5)

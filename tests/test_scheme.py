@@ -13,6 +13,7 @@ from dcs import (
     predict,
     save_scheme,
 )
+from dcs.records import write_csv, write_json
 import numpy as np
 
 from conftest import make_dataset
@@ -42,11 +43,36 @@ def test_round_trip_is_exact(tmp_path, four_row_dataset):
     assert loaded.best_z == -1.2345678901234567
 
 
+def _rows_then_disk_full():
+    yield ["r0", 0.5]
+    raise OSError("disk full")
+
+
+# writer -> (first write, second write); json.dump fails halfway through the
+# second JSON write, and the second CSV write's rows fail after one row
+WRITES = {
+    "save_scheme": (
+        lambda ds, path: save_scheme(make_scheme(ds), path),
+        lambda ds, path: save_scheme(make_scheme(ds, (1, 1)), path),
+    ),
+    "write_json": (
+        lambda ds, path: write_json(path, {"rows": list(range(100))}),
+        lambda ds, path: write_json(path, {"rows": list(range(200))}),
+    ),
+    "write_csv": (
+        lambda ds, path: write_csv(path, ["id", "p"], [["r0", 0.25]]),
+        lambda ds, path: write_csv(path, ["id", "p"], _rows_then_disk_full()),
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITES))
 def test_interrupted_save_keeps_earlier_file(
-    tmp_path, four_row_dataset, monkeypatch
+    tmp_path, four_row_dataset, monkeypatch, writer
 ):
-    path = tmp_path / "scheme.json"
-    save_scheme(make_scheme(four_row_dataset), path)
+    first, second = WRITES[writer]
+    path = tmp_path / "out"
+    first(four_row_dataset, path)
     before = path.read_bytes()
 
     def dump_half(obj, fh, **kwargs):
@@ -55,9 +81,9 @@ def test_interrupted_save_keeps_earlier_file(
 
     monkeypatch.setattr(json, "dump", dump_half)
     with pytest.raises(OSError, match="disk full"):
-        save_scheme(make_scheme(four_row_dataset, (1, 1)), path)
+        second(four_row_dataset, path)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["scheme.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_round_trip_preserves_predictions(tmp_path, four_row_dataset):
