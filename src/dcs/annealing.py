@@ -96,12 +96,19 @@ class SolveResult(Record):
     acceptance_counts: tuple[tuple[int, int], ...]
     outer_loops_run: int
     wall_time: float
+    # candidates scored, and "max_outer_loops" when the loop cap ended the
+    # schedule, else "min_temperature"
+    evaluations: int
+    stop_reason: str
 
-    def trace_rows(self):
-        """(outer_loop, temperature, best_z, generated, accepted) tuples."""
-        for t in range(self.outer_loops_run):
-            g, a = self.acceptance_counts[t]
-            yield t, self.temperatures[t], self.z_trace[t], g, a
+    def trace_rows(self) -> list[dict]:
+        """One row per outer loop, keyed by the trace.csv column names."""
+        loops = zip(self.temperatures, self.z_trace, self.acceptance_counts)
+        return [
+            {"outer_loop": t, "temperature": temp, "best_z": z,
+             "generated": g, "accepted": a}
+            for t, (temp, z, (g, a)) in enumerate(loops)
+        ]
 
 
 def initial_solution(fs: FunctionSet, num_classes: int) -> tuple[int, ...]:
@@ -203,7 +210,6 @@ def anneal(
     temperatures: list[float] = []
     counts: list[tuple[int, int]] = []
     start = time.perf_counter()
-    outer = 0
     for t in range(config.max_outer_loops):
         # closed form, not iterated multiplication: T_t = T0 * alpha**t
         temperature = config.initial_temperature * config.cooling_rate**t
@@ -230,8 +236,8 @@ def anneal(
         z_trace.append(best_z)
         temperatures.append(temperature)
         counts.append((generated, accepted))
-        outer += 1
     wall = time.perf_counter() - start
+    capped = len(counts) == config.max_outer_loops
 
     return SolveResult(
         best_xi=best,
@@ -239,6 +245,8 @@ def anneal(
         z_trace=tuple(z_trace),
         temperatures=tuple(temperatures),
         acceptance_counts=tuple(counts),
-        outer_loops_run=outer,
+        outer_loops_run=len(counts),
         wall_time=wall,
+        evaluations=sum(g for g, _ in counts),
+        stop_reason="max_outer_loops" if capped else "min_temperature",
     )

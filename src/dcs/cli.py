@@ -20,6 +20,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .annealing import AnnealConfig, anneal, initial_solution
-from .corrections import FunctionSet, default_function_set, load_catalog
+from .corrections import (
+    MODES,
+    FunctionSet,
+    default_function_set,
+    kind_bucket,
+    load_catalog,
+    mode_indices,
+)
 from .data import (
     LabeledDataset,
     load_dataset,
@@ -37,46 +45,17 @@ from .data import (
 )
 from .errors import PreconditionError, ValidationError
 from .objective import (
+    OBJECTIVES,
     EvalReport,
     ObjectiveWeights,
     _report_from_predictions,
     evaluate,
     predict,
 )
-from .oracle import exhaustive_search
+from .oracle import SPACE_LIMIT, exhaustive_search
 from .records import Record, read_record, write_csv, write_json
 from .scheme import CorrectionScheme, load_scheme, save_scheme
-from .synth import benchmark_suite, generate, load_profile, save_profile
-
-MODES = ("dcs", "dnip", "furud")
-OBJECTIVES = ("full", "err", "err+pmi")
-
-# Selection-kind buckets for tally reporting. Don't Change is split out of
-# the membership family so the tallies show how often a class is left alone.
-KIND_BUCKETS = ("dont_change", "membership", "weight")
-
-
-def mode_indices(fs: FunctionSet, mode: str) -> tuple[int, ...]:
-    """Catalog indices searchable under ``mode``.
-
-    dcs searches everything, dnip only weights plus Don't Change, furud
-    only memberships (Don't Change is itself a membership).
-    """
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
-    k0 = fs.dont_change_index
-    if mode == "dcs":
-        return tuple(range(1, fs.size + 1))
-    if mode == "dnip":
-        weights = range(len(fs.memberships) + 1, fs.size + 1)
-        return (k0, *weights)
-    return tuple(range(1, len(fs.memberships) + 1))
-
-
-def kind_bucket(fs: FunctionSet, k: int) -> str:
-    if k == fs.dont_change_index:
-        return "dont_change"
-    return fs.index_kind(k)
+from .synth import SuiteTask, benchmark_suite, load_profile, save_profile
 
 
 def _weights_from_args(args) -> ObjectiveWeights:
@@ -127,6 +106,11 @@ def _write_per_class_csv(
     )
 
 
+def _write_rows_csv(path: Path, rows: list[dict]) -> None:
+    """``rows`` as a table; the first row's keys name the columns."""
+    write_csv(path, rows[0].keys(), (row.values() for row in rows))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
@@ -174,19 +158,9 @@ def cmd_optimize(args) -> int:
         "search_space": ds.num_classes * catalog.size,
         "num_allowed": len(allowed),
         **result.to_dict(),
-        "evaluations": sum(g for g, _ in result.acceptance_counts),
-        "stop_reason": (
-            "max_outer_loops"
-            if result.outer_loops_run == config.max_outer_loops
-            else "min_temperature"
-        ),
     }
     write_json(out / "solve.json", solve_payload)
-    write_csv(
-        out / "trace.csv",
-        ["outer_loop", "temperature", "best_z", "generated", "accepted"],
-        result.trace_rows(),
-    )
+    _write_rows_csv(out / "trace.csv", result.trace_rows())
     save_dataset(opt, out / "optimization_set.json")
     save_dataset(split.dev_set, out / "dev_set.json")
     write_json(out / "dev_report.json", dev_corrected.to_dict())
@@ -296,9 +270,7 @@ def _run_cell(payload: tuple) -> dict:
     baseline = evaluate(eval_ds, catalog, identity, weights)
     train_corrected = evaluate(train, catalog, result.best_xi, weights)
 
-    buckets = {b: 0 for b in KIND_BUCKETS}
-    for k in result.best_xi:
-        buckets[kind_bucket(catalog, k)] += 1
+    kinds = Counter(kind_bucket(catalog, k) for k in result.best_xi)
 
     base_acc = baseline.per_class_accuracy
     present = [
@@ -318,9 +290,9 @@ def _run_cell(payload: tuple) -> dict:
         "eval_cobias": corrected.cobias,
         "baseline_eval_accuracy": baseline.overall_accuracy,
         "baseline_eval_cobias": baseline.cobias,
-        "num_dont_change": buckets["dont_change"],
-        "num_membership": buckets["membership"],
-        "num_weight": buckets["weight"],
+        "num_dont_change": kinds["dont_change"],
+        "num_membership": kinds["membership"],
+        "num_weight": kinds["weight"],
         "weakest_class": weakest_class,
         "weakest_class_baseline_accuracy": weakest_acc,
         "weakest_kind": weakest_kind,
@@ -426,11 +398,6 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
             }
         )
     return out
-
-
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    """``rows`` as a table; the first row's keys name the columns."""
-    write_csv(path, rows[0].keys(), (row.values() for row in rows))
 
 
 def cmd_compare(args) -> int:
@@ -556,39 +523,35 @@ def cmd_generate(args) -> int:
     suffix = "json" if fmt == "json" else "csv"
 
     if args.profile is not None:
-        profile = load_profile(args.profile)
         name = args.name or Path(args.profile).stem
-        tasks = [(name, profile, args.train_size, args.eval_size)]
+        profile = load_profile(args.profile)
+        tasks = [SuiteTask(name, profile, args.train_size, args.eval_size)]
     else:
-        tasks = [
-            (t.name, t.profile, t.train_size, t.eval_size)
-            for t in benchmark_suite()
-        ]
+        tasks = benchmark_suite()
 
     manifest = []
-    for name, profile, train_size, eval_size in tasks:
-        train = generate(profile, train_size, replica=0)
-        eval_ds = generate(profile, eval_size, replica=1)
-        train_path = out / f"{name}_train.{suffix}"
-        eval_path = out / f"{name}_eval.{suffix}"
-        profile_path = out / f"{name}_profile.json"
-        save_dataset(train, train_path, fmt)
-        save_dataset(eval_ds, eval_path, fmt)
-        save_profile(profile, profile_path)
+    for task in tasks:
+        train_path = out / f"{task.name}_train.{suffix}"
+        eval_path = out / f"{task.name}_eval.{suffix}"
+        profile_path = out / f"{task.name}_profile.json"
+        save_dataset(task.train_dataset(), train_path, fmt)
+        save_dataset(task.eval_dataset(), eval_path, fmt)
+        save_profile(task.profile, profile_path)
+        n = task.profile.num_classes
         manifest.append(
             {
-                "name": name,
-                "num_classes": profile.num_classes,
-                "train_size": train_size,
-                "eval_size": eval_size,
+                "name": task.name,
+                "num_classes": n,
+                "train_size": task.train_size,
+                "eval_size": task.eval_size,
                 "train": train_path.name,
                 "eval": eval_path.name,
                 "profile": profile_path.name,
             }
         )
         print(
-            f"generate: {name} N={profile.num_classes} "
-            f"train={train_size} eval={eval_size}"
+            f"generate: {task.name} N={n} "
+            f"train={task.train_size} eval={task.eval_size}"
         )
     write_json(out / "suite.json", {"tasks": manifest})
     print(f"wrote {len(manifest)} task(s) + suite.json -> {out}")
@@ -629,21 +592,22 @@ def _add_objective_flags(sub) -> None:
         default="full",
         help="objective variant: full, err only, or err+pmi (default full)",
     )
-    sub.add_argument(
-        "--beta", type=float, default=1.0, help="imbalance weight (default 1)"
-    )
-    sub.add_argument(
-        "--tau", type=float, default=1.0, help="PMI weight (default 1)"
-    )
+    full = ObjectiveWeights()
+    for flag, term in (("beta", "imbalance"), ("tau", "PMI")):
+        help_text = f"{term} weight (default %(default)g)"
+        sub.add_argument(
+            f"--{flag}", type=float, default=getattr(full, flag), help=help_text
+        )
 
 
 def _add_schedule_flags(sub) -> None:
-    sub.add_argument("--init-temp", type=float, default=200_000.0)
-    sub.add_argument("--alpha", type=float, default=0.95)
-    sub.add_argument("--lambda1", type=float, default=10.0)
-    sub.add_argument("--lambda2", type=float, default=100.0)
-    sub.add_argument("--min-temp", type=float, default=1e-2)
-    sub.add_argument("--max-outer", type=int, default=150)
+    """The ``_SCHEDULE_FLAGS``, defaulting to AnnealConfig's paper schedule."""
+    paper = AnnealConfig(seed=0)
+    for field, flag in _SCHEDULE_FLAGS.items():
+        default = getattr(paper, field)
+        sub.add_argument(
+            "--" + flag.replace("_", "-"), type=type(default), default=default
+        )
 
 
 def _add_catalog_flag(sub) -> None:
@@ -728,8 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        default=1_000_000,
-        help="refuse search spaces larger than this (default 1e6)",
+        default=SPACE_LIMIT,
+        help="refuse search spaces larger than this (default "
+        f"{SPACE_LIMIT:.0e})".replace("e+0", "e"),
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)

@@ -229,6 +229,35 @@ def normalize_allowed(fs: FunctionSet, allowed_indices) -> tuple[int, ...]:
     return allowed
 
 
+# the paper's method and the two predecessors it is compared with
+MODES = ("dcs", "dnip", "furud")
+
+
+def mode_indices(fs: FunctionSet, mode: str) -> tuple[int, ...]:
+    """Catalog indices searchable under ``mode``.
+
+    dcs searches everything, dnip only weights plus Don't Change, furud
+    only memberships (Don't Change is itself a membership).
+    """
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
+    k0 = fs.dont_change_index
+    if mode == "dcs":
+        return tuple(range(1, fs.size + 1))
+    if mode == "dnip":
+        weights = range(len(fs.memberships) + 1, fs.size + 1)
+        return (k0, *weights)
+    return tuple(range(1, len(fs.memberships) + 1))
+
+
+def kind_bucket(fs: FunctionSet, k: int) -> str:
+    """``fs.index_kind(k)``, with Don't Change split out of the membership
+    family so tallies show how often a class is left alone."""
+    if k == fs.dont_change_index:
+        return "dont_change"
+    return fs.index_kind(k)
+
+
 def apply_selection(fs: FunctionSet, xi, row) -> np.ndarray:
     """Correct one probability row: class i goes through function xi[i]."""
     values = np.atleast_1d(np.asarray(row, dtype=np.float64))

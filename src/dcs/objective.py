@@ -47,6 +47,8 @@ PMI_EPSILON = 1e-12
 # instances the ObjectiveEvaluator build ranks at a time: its float scratch
 # holds _CHUNK x N x D values, never the whole N x D x M table
 _CHUNK = 256
+# the objective ablations ``ObjectiveWeights.from_mode`` builds
+OBJECTIVES = ("full", "err", "err+pmi")
 
 
 @dataclass(frozen=True)
@@ -466,7 +468,6 @@ def evaluate(
     fs: FunctionSet,
     xi,
     w: ObjectiveWeights,
-    attach_scheme: bool = True,
 ) -> EvalReport:
     """Full report for one selection: accuracies, imbalance, PMI, and Z.
 
@@ -475,9 +476,7 @@ def evaluate(
     accuracy is defined as 1 - err so the two always sum to 1 exactly.
     """
     entries = validate_selection(fs, xi, num_classes=ds.num_classes)
-    return _report_from_predictions(
-        ds, fs, entries, predict(ds, fs, entries), w, attach_scheme
-    )
+    return _report_from_predictions(ds, fs, entries, predict(ds, fs, entries), w)
 
 
 def _report_from_predictions(
@@ -486,7 +485,6 @@ def _report_from_predictions(
     entries: tuple[int, ...],
     preds: np.ndarray,
     w: ObjectiveWeights,
-    attach_scheme: bool = True,
 ) -> EvalReport:
     """``evaluate``'s report for a validated selection whose predictions on
     ``ds`` are already computed."""
@@ -500,10 +498,6 @@ def _report_from_predictions(
         )
         if on
     )
-    kinds = params = None
-    if attach_scheme:
-        kinds = tuple(fs.index_kind(k) for k in entries)
-        params = tuple(fs.describe_index(k) for k in entries)
     return EvalReport(
         overall_accuracy=1.0 - t.err,
         err=t.err,
@@ -517,6 +511,6 @@ def _report_from_predictions(
         beta=w.beta,
         tau=w.tau,
         enabled_terms=enabled,
-        correction_kinds=kinds,
-        correction_params=params,
+        correction_kinds=tuple(fs.index_kind(k) for k in entries),
+        correction_params=tuple(fs.describe_index(k) for k in entries),
     )

@@ -17,6 +17,9 @@ from .errors import PreconditionError
 from .objective import ObjectiveEvaluator, ObjectiveWeights
 from .records import Record
 
+# the largest search space ``exhaustive_search`` enumerates by default
+SPACE_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class OracleResult(Record):
@@ -30,7 +33,7 @@ def exhaustive_search(
     ds: LabeledDataset,
     fs: FunctionSet,
     weights: ObjectiveWeights,
-    limit: int = 1_000_000,
+    limit: int = SPACE_LIMIT,
     allowed_indices=None,
 ) -> OracleResult:
     """Score every selection vector and return the first-encountered minimum.

@@ -8,6 +8,7 @@ followed by load reproduces every value bit-for-bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,8 @@ class CorrectionScheme:
     dataset_sha256: str
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.best_z):
+            raise ValidationError(f"best_z must be finite, got {self.best_z!r}")
         entries = validate_selection(self.catalog, self.selection)
         object.__setattr__(self, "selection", entries)
         if self.dataset_num_classes != len(entries):

@@ -23,6 +23,7 @@ is meant to repair.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,8 +72,9 @@ class BiasProfile(Record):
             )
         if any(not 0.0 <= t <= 1.0 for t in targets):
             raise ValidationError("target accuracies must lie in [0, 1]")
-        if not self.confusion_temperature > 0.0:
-            raise ValidationError("confusion_temperature must be positive")
+        t = self.confusion_temperature
+        if not (t > 0.0 and math.isfinite(t)):
+            raise ValidationError("confusion_temperature must be positive and finite")
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 

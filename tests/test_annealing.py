@@ -247,6 +247,8 @@ class TestAnnealRun:
         result = anneal(ds, fs, w, config)
         # 10 * 0.5^t < 0.01 at t = 10
         assert result.outer_loops_run == 10
+        assert result.stop_reason == "min_temperature"
+        assert result.evaluations == sum(g for g, _ in result.acceptance_counts)
 
     def test_solve_result_round_trip(self):
         ds = small_dataset()
@@ -255,6 +257,9 @@ class TestAnnealRun:
         result = anneal(ds, fs, w, AnnealConfig(seed=6))
         again = SolveResult.from_dict(result.to_dict())
         assert again == result
+        # the paper schedule: the 150-loop cap binds long before T < 1e-2
+        assert again.stop_reason == "max_outer_loops"
+        assert again.evaluations == sum(g for g, _ in again.acceptance_counts)
 
 
 class TestAnnealConfig:

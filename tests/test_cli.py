@@ -294,6 +294,24 @@ class TestApply:
         assert rc == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("data", ["optimization_set.json", "dev_set.json"])
+    def test_non_finite_best_z_in_scheme_exit_2(
+        self, tmp_path, run_dir, capsys, value, data
+    ):
+        # on its own optimization set a NaN best_z once failed to reproduce
+        # (exit 3); on other data it was copied into report.json (exit 0)
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload["best_z"] = value
+        bad = tmp_path / "bad_scheme.json"
+        bad.write_text(json.dumps(payload))  # writes the token NaN or Infinity
+        rc = main(["apply", "--scheme", str(bad),
+                   "--input", str(run_dir / data),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "best_z" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_nan_beta_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
         payload = json.loads((run_dir / "scheme.json").read_text())
         payload["objective"]["beta"] = float("nan")

@@ -1,4 +1,6 @@
 """Synthetic generator: determinism, replica semantics, and bias shape."""
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ class TestProfileValidation:
         [
             ("class_priors", (float("nan"), 0.5, 0.5)),
             ("confusion_temperature", float("nan")),
+            ("confusion_temperature", math.inf),
         ],
     )
     def test_rejects_nan(self, field, value):
