@@ -35,6 +35,8 @@ NAMES = (
     "solve.json",
     "dev_report.json",
     "oracle.json",
+    "optimization_set.json",
+    "dev_set.json",
     "catalog.json",
     "profile.json",
     "trace.csv",
@@ -107,6 +109,8 @@ def write_files(out: Path) -> dict[str, bytes]:
         "solve.json": out / "run" / "solve.json",
         "dev_report.json": out / "run" / "dev_report.json",
         "oracle.json": out / "orc" / "oracle.json",
+        "optimization_set.json": out / "run" / "optimization_set.json",
+        "dev_set.json": out / "run" / "dev_set.json",
         "catalog.json": out / "catalog.json",
         "profile.json": out / "profile.json",
         "trace.csv": out / "run" / "trace.csv",
