@@ -109,19 +109,21 @@ def load_scheme(path: str | Path) -> CorrectionScheme:
         raise ValidationError(f"{path}: unsupported scheme version {version!r}")
     try:
         file = _SchemeFile.from_dict(payload)
+        fp = file.dataset_fingerprint
+        return CorrectionScheme(
+            catalog=file.catalog,
+            selection=file.selection,
+            objective=file.objective,
+            anneal_config=file.anneal_config,
+            best_z=file.best_z,
+            dataset_num_instances=fp.num_instances,
+            dataset_num_classes=fp.num_classes,
+            dataset_sha256=fp.sha256,
+        )
     except FieldError as exc:
         raise ValidationError(f"{path}: malformed scheme file: {exc}") from None
     except PreconditionError as exc:
         # a bad schedule in a file is bad input, not a solver precondition
         raise ValidationError(f"{path}: invalid anneal_config: {exc}") from None
-    fp = file.dataset_fingerprint
-    return CorrectionScheme(
-        catalog=file.catalog,
-        selection=file.selection,
-        objective=file.objective,
-        anneal_config=file.anneal_config,
-        best_z=file.best_z,
-        dataset_num_instances=fp.num_instances,
-        dataset_num_classes=fp.num_classes,
-        dataset_sha256=fp.sha256,
-    )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: invalid scheme: {exc}") from None

@@ -312,6 +312,25 @@ class TestApply:
         assert "best_z" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("selection", [999, 1, 1]), ("best_z", math.nan)]
+    )
+    def test_invalid_scheme_error_names_file(
+        self, tmp_path, run_dir, capsys, field, value
+    ):
+        # the file parses, but CorrectionScheme's own checks reject it
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload[field] = value
+        bad = tmp_path / "bad_scheme.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(["apply", "--scheme", str(bad),
+                   "--input", str(run_dir / "optimization_set.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and field in err
+
     def test_nan_beta_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
         payload = json.loads((run_dir / "scheme.json").read_text())
         payload["objective"]["beta"] = float("nan")
