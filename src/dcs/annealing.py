@@ -198,7 +198,7 @@ def anneal(
     uniforms = SimpleNamespace(random=_blocks(accept_rng.random).__next__)
     position = {k: at for at, k in enumerate(allowed)}
 
-    evaluator = ObjectiveEvaluator(ds, fs, weights)
+    evaluator = ObjectiveEvaluator(ds, fs, weights, allowed)
     current = list(initial_solution(fs, n))
     current_z = evaluator.value(current)
     best, best_z = tuple(current), current_z

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .records import _not_utf8, read_json, write_csv, write_json
+from .records import _not_utf8, read_json, write_csv, write_json_rows
 
 CSV_PROB_DIGITS = 12
 
@@ -304,11 +304,13 @@ def save_dataset(
             ),
         )
     else:
-        records = [
-            {"id": ident, "label": label, "probs": probs}
-            for ident, label, probs in rows
-        ]
-        write_json(path, records, indent=None)
+        write_json_rows(
+            path,
+            (
+                {"id": ident, "label": label, "probs": probs}
+                for ident, label, probs in rows
+            ),
+        )
 
 
 def save_predictions(

@@ -38,7 +38,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corrections import FunctionSet, _apply_column, validate_selection
+from .corrections import (
+    FunctionSet,
+    _apply_column,
+    normalize_allowed,
+    validate_selection,
+)
 from .data import LabeledDataset
 from .errors import PreconditionError, ValidationError
 from .records import Record
@@ -331,22 +336,27 @@ def objective_value(
 class ObjectiveEvaluator:
     """Scores many selections over one dataset from precomputed rank keys.
 
-    Every corrected value ``f_k(p_ij)`` (instance i, class j, catalog index
-    k) is computed once up front, by the kernel ``corrected_matrix`` uses,
-    and stored as a small unsigned integer key::
+    Every corrected value ``f_k(p_ij)`` (instance i, class j, and k one of
+    the D searchable catalog indices, ``allowed_indices``, the whole catalog
+    by default) is computed once up front, by the kernel
+    ``corrected_matrix`` uses, and stored as a small unsigned integer key::
 
         key = (N*D - 1 - r) << S | (label_i - 1) * N + j
 
     where r is the dense rank of the value among instance i's N*D candidate
-    values (D the catalog size) and S = (N*N - 1).bit_length() bits hold
-    the confusion-count cell. The smallest key of an instance is therefore
-    its largest value, and among equal values the lowest class index, as
-    ``np.argmax`` breaks ties; its low S bits are the cell of (label, top
-    class). The ranks come from a sort and a ``!=`` compare of neighbours,
-    so equal values (``-0.0`` and ``0.0`` included) share a rank and strict
-    order is kept. That is exact because every value is finite:
-    ``LabeledDataset`` rejects non-finite probabilities and every kernel
-    maps [0, 1] into [0, 1]. The keys take the smallest unsigned type that
+    values and S = (N*N - 1).bit_length() bits hold the confusion-count
+    cell. The smallest key of an instance is therefore its largest value,
+    and among equal values the lowest class index, as ``np.argmax`` breaks
+    ties; its low S bits are the cell of (label, top class). The ranks come
+    from a ``np.sort`` and a ``!=`` compare of neighbours, scattered back
+    through an ``np.argsort``, so equal values (``-0.0`` and ``0.0``
+    included) share a rank and strict order is kept. That is exact because
+    every value is finite: ``LabeledDataset`` rejects non-finite
+    probabilities and every kernel maps [0, 1] into [0, 1]. Ranks within a
+    subset keep the subset's order and ties, so every comparison of two keys
+    is the one the whole catalog's ranks would give. Functions outside the
+    searchable set get no keys; ``value`` and ``predictions`` reject them
+    with ``ValidationError``. The keys take the smallest unsigned type that
     holds them, uint16 for the stock catalog up to 10 classes.
 
     The build ranks ``_CHUNK`` instances at a time, so it never holds the
@@ -370,11 +380,18 @@ class ObjectiveEvaluator:
     """
 
     def __init__(
-        self, ds: LabeledDataset, fs: FunctionSet, w: ObjectiveWeights
+        self,
+        ds: LabeledDataset,
+        fs: FunctionSet,
+        w: ObjectiveWeights,
+        allowed_indices=None,
     ) -> None:
         self._num_classes = ds.num_classes
         self._weights = w
-        m, n, d = ds.num_instances, ds.num_classes, fs.size
+        allowed = normalize_allowed(fs, allowed_indices)
+        if not allowed:
+            raise PreconditionError("allowed index set is empty")
+        m, n, d = ds.num_instances, ds.num_classes, len(allowed)
         nd = n * d
         shift = (n * n - 1).bit_length()
         key_type = np.min_scalar_type((nd << shift) - 1)
@@ -384,7 +401,7 @@ class ObjectiveEvaluator:
             )
         self._mask = (1 << shift) - 1
         self._keys = np.empty((n, d, m), dtype=key_type)
-        # row j * D + k - 1, column i: the key of f_k(p_ij)
+        # row j * D + a, column i: the key of f_k(p_ij), k = allowed[a]
         table = self._keys.reshape(nd, m)
         label_cells = ((ds.labels - 1) * n).astype(key_type)[:, None]
         classes = np.repeat(np.arange(n, dtype=key_type), d)
@@ -392,12 +409,14 @@ class ObjectiveEvaluator:
         for start in range(0, m, _CHUNK):
             stop = min(start + _CHUNK, m)
             p = ds.probabilities[start:stop]
-            for k in range(1, d + 1):
-                values[: stop - start, :, k - 1] = _apply_column(fs, k, p)
-            # instance i's candidates, f_k(p_ij) at column j * D + k - 1
+            for a, k in enumerate(allowed):
+                values[: stop - start, :, a] = _apply_column(fs, k, p)
+            # instance i's candidates, f_k(p_ij) at column j * D + a
             chunk = values[: stop - start].reshape(stop - start, nd)
             order = np.argsort(chunk, axis=1)
-            ordered = np.take_along_axis(chunk, order, axis=1)
+            # equal values may sit in either order here and in ``order``;
+            # they share a rank, so the ranks by position are the same
+            ordered = np.sort(chunk, axis=1)
             rank = np.zeros(chunk.shape, dtype=key_type)
             np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rank[:, 1:])
             np.cumsum(rank, axis=1, out=rank)
@@ -405,6 +424,8 @@ class ObjectiveEvaluator:
             np.put_along_axis(keys, order, nd - 1 - rank, axis=1)
             keys <<= shift
             keys |= label_cells[start:stop] + classes
+        # class j's key row of each searchable function, by catalog index
+        self._rows = [dict(zip(allowed, self._keys[j])) for j in range(n)]
         self._scorer = _Scorer(np.bincount(ds.labels - 1, minlength=n).tolist())
         self._cells = n * n
         self._buffer = np.empty((n, m), dtype=key_type)
@@ -417,15 +438,24 @@ class ObjectiveEvaluator:
 
     def predictions(self, xi) -> np.ndarray:
         """1-based top classes of a selection, as ``predict`` gives them."""
-        rows = [self._keys[j, k - 1] for j, k in enumerate(xi)]
-        cells = np.minimum.reduce(rows, axis=0) & self._mask
+        cells = np.minimum.reduce(self._key_rows(xi), axis=0) & self._mask
         return (cells % self._num_classes + 1).astype(np.int64)
 
     def value(self, xi) -> float:
         """Load ``xi`` into the buffer and score it."""
-        for j, k in enumerate(xi):
-            self._walk_put(j, k)
+        for j, row in enumerate(self._key_rows(xi)):
+            self._buffer[j] = row
         return self._walk_value()
+
+    def _key_rows(self, xi) -> list[np.ndarray]:
+        """Class j's key row of function xi[j], for every j."""
+        try:
+            return [self._rows[j][k] for j, k in enumerate(xi)]
+        except KeyError as exc:
+            raise ValidationError(
+                f"function {exc.args[0]} is not one of the "
+                f"{len(self._rows[0])} functions this evaluator searches"
+            ) from None
 
     def _walk_try(self, j: int, k: int) -> float:
         """Put function k on class j and score the buffer."""
@@ -433,7 +463,7 @@ class ObjectiveEvaluator:
         return self._walk_value()
 
     def _walk_put(self, j: int, k: int) -> None:
-        self._buffer[j] = self._keys[j, k - 1]
+        self._buffer[j] = self._rows[j][k]
 
     def _walk_codes(self) -> np.ndarray:
         """Confusion-count cell of (label, top class) per instance."""

@@ -44,14 +44,12 @@ def exhaustive_search(
     """
     n = ds.num_classes
     allowed = normalize_allowed(fs, allowed_indices)
-    if not allowed:
-        raise PreconditionError("allowed index set is empty")
     space = len(allowed) ** n
     if space > limit:
         raise PreconditionError(
             f"search space {len(allowed)}^{n} = {space} exceeds limit {limit}"
         )
-    evaluator = ObjectiveEvaluator(ds, fs, weights)
+    evaluator = ObjectiveEvaluator(ds, fs, weights, allowed)
     best_xi: tuple[int, ...] | None = None
     best_z = float("inf")
     ties = 0

@@ -8,16 +8,16 @@ longer than Python's digit limit for string conversion, and arrays or
 objects nested too deeply to parse. A missing or unreadable file raises
 ``OSError``.
 
-``write_json`` and ``write_csv`` are the package's only writers. JSON floats
-go out as ``repr``, so a write followed by a read returns every value bit for
-bit; CSV cells go through ``csv.writer`` as they are (floats as ``repr``,
-None as an empty cell). Both write a sibling temp file, ``.<name>.<pid>.tmp``,
-and ``os.replace`` it over the target, so a reader sees the earlier file or
-the new one, never a half-written one, and an interrupted write leaves the
-earlier file and no temp file. The new file gets the umask's permissions, not
-the earlier file's. A symlink or device at the target is not written
-through: the rename replaces it with a regular file, or the write fails with
-an ``OSError`` (exit 4 from the CLI).
+``write_json``, ``write_json_rows`` and ``write_csv`` are the package's only
+writers. JSON floats go out as ``repr``, so a write followed by a read
+returns every value bit for bit; CSV cells go through ``csv.writer`` as they
+are (floats as ``repr``, None as an empty cell). Each writes a sibling temp
+file, ``.<name>.<pid>.tmp``, and ``os.replace``s it over the target, so a
+reader sees the earlier file or the new one, never a half-written one, and
+an interrupted write leaves the earlier file and no temp file. The new file
+gets the umask's permissions, not the earlier file's. A symlink or device at
+the target is not written through: the rename replaces it with a regular
+file, or the write fails with an ``OSError`` (exit 4 from the CLI).
 
 ``Record`` gives a frozen dataclass its JSON form from its fields.
 ``to_dict`` lists them in declaration order, tuples as lists and nested
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -39,6 +40,8 @@ from .errors import ValidationError
 
 # a dataclass's fields and their types, in declaration order
 _type_hints = functools.cache(typing.get_type_hints)
+# rows ``write_json_rows`` encodes per ``json.dumps`` call
+_JSON_SLICE = 256
 
 
 class FieldError(ValidationError):
@@ -90,10 +93,32 @@ def _replace(path: str | Path, dump) -> None:
         raise
 
 
-def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+def write_json(path: str | Path, payload) -> None:
     def dump(fh) -> None:
-        json.dump(payload, fh, indent=indent)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+    _replace(path, dump)
+
+
+def write_json_rows(path: str | Path, rows) -> None:
+    """A JSON array of ``rows`` on one line, with the bytes ``json.dump``
+    gives ``list(rows)`` at ``indent=None``.
+
+    ``json.dump`` always runs the pure-Python encoder; ``json.dumps`` runs
+    the C one. So the rows go through ``json.dumps`` ``_JSON_SLICE`` at
+    a time, and neither the whole list nor the file's text is held at once.
+    """
+
+    def dump(fh) -> None:
+        fh.write("[")
+        rows_left = iter(rows)
+        separator = ""
+        while batch := list(itertools.islice(rows_left, _JSON_SLICE)):
+            fh.write(separator)
+            fh.write(json.dumps(batch)[1:-1])
+            separator = ", "
+        fh.write("]\n")
 
     _replace(path, dump)
 

@@ -30,6 +30,7 @@ from dcs.objective import (
     combine_terms,
     score_predictions,
 )
+from dcs.corrections import mode_indices
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
@@ -526,6 +527,50 @@ class TestEvaluatorEquivalence:
             else:
                 ev._walk_put(j, xi[j])
         assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
+
+    @pytest.mark.parametrize("mode", ["dnip", "furud"])
+    def test_walk_over_searchable_subset(self, mode):
+        # keys ranked among one mode's functions only must score every
+        # move as the whole-catalog path does, across chunk boundaries
+        profile = BiasProfile(
+            num_classes=3,
+            class_priors=(0.5, 0.3, 0.2),
+            target_accuracy=(0.9, 0.5, 0.3),
+            confusion_temperature=1.0,
+            seed=23,
+        )
+        ds = generate(profile, 2 * _CHUNK + 1)
+        fs = default_function_set()
+        w = ObjectiveWeights()
+        allowed = mode_indices(fs, mode)
+        ev = ObjectiveEvaluator(ds, fs, w, allowed)
+        rng = np.random.default_rng(13)
+        xi = [int(k) for k in rng.choice(allowed, size=3)]
+        assert ev.value(xi) == objective_value(ds, fs, xi, w)
+        for _ in range(300):
+            j = int(rng.integers(3))
+            k = int(rng.choice(allowed))
+            moved = xi[:j] + [k] + xi[j + 1 :]
+            assert ev._walk_try(j, k) == objective_value(ds, fs, moved, w)
+            if rng.random() < 0.5:
+                xi = moved
+            else:
+                ev._walk_put(j, xi[j])
+        assert ev._walk_try(0, xi[0]) == objective_value(ds, fs, xi, w)
+        assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
+
+    def test_function_outside_searchable_subset_rejected(
+        self, four_row_dataset
+    ):
+        fs = default_function_set()
+        furud = mode_indices(fs, "furud")
+        ev = ObjectiveEvaluator(four_row_dataset, fs, ObjectiveWeights(), furud)
+        weight = max(furud) + 1  # a weight: in the catalog, not searched
+        for xi in ((1, weight), (0, 1), (fs.size + 1, 1)):
+            with pytest.raises(ValidationError, match="not one of the 19"):
+                ev.value(xi)
+            with pytest.raises(ValidationError, match="not one of the 19"):
+                ev.predictions(xi)
 
     @pytest.mark.parametrize(
         "num_classes, key_type", [(8, np.uint16), (300, np.uint32)]

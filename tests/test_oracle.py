@@ -11,9 +11,12 @@ from dcs import (
     PreconditionError,
     TriangularMembership,
     anneal,
+    default_function_set,
     exhaustive_search,
     objective_value,
 )
+from dcs.corrections import mode_indices
+from dcs.oracle import OracleResult
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
@@ -68,6 +71,36 @@ def test_one_hot_rows_tie_count(tiny_catalog):
     assert result.best_z == 0.0
     assert result.ties == sum(1 for z in zs if z == 0.0)
     assert result.ties == 9
+
+
+@pytest.mark.parametrize("mode", ["dnip", "furud"])
+def test_searchable_subset_matches_brute_force(mode):
+    # the evaluator ranks keys among the allowed functions only; the oracle
+    # must still find the first minimum and its ties that a from-scratch
+    # ``objective_value`` scan of the same space finds
+    profile = BiasProfile(
+        num_classes=2,
+        class_priors=(0.6, 0.4),
+        target_accuracy=(0.9, 0.4),
+        confusion_temperature=1.0,
+        seed=31,
+    )
+    ds = generate(profile, 60)
+    fs = default_function_set()
+    w = ObjectiveWeights()
+    allowed = mode_indices(fs, mode)
+    result = exhaustive_search(ds, fs, w, allowed_indices=allowed)
+    zs = [
+        (objective_value(ds, fs, xi, w), xi)
+        for xi in itertools.product(allowed, repeat=2)
+    ]
+    best_z = min(z for z, _ in zs)
+    assert result == OracleResult(
+        best_xi=next(xi for z, xi in zs if z == best_z),
+        best_z=best_z,
+        num_evaluated=len(allowed) ** 2,
+        ties=sum(1 for z, _ in zs if z == best_z),
+    )
 
 
 def test_allowed_indices_restrict_enumeration(four_row_dataset, tiny_catalog):

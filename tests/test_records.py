@@ -7,9 +7,12 @@ file for writing (or with a mode it cannot read), writes through
 ``write_text``/``write_bytes``, or calls ``json.dump`` or ``os.replace``.
 """
 import ast
+import json
 from pathlib import Path
 
-from dcs.records import write_csv, write_json
+import pytest
+
+from dcs.records import _JSON_SLICE, write_csv, write_json, write_json_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dcs"
 
@@ -88,3 +91,23 @@ def test_symlink_at_target_is_replaced_not_followed(tmp_path):
         assert elsewhere.read_text() == "keep\n"
     assert (tmp_path / "out.json").read_text() == '{\n  "z": 0.5\n}\n'
     assert (tmp_path / "out.csv").read_bytes() == b"z\r\n0.5\r\n"
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, _JSON_SLICE - 1, _JSON_SLICE, _JSON_SLICE + 1,
+              2 * _JSON_SLICE + 1]
+)
+def test_json_rows_bytes_equal_one_dump(tmp_path, count):
+    # rows are encoded a slice at a time; the joins between slices must
+    # leave the bytes of one json.dump of the whole list
+    rows = [
+        {"id": f"r{i}", "label": i % 3 + 1, "probs": [i / 7, -0.0, 1e-300]}
+        for i in range(count)
+    ]
+    path = tmp_path / "rows.json"
+    write_json_rows(path, iter(rows))
+    expected = tmp_path / "expected.json"
+    with expected.open("w", encoding="utf-8") as fh:
+        json.dump(list(rows), fh, indent=None)
+        fh.write("\n")
+    assert path.read_bytes() == expected.read_bytes()

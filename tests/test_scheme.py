@@ -13,7 +13,7 @@ from dcs import (
     predict,
     save_scheme,
 )
-from dcs.records import write_csv, write_json
+from dcs.records import write_csv, write_json, write_json_rows
 import numpy as np
 
 from conftest import make_dataset
@@ -49,7 +49,8 @@ def _rows_then_disk_full():
 
 
 # writer -> (first write, second write); json.dump fails halfway through the
-# second JSON write, and the second CSV write's rows fail after one row
+# second JSON write, and the second CSV and JSON-rows writes' rows fail
+# after one row
 WRITES = {
     "save_scheme": (
         lambda ds, path: save_scheme(make_scheme(ds), path),
@@ -62,6 +63,10 @@ WRITES = {
     "write_csv": (
         lambda ds, path: write_csv(path, ["id", "p"], [["r0", 0.25]]),
         lambda ds, path: write_csv(path, ["id", "p"], _rows_then_disk_full()),
+    ),
+    "write_json_rows": (
+        lambda ds, path: write_json_rows(path, [["r0", 0.25]]),
+        lambda ds, path: write_json_rows(path, _rows_then_disk_full()),
     ),
 }
 
