@@ -355,9 +355,10 @@ class ObjectiveEvaluator:
     probabilities and every kernel maps [0, 1] into [0, 1]. Ranks within a
     subset keep the subset's order and ties, so every comparison of two keys
     is the one the whole catalog's ranks would give. Functions outside the
-    searchable set get no keys; ``value`` and ``predictions`` reject them
-    with ``ValidationError``. The keys take the smallest unsigned type that
-    holds them, uint16 for the stock catalog up to 10 classes.
+    searchable set get no keys; ``value`` and ``predictions`` reject them,
+    and a selection of the wrong length, with ``ValidationError``. The
+    keys take the smallest unsigned type that holds them, uint16 for the
+    stock catalog up to 10 classes.
 
     The build ranks ``_CHUNK`` instances at a time, so it never holds the
     float N*D*M table, only the (N, D, M) keys.
@@ -449,6 +450,10 @@ class ObjectiveEvaluator:
 
     def _key_rows(self, xi) -> list[np.ndarray]:
         """Class j's key row of function xi[j], for every j."""
+        if len(xi) != len(self._rows):
+            raise ValidationError(
+                f"selection has {len(xi)} entries, expected {len(self._rows)}"
+            )
         try:
             return [self._rows[j][k] for j, k in enumerate(xi)]
         except KeyError as exc:

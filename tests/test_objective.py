@@ -559,7 +559,7 @@ class TestEvaluatorEquivalence:
         assert ev._walk_try(0, xi[0]) == objective_value(ds, fs, xi, w)
         assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
 
-    def test_function_outside_searchable_subset_rejected(
+    def test_selection_outside_evaluator_rejected(
         self, four_row_dataset
     ):
         fs = default_function_set()
@@ -570,6 +570,12 @@ class TestEvaluatorEquivalence:
             with pytest.raises(ValidationError, match="not one of the 19"):
                 ev.value(xi)
             with pytest.raises(ValidationError, match="not one of the 19"):
+                ev.predictions(xi)
+        # a short selection would score the rows the buffer still holds
+        for xi in ((1,), (1, 1, 1)):
+            with pytest.raises(ValidationError, match="expected 2"):
+                ev.value(xi)
+            with pytest.raises(ValidationError, match="expected 2"):
                 ev.predictions(xi)
 
     @pytest.mark.parametrize(
