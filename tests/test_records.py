@@ -1,7 +1,8 @@
 """The one-writer rule: only ``dcs.records`` writes files, and how it writes.
 
-Every other module in ``src/dcs`` goes through ``records.write_json`` and
-``records.write_csv``, which replace their targets atomically. The scan
+Every other module in ``src/dcs`` goes through ``records.write_json``,
+``records.write_json_rows`` and ``records.write_csv``, which replace their
+targets atomically. The scan
 below reads each module's syntax tree and fails on any call that opens a
 file for writing (or with a mode it cannot read), writes through
 ``write_text``/``write_bytes``, or calls ``json.dump`` or ``os.replace``.
