@@ -15,16 +15,22 @@ values within 1e-12. JSON writes use ``repr`` floats and round-trip exactly.
 
 The loaders stream every row into flat lists (ids, int labels, and one list
 of all probabilities, reshaped to (M, N) once at the end) and keep no list
-per row. CPython's cyclic garbage collector rescans every container that
-survives until the end of the load at each older-generation collection;
-floats are not tracked, so a flat list costs it nothing. On 10^5 five-class
-rows a CSV load took 0.175 s with one list per row and 0.125 s flat. The
-writers walk ``tolist()`` values rather than indexing numpy scalars row by
-row.
+per row. ``load_dataset`` runs either loader with CPython's cyclic garbage
+collector paused, and restores the caller's setting whether the load returns
+or raises. The loaders make no reference cycles, so the pause leaves nothing
+behind for the collector. Without it, every older-generation collection
+during a JSON load rescans the record dicts and probability lists that
+``json.load`` has built, 2 x 10^5 containers for 10^5 rows. On 10^5
+five-class rows (2 vCPU AMD EPYC, Python 3.11) a JSON load took 200-250 ms
+before the pause and 170-180 ms after it, with the per-record checks below
+written as plain key lookups and ``type`` tests; a CSV load, which keeps no
+container alive per row, went from 113-130 ms to 110-125 ms. The writers
+walk ``tolist()`` values rather than indexing numpy scalars row by row.
 """
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import math
 import struct
@@ -37,6 +43,8 @@ from .errors import ValidationError
 from .records import _not_utf8, read_json, write_csv, write_json_rows
 
 CSV_PROB_DIGITS = 12
+# the types of a JSON number as ``json.load`` returns it
+_JSON_NUMBERS = frozenset({float, int})
 
 
 @dataclass(frozen=True)
@@ -99,16 +107,18 @@ class LabeledDataset:
             raise ValidationError(
                 f"label out of range 1..{n} at row {r + 1}: {labels[r]}"
             )
-        seen: dict[str, int] = {}
-        for r, ident in enumerate(ids):
-            if not ident:
-                raise ValidationError(f"empty instance id at row {r + 1}")
-            if ident in seen:
-                raise ValidationError(
-                    f"duplicate instance id {ident!r} at rows "
-                    f"{seen[ident] + 1} and {r + 1}"
-                )
-            seen[ident] = r
+        if not all(ids) or len(set(ids)) != m:
+            # name the first bad row
+            seen: dict[str, int] = {}
+            for r, ident in enumerate(ids):
+                if not ident:
+                    raise ValidationError(f"empty instance id at row {r + 1}")
+                if ident in seen:
+                    raise ValidationError(
+                        f"duplicate instance id {ident!r} at rows "
+                        f"{seen[ident] + 1} and {r + 1}"
+                    )
+                seen[ident] = r
 
         probs.setflags(write=False)
         labels.setflags(write=False)
@@ -175,15 +185,20 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
     ``fmt`` may be "csv" or "json"; when omitted it is inferred from the file
     suffix (".json" means JSON, anything else CSV). Malformed content raises
     ValidationError naming the offending row; missing or unreadable files
-    raise OSError.
+    raise OSError. The cyclic garbage collector is off during the load and
+    back in the caller's setting afterwards.
     """
     path = Path(path)
-    if _infer_format(path, fmt) == "json":
-        return _load_json(path)
+    load = _load_json if _infer_format(path, fmt) == "json" else _load_csv
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return _load_csv(path)
+        return load(path)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _load_csv(path: Path) -> LabeledDataset:
@@ -193,6 +208,8 @@ def _load_csv(path: Path) -> LabeledDataset:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: header row: {exc}") from None
         if len(header) < 4 or header[0] != "id" or header[1] != "label":
             raise ValidationError(
                 f"{path}: header must be id,label,p_1,...,p_N"
@@ -206,27 +223,33 @@ def _load_csv(path: Path) -> LabeledDataset:
         ids: list[str] = []
         labels: list[int] = []
         flat: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != n + 2:
-                raise ValidationError(
-                    f"{path}: row {row_no} has {len(row)} fields, "
-                    f"expected {n + 2}"
-                )
-            ids.append(row[0])
-            try:
-                labels.append(int(row[1]))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {row_no} has non-integer label {row[1]!r}"
-                ) from None
-            try:
-                flat += map(float, row[2:])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {row_no} has a non-numeric probability"
-                ) from None
+        row_no = 0
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != n + 2:
+                    raise ValidationError(
+                        f"{path}: row {row_no} has {len(row)} fields, "
+                        f"expected {n + 2}"
+                    )
+                ids.append(row[0])
+                try:
+                    labels.append(int(row[1]))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {row_no} has non-integer label "
+                        f"{row[1]!r}"
+                    ) from None
+                try:
+                    flat += map(float, row[2:])
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {row_no} has a non-numeric probability"
+                    ) from None
+        except csv.Error as exc:
+            # raised by the reader while it reads the row after ``row_no``
+            raise ValidationError(f"{path}: row {row_no + 1}: {exc}") from None
     if not ids:
         raise ValidationError(f"{path}: no data rows")
     return LabeledDataset(
@@ -244,13 +267,17 @@ def _load_json(path: Path) -> LabeledDataset:
     ids: list[str] = []
     labels: list[int] = []
     flat: list[float] = []
+    # json.load builds plain dicts, lists and ints, so ``type(x) is`` tests
+    # stand in for isinstance, and a boolean label is not an int
     for row_no, rec in enumerate(records, start=1):
-        if not isinstance(rec, dict) or not rec.keys() >= {"id", "label", "probs"}:
+        try:
+            ident, label, probs = rec["id"], rec["label"], rec["probs"]
+        except (KeyError, TypeError):
+            # TypeError: the record is an array, a string or a scalar
             raise ValidationError(
                 f"{path}: record {row_no} must have id, label, probs"
-            )
-        probs = rec["probs"]
-        if not isinstance(probs, list):
+            ) from None
+        if type(probs) is not list:
             raise ValidationError(
                 f"{path}: record {row_no} probs must be a JSON array"
             )
@@ -261,23 +288,24 @@ def _load_json(path: Path) -> LabeledDataset:
                 f"{path}: record {row_no} has {len(probs)} probabilities, "
                 f"expected {n}"
             )
-        if not isinstance(rec["label"], int) or isinstance(rec["label"], bool):
+        if type(label) is not int:
             raise ValidationError(
                 f"{path}: record {row_no} has non-integer label"
             )
-        try:
-            flat += map(float, probs)
-        except (TypeError, ValueError):
+        # float() would take a string or a boolean as well
+        if not _JSON_NUMBERS.issuperset(map(type, probs)):
             raise ValidationError(
                 f"{path}: record {row_no} has a non-numeric probability"
-            ) from None
+            )
+        try:
+            flat += map(float, probs)
         except OverflowError:
             # an integer too large for a float
             raise ValidationError(
                 f"{path}: record {row_no} has a probability out of [0, 1]"
             ) from None
-        ids.append(str(rec["id"]))
-        labels.append(rec["label"])
+        ids.append(str(ident))
+        labels.append(label)
     return LabeledDataset(
         probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
         labels=labels,

@@ -1,4 +1,7 @@
 """Dataset ingestion, validation, serialization, and splitting."""
+import contextlib
+import csv
+import gc
 import sys
 
 import numpy as np
@@ -39,6 +42,19 @@ class TestValidation:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
             make_dataset([[0.5, 0.5], [0.2, 0.3]], [1, 2], ids=("a", "a"))
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("a", ""), "empty instance id at row 2"),
+            (("", "a", "a"), "empty instance id at row 1"),
+            (("a", "a", ""), "duplicate instance id 'a' at rows 1 and 2"),
+        ],
+    )
+    def test_first_bad_id_is_named(self, ids, message):
+        with pytest.raises(ValidationError) as info:
+            make_dataset(np.full((len(ids), 2), 0.5), [1] * len(ids), ids=ids)
+        assert str(info.value) == message
 
     def test_rejects_single_class_shape(self):
         with pytest.raises(ValidationError):
@@ -273,10 +289,37 @@ LOADER_CASES = [
         id="csv-header-only",
     ),
     pytest.param(
+        "wide.csv",
+        b"id,label,p_1,p_2" + b"2" * 200_000 + b"\na,1,0.5,0.5\n",
+        2, "{path}: header row: field larger than field limit "
+        f"({csv.field_size_limit()})",
+        id="csv-header-field-beyond-limit",
+    ),
+    pytest.param(
+        "wide.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\n\n" + b"b" * 200_000 + b",2,0.5,0.5\n",
+        2, "{path}: row 3: field larger than field limit "
+        f"({csv.field_size_limit()})",
+        id="csv-row-field-beyond-limit",
+    ),
+    pytest.param(
         "null.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, null]}]',
         2, "{path}: record 1 has a non-numeric probability",
         id="json-null-cell",
+    ),
+    pytest.param(
+        "string.json",
+        b'[{"id": "a", "label": 1, "probs": ["0.5", 0.5]}]',
+        2, "{path}: record 1 has a non-numeric probability",
+        id="json-string-cell",
+    ),
+    pytest.param(
+        "true.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 2, "probs": [0.5, true]}]',
+        2, "{path}: record 2 has a non-numeric probability",
+        id="json-bool-cell",
     ),
     pytest.param(
         "bool.json",
@@ -425,6 +468,99 @@ class TestLoaderErrors:
         assert rc == code
         err = capsys.readouterr().err
         assert err == "error: " + message.format(path=path) + "\n"
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic garbage collector switched on or off for the block."""
+    before = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if before else gc.disable()
+
+
+class TestCollectorPause:
+    """``load_dataset`` parses with the collector off and then restores the
+    caller's setting, whether the load returns or raises."""
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_paused_during_the_parse(
+        self, tmp_path, monkeypatch, four_row_dataset, suffix
+    ):
+        import dcs.data
+
+        loader = f"_load_{suffix}"
+        parse = getattr(dcs.data, loader)
+        seen = []
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return parse(path)
+
+        monkeypatch.setattr(dcs.data, loader, spy)
+        path = tmp_path / f"ds.{suffix}"
+        save_dataset(four_row_dataset, path)
+        with collector(True):
+            load_dataset(path)
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_setting_restored(self, tmp_path, four_row_dataset, suffix, enabled):
+        good = tmp_path / f"ds.{suffix}"
+        save_dataset(four_row_dataset, good)
+        bad = tmp_path / f"bad.{suffix}"
+        bad.write_bytes(good.read_bytes().replace(b"0.9", b"1.9"))
+        with collector(enabled):
+            load_dataset(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValidationError, match="out of"):
+                load_dataset(bad)
+            assert gc.isenabled() is enabled
+
+
+# bytes a mutation draws from besides arbitrary ones: the two formats'
+# delimiters, quotes, digits and keyword letters
+STRUCTURAL = b',"\r\n[]{}: 0123456789.-+eEnaNItrufl\\'
+MUTATION = st.tuples(
+    st.integers(0, 2**16),
+    st.one_of(
+        st.binary(max_size=3),
+        st.lists(st.sampled_from(STRUCTURAL), max_size=3).map(bytes),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    """Any bytes end in a dataset or a ValidationError, never another
+    exception."""
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    @settings(deadline=None, max_examples=150)
+    @given(mutations=st.lists(MUTATION, min_size=1, max_size=4))
+    def test_mutated_file_loads_or_is_rejected(
+        self, fuzz_dir, suffix, mutations
+    ):
+        content = GOLDEN_CSV if suffix == "csv" else GOLDEN_JSON
+        for at, replacement in mutations:
+            at %= len(content)
+            # replace one byte; an empty replacement deletes it
+            content = content[:at] + replacement + content[at + 1:]
+        # a fresh file each time: replacing or deleting a file written
+        # moments before can stall for a tenth of a second on ext4
+        path = fuzz_dir / f"{len(list(fuzz_dir.iterdir()))}.{suffix}"
+        path.write_bytes(content)
+        try:
+            load_dataset(path)
+        except ValidationError:
+            pass
 
 
 class TestSplit:
