@@ -115,6 +115,37 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, created if missing."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _baseline(ds, catalog, weights) -> EvalReport:
+    """The report of the identity selection: every class left unchanged."""
+    return evaluate(ds, catalog, initial_solution(catalog, ds.num_classes), weights)
+
+
+def _fit(train, held_out, catalog, weights, config, mode):
+    """Anneal on ``train`` over ``mode``'s functions; return the result and
+    the reports of its best selection and of the baseline on ``held_out``."""
+    allowed = mode_indices(catalog, mode)
+    result = anneal(train, catalog, weights, config, allowed_indices=allowed)
+    corrected = evaluate(held_out, catalog, result.best_xi, weights)
+    return result, corrected, _baseline(held_out, catalog, weights)
+
+
+def _print_before_after(baseline, corrected, accuracy, cobias) -> None:
+    """"<accuracy> a -> b", then "<cobias> a -> b" when both define it."""
+    print(
+        f"{accuracy} {_fmt(baseline.overall_accuracy)} -> "
+        f"{_fmt(corrected.overall_accuracy)}"
+    )
+    if baseline.cobias is not None and corrected.cobias is not None:
+        print(f"{cobias} {_fmt(baseline.cobias)} -> {_fmt(corrected.cobias)}")
+
+
 # ----------------------------------------------------------------- optimize
 
 
@@ -124,13 +155,11 @@ def cmd_optimize(args) -> int:
     weights = _weights_from_args(args)
     config = AnnealConfig(seed=args.seed, **_schedule_from_args(args))
     split = split_dataset(ds, args.dev_fraction, args.seed)
-    allowed = mode_indices(catalog, args.mode)
-
-    result = anneal(
-        split.optimization_set, catalog, weights, config, allowed_indices=allowed
-    )
-
     opt = split.optimization_set
+    result, dev_corrected, dev_baseline = _fit(
+        opt, split.dev_set, catalog, weights, config, args.mode
+    )
+    num_allowed = len(mode_indices(catalog, args.mode))
     scheme = CorrectionScheme(
         catalog=catalog,
         selection=result.best_xi,
@@ -142,12 +171,7 @@ def cmd_optimize(args) -> int:
         dataset_sha256=opt.fingerprint(),
     )
 
-    identity = initial_solution(catalog, ds.num_classes)
-    dev_corrected = evaluate(split.dev_set, catalog, result.best_xi, weights)
-    dev_baseline = evaluate(split.dev_set, catalog, identity, weights)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_scheme(scheme, out / "scheme.json")
     solve_payload = {
         "task": Path(args.input).stem,
@@ -156,7 +180,7 @@ def cmd_optimize(args) -> int:
         "objective": args.objective,
         "seed": args.seed,
         "search_space": ds.num_classes * catalog.size,
-        "num_allowed": len(allowed),
+        "num_allowed": num_allowed,
         **result.to_dict(),
     }
     write_json(out / "solve.json", solve_payload)
@@ -172,22 +196,13 @@ def cmd_optimize(args) -> int:
     print(
         f"optimize: {ds.num_instances} rows -> {opt.num_instances} optimization"
         f" + {split.dev_set.num_instances} dev, mode {args.mode},"
-        f" {len(allowed)} of {catalog.size} functions searchable"
+        f" {num_allowed} of {catalog.size} functions searchable"
     )
     print(
         f"best_z {result.best_z:.6f} after {result.outer_loops_run} outer loops"
         f" ({result.wall_time:.2f}s)"
     )
-    print(
-        "dev accuracy "
-        f"{_fmt(dev_baseline.overall_accuracy)} -> "
-        f"{_fmt(dev_corrected.overall_accuracy)}"
-    )
-    if dev_baseline.cobias is not None and dev_corrected.cobias is not None:
-        print(
-            "dev cobias "
-            f"{_fmt(dev_baseline.cobias)} -> {_fmt(dev_corrected.cobias)}"
-        )
+    _print_before_after(dev_baseline, dev_corrected, "dev accuracy", "dev cobias")
     print(f"wrote scheme.json solve.json trace.csv dev_report.json -> {out}")
     return 0
 
@@ -208,8 +223,7 @@ def cmd_apply(args) -> int:
     corrected = _report_from_predictions(
         ds, catalog, scheme.selection, preds, scheme.objective
     )
-    identity = initial_solution(catalog, ds.num_classes)
-    baseline = evaluate(ds, catalog, identity, scheme.objective)
+    baseline = _baseline(ds, catalog, scheme.objective)
 
     match = scheme.matches_dataset(ds)
     recomputed = None
@@ -222,8 +236,7 @@ def cmd_apply(args) -> int:
                 f"optimization set: recorded {scheme.best_z!r}, got {recomputed!r}"
             )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_predictions(ds, preds, out / "predictions.csv")
     write_json(
         out / "report.json",
@@ -242,14 +255,9 @@ def cmd_apply(args) -> int:
         out / "report.csv", catalog, scheme.selection, corrected
     )
 
-    print(
-        f"apply: {ds.num_instances} rows, accuracy "
-        f"{_fmt(baseline.overall_accuracy)} -> {_fmt(corrected.overall_accuracy)}"
+    _print_before_after(
+        baseline, corrected, f"apply: {ds.num_instances} rows, accuracy", "cobias"
     )
-    if baseline.cobias is not None and corrected.cobias is not None:
-        print(
-            f"cobias {_fmt(baseline.cobias)} -> {_fmt(corrected.cobias)}"
-        )
     if match:
         print("input is the scheme's optimization set; recorded best_z reproduced")
     print(f"wrote predictions.csv report.json report.csv -> {out}")
@@ -263,11 +271,7 @@ def _run_cell(payload: tuple) -> dict:
     """One (dataset, mode, seed) grid cell. Top level so it pickles."""
     (name, train, eval_ds, mode, seed, catalog, weights, config_kw) = payload
     config = AnnealConfig(seed=seed, **config_kw)
-    allowed = mode_indices(catalog, mode)
-    result = anneal(train, catalog, weights, config, allowed_indices=allowed)
-    identity = initial_solution(catalog, train.num_classes)
-    corrected = evaluate(eval_ds, catalog, result.best_xi, weights)
-    baseline = evaluate(eval_ds, catalog, identity, weights)
+    result, corrected, baseline = _fit(train, eval_ds, catalog, weights, config, mode)
     train_corrected = evaluate(train, catalog, result.best_xi, weights)
 
     kinds = Counter(kind_bucket(catalog, k) for k in result.best_xi)
@@ -433,8 +437,7 @@ def cmd_compare(args) -> int:
     )
     summary = summarize_rows(rows)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_rows_csv(out / "runs.csv", rows)
     _write_rows_csv(out / "summary.csv", summary)
 
@@ -494,8 +497,7 @@ def cmd_oracle(args) -> int:
     result = exhaustive_search(
         ds, catalog, weights, limit=args.limit, allowed_indices=allowed
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_json(
         out / "oracle.json",
         {
@@ -517,8 +519,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     fmt = args.dataset_format
     suffix = "json" if fmt == "json" else "csv"
 

@@ -81,15 +81,20 @@ def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _probabilities(p) -> np.ndarray:
+    """``p`` as a float64 array, checked against [0, 1]."""
+    arr = np.asarray(p, dtype=np.float64)
+    # negated, so that a NaN (which min and max propagate) fails it too
+    if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):
+        raise ValidationError("probability outside [0, 1]")
+    return arr
+
+
 def _on_values(p, kernel, *args):
     """Run an array kernel on ``p``: a scalar in gives a float out, an array
     gives an array. Values are checked against [0, 1] first."""
-    scalar = np.ndim(p) == 0
-    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
-        raise ValidationError("probability outside [0, 1]")
-    out = kernel(*args, arr)
-    return float(out[0]) if scalar else out
+    out = kernel(*args, _probabilities(p))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_membership(f: TriangularMembership, p):
@@ -258,14 +263,16 @@ def kind_bucket(fs: FunctionSet, k: int) -> str:
     return fs.index_kind(k)
 
 
-def apply_selection(fs: FunctionSet, xi, row) -> np.ndarray:
-    """Correct one probability row: class i goes through function xi[i]."""
-    values = np.atleast_1d(np.asarray(row, dtype=np.float64))
-    entries = validate_selection(fs, xi, num_classes=values.shape[0])
-    return np.array(
-        [fs.apply_index(entries[i], float(values[i])) for i in range(len(entries))],
-        dtype=np.float64,
-    )
+def apply_selection(fs: FunctionSet, xi, probs) -> np.ndarray:
+    """Correct one probability row (N,) or a matrix of rows (M, N): class
+    i's column goes through function xi[i]. The result has the shape of the
+    row or matrix; ``xi`` must have one entry per column."""
+    values = np.atleast_1d(_probabilities(probs))
+    entries = validate_selection(fs, xi, num_classes=values.shape[-1])
+    out = np.empty_like(values)
+    for i, k in enumerate(entries):
+        out[..., i] = _apply_column(fs, k, values[..., i])
+    return out
 
 
 def default_function_set() -> FunctionSet:

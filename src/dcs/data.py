@@ -304,6 +304,12 @@ def _load_json(path: Path) -> LabeledDataset:
             raise ValidationError(
                 f"{path}: record {row_no} has a probability out of [0, 1]"
             ) from None
+        # a number is read as its text; null, booleans, arrays and objects
+        # would turn into 'None', 'True', '[1, 2]' or "{'a': 1}"
+        if type(ident) is not str and type(ident) not in _JSON_NUMBERS:
+            raise ValidationError(
+                f"{path}: record {row_no} has an id that is not a string or a number"
+            )
         ids.append(str(ident))
         labels.append(label)
     return LabeledDataset(

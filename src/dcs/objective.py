@@ -11,8 +11,9 @@ classes of the pointwise mutual information between "predicted j" and
 "labeled j" events. Each term can be disabled, in which case it contributes
 exactly 0; at least one must stay enabled.
 
-Predicted labels are 1-based argmaxes of the corrected probability rows, ties
-broken toward the lowest class index. Natural logarithms throughout.
+Predicted labels are 1-based argmaxes of the probability rows corrected by
+``apply_selection``, ties broken toward the lowest class index. Natural
+logarithms throughout.
 
 Every term comes from one scoring tail. A single flat N x N confusion count
 of (label, prediction) pairs yields the correct and predicted counts per
@@ -41,6 +42,7 @@ import numpy as np
 from .corrections import (
     FunctionSet,
     _apply_column,
+    apply_selection,
     normalize_allowed,
     validate_selection,
 )
@@ -87,24 +89,10 @@ class ObjectiveWeights(Record):
         raise ValidationError(f"unknown objective mode {mode!r}")
 
 
-def corrected_matrix(
-    ds: LabeledDataset, fs: FunctionSet, xi
-) -> np.ndarray:
-    """Apply the selection to every row: column i goes through function xi[i]."""
-    entries = validate_selection(fs, xi, num_classes=ds.num_classes)
-    out = np.empty_like(ds.probabilities)
-    for i, k in enumerate(entries):
-        out[:, i] = _apply_column(fs, k, ds.probabilities[:, i])
-    return out
-
-
-def _argmax_labels(corrected: np.ndarray) -> np.ndarray:
-    return np.argmax(corrected, axis=1).astype(np.int64) + 1
-
-
 def predict(ds: LabeledDataset, fs: FunctionSet, xi) -> np.ndarray:
     """1-based argmax labels of the corrected rows, ties to the lowest index."""
-    return _argmax_labels(corrected_matrix(ds, fs, xi))
+    corrected = apply_selection(fs, xi, ds.probabilities)
+    return np.argmax(corrected, axis=1).astype(np.int64) + 1
 
 
 class _Terms(NamedTuple):
@@ -339,7 +327,7 @@ class ObjectiveEvaluator:
     Every corrected value ``f_k(p_ij)`` (instance i, class j, and k one of
     the D searchable catalog indices, ``allowed_indices``, the whole catalog
     by default) is computed once up front, by the kernel
-    ``corrected_matrix`` uses, and stored as a small unsigned integer key::
+    ``apply_selection`` uses, and stored as a small unsigned integer key::
 
         key = (N*D - 1 - r) << S | (label_i - 1) * N + j
 
@@ -432,10 +420,6 @@ class ObjectiveEvaluator:
         self._buffer = np.empty((n, m), dtype=key_type)
         self._top = np.empty(m, dtype=key_type)
         self._codes = np.empty(m, dtype=np.intp)
-
-    @property
-    def num_classes(self) -> int:
-        return self._num_classes
 
     def predictions(self, xi) -> np.ndarray:
         """1-based top classes of a selection, as ``predict`` gives them."""

@@ -15,10 +15,13 @@ from dcs import (
     eval_weight,
     heaviside,
     load_catalog,
+    predict,
     save_catalog,
     validate_selection,
 )
 from dcs.corrections import MAX_WEIGHTS
+
+from conftest import make_dataset
 
 EXACT = 1e-12
 
@@ -180,6 +183,57 @@ class TestFunctionSetGates:
     def test_apply_index_output_in_unit_interval(self, k, p):
         fs = default_function_set()
         assert 0.0 <= fs.apply_index(k, p) <= 1.0
+
+
+class TestApplySelection:
+    """``apply_selection`` on one row and on a matrix of rows."""
+
+    @staticmethod
+    def _matrix(m, n, seed):
+        # values on a 0.05 grid, so corrected rows often tie
+        rng = np.random.default_rng(seed)
+        probs = np.round(rng.random((m, n)) * 20) / 20
+        xi = rng.integers(1, 50, n)
+        return probs, xi
+
+    def test_row_matches_apply_index_per_class(self):
+        fs = default_function_set()
+        probs, xi = self._matrix(200, 5, seed=1)
+        for row in probs:
+            expected = [fs.apply_index(int(k), float(p)) for k, p in zip(xi, row)]
+            assert apply_selection(fs, xi, row).tobytes() == (
+                np.array(expected).tobytes()
+            )
+
+    @pytest.mark.parametrize("m, n, seed", [(300, 5, 2), (50, 14, 3), (0, 3, 4)])
+    def test_matrix_matches_rows(self, m, n, seed):
+        fs = default_function_set()
+        probs, xi = self._matrix(m, n, seed)
+        out = apply_selection(fs, xi, probs)
+        assert out.shape == (m, n) and out.dtype == np.float64
+        rows = [apply_selection(fs, xi, row) for row in probs]
+        assert out.tobytes() == np.array(rows).reshape(m, n).tobytes()
+
+    def test_matrix_argmax_is_predict(self):
+        fs = default_function_set()
+        probs, xi = self._matrix(400, 4, seed=5)
+        ds = make_dataset(probs, np.arange(400) % 4 + 1)
+        labels = np.argmax(apply_selection(fs, xi, ds.probabilities), axis=1) + 1
+        assert np.array_equal(labels, predict(ds, fs, xi))
+
+    def test_matrix_of_wrong_width_rejected(self):
+        fs = default_function_set()
+        probs, _ = self._matrix(10, 3, seed=6)
+        with pytest.raises(ValidationError, match="2 entries, expected 3"):
+            apply_selection(fs, (1, 20), probs)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_value_outside_unit_interval_rejected(self, bad):
+        fs = default_function_set()
+        probs, xi = self._matrix(10, 3, seed=7)
+        probs[7, 2] = bad
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            apply_selection(fs, xi, probs)
 
 
 class TestDefaultCatalog:

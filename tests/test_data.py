@@ -341,6 +341,21 @@ LOADER_CASES = [
         2, "duplicate instance id '1' at rows 1 and 2",
         id="json-ids-collide-after-str",
     ),
+    *(
+        pytest.param(
+            "ids.json",
+            b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+            b' {"id": ' + ident + b', "label": 2, "probs": [0.5, 0.5]}]',
+            2, "{path}: record 2 has an id that is not a string or a number",
+            id=f"json-id-{kind}",
+        )
+        for kind, ident in (
+            ("null", b"null"),
+            ("bool", b"true"),
+            ("array", b"[1, 2]"),
+            ("object", b'{"a": 1}'),
+        )
+    ),
     pytest.param(
         "nan.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, NaN]}]',

@@ -138,9 +138,7 @@ def write_files(out: Path) -> dict[str, bytes]:
                  "--seed", "0,1", "--out", str(out / "cmp"), *FAST]) == 0
     solve = str(out / "run" / "solve.json")
     assert main(["report", solve, "--out", str(out / "solve_report.csv")]) == 0
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(["report", solve]) == 0
+    report_stdout = _stdout(out, ["report", solve])
     small = out / "small.csv"
     save_dataset(generate(_profile(2, 5), 50), small)
     assert main(["oracle", "--input", str(small), "--mode", "dnip",
@@ -168,7 +166,7 @@ def write_files(out: Path) -> dict[str, bytes]:
         "apply_report.json": out / "app" / "report.json",
     }
     files = {name: path.read_bytes() for name, path in paths.items()}
-    files["solve_report_stdout.csv"] = stdout.getvalue().encode("utf-8")
+    files["solve_report_stdout.csv"] = report_stdout
     files["optimize_stdout.txt"] = optimize_stdout
     files["apply_stdout.txt"] = apply_stdout
     files["apply_report.json"] = DATASET.sub(
