@@ -203,7 +203,11 @@ def cmd_optimize(args) -> int:
         f" ({result.wall_time:.2f}s)"
     )
     _print_before_after(dev_baseline, dev_corrected, "dev accuracy", "dev cobias")
-    print(f"wrote scheme.json solve.json trace.csv dev_report.json -> {out}")
+    print(
+        "wrote scheme.json solve.json trace.csv optimization_set.json"
+        " dev_set.json dev_report.json dev_baseline.json dev_report.csv"
+        f" -> {out}"
+    )
     return 0
 
 
