@@ -204,9 +204,8 @@ def cmd_optimize(args) -> int:
     )
     _print_before_after(dev_baseline, dev_corrected, "dev accuracy", "dev cobias")
     print(
-        "wrote scheme.json solve.json trace.csv optimization_set.json"
-        " dev_set.json dev_report.json dev_baseline.json dev_report.csv"
-        f" -> {out}"
+        "wrote scheme.json solve.json trace.csv optimization_set.json dev_set.json"
+        f" dev_report.json dev_baseline.json dev_report.csv -> {out}"
     )
     return 0
 
@@ -219,8 +218,8 @@ def cmd_apply(args) -> int:
     ds = load_dataset(args.input, args.format)
     if ds.num_classes != scheme.num_classes:
         raise ValidationError(
-            f"scheme covers {scheme.num_classes} classes but dataset has "
-            f"{ds.num_classes}"
+            f"{args.input}: dataset has {ds.num_classes} classes but scheme "
+            f"{args.scheme} covers {scheme.num_classes}"
         )
     catalog = scheme.catalog
     preds = predict(ds, catalog, scheme.selection)

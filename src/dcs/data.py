@@ -13,18 +13,14 @@ is inferred from the header (CSV) or the first record (JSON).
 CSV probability cells are written with 12 significant digits, which round-trips
 values within 1e-12. JSON writes use ``repr`` floats and round-trip exactly.
 
-The loaders stream every row into flat lists (ids, int labels, and one list
+The parsers stream every row into flat lists (ids, int labels, and one list
 of all probabilities, reshaped to (M, N) once at the end) and keep no list
-per row. ``load_dataset`` runs either loader with CPython's cyclic garbage
+per row. ``load_dataset`` runs either parser with CPython's cyclic garbage
 collector paused, and restores the caller's setting whether the load returns
-or raises. The loaders make no reference cycles, so the pause leaves nothing
+or raises. The parsers make no reference cycles, so the pause leaves nothing
 behind for the collector. Without it, every older-generation collection
 during a JSON load rescans the record dicts and probability lists that
-``json.load`` has built, 2 x 10^5 containers for 10^5 rows. On 10^5
-five-class rows (2 vCPU AMD EPYC, Python 3.11) a JSON load took 200-250 ms
-before the pause and 170-180 ms after it, with the per-record checks below
-written as plain key lookups and ``type`` tests; a CSV load, which keeps no
-container alive per row, went from 113-130 ms to 110-125 ms. The writers
+``json.load`` has built, 2 x 10^5 containers for 10^5 rows. The writers
 walk ``tolist()`` values rather than indexing numpy scalars row by row.
 """
 from __future__ import annotations
@@ -40,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .records import _not_utf8, read_json, write_csv, write_json_rows
+from .records import PathError, _not_utf8, read_json, write_csv, write_json_rows
 
 CSV_PROB_DIGITS = 12
 # the types of a JSON number as ``json.load`` returns it
@@ -83,9 +79,7 @@ class LabeledDataset:
         if n < 2:
             raise ValidationError("dataset must cover at least two classes")
         if labels.shape != (m,):
-            raise ValidationError(
-                f"expected {m} labels, got {labels.shape}"
-            )
+            raise ValidationError(f"expected {m} labels, got {labels.shape}")
         if len(ids) != m:
             raise ValidationError(f"expected {m} instance ids, got {len(ids)}")
 
@@ -99,7 +93,7 @@ class LabeledDataset:
             r, c = bad[0]
             raise ValidationError(
                 f"probability out of [0, 1] at row {r + 1}, class {c + 1}: "
-                f"{probs[r, c]!r}"
+                f"{float(probs[r, c])!r}"
             )
         bad_label = np.flatnonzero((labels < 1) | (labels > n))
         if bad_label.size:
@@ -183,43 +177,51 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
     """Load a dataset from ``path``.
 
     ``fmt`` may be "csv" or "json"; when omitted it is inferred from the file
-    suffix (".json" means JSON, anything else CSV). Malformed content raises
-    ValidationError naming the offending row; missing or unreadable files
-    raise OSError. The cyclic garbage collector is off during the load and
-    back in the caller's setting afterwards.
+    suffix (".json" means JSON, anything else CSV). An unknown ``fmt``,
+    malformed content and content that fails ``LabeledDataset``'s checks
+    raise ValidationError, whose message starts with the path and names the
+    offending row; missing or unreadable files raise OSError. The cyclic
+    garbage collector is off during the load and back in the caller's
+    setting afterwards.
     """
     path = Path(path)
-    load = _load_json if _infer_format(path, fmt) == "json" else _load_csv
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return load(path)
+        parse = _load_json if _infer_format(path, fmt) == "json" else _load_csv
+        ids, labels, flat, n = parse(path)
+        return LabeledDataset(
+            probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
+            labels=labels,
+            instance_ids=tuple(ids),
+        )
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    except PathError:
+        raise
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     finally:
         if collecting:
             gc.enable()
 
 
-def _load_csv(path: Path) -> LabeledDataset:
+def _load_csv(path: Path) -> tuple[list[str], list[int], list[float], int]:
+    """The ids, labels, flat probabilities and class count of a CSV file."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+            raise ValidationError("empty file") from None
         except csv.Error as exc:
-            raise ValidationError(f"{path}: header row: {exc}") from None
+            raise ValidationError(f"header row: {exc}") from None
         if len(header) < 4 or header[0] != "id" or header[1] != "label":
-            raise ValidationError(
-                f"{path}: header must be id,label,p_1,...,p_N"
-            )
+            raise ValidationError("header must be id,label,p_1,...,p_N")
         n = len(header) - 2
         expected = [f"p_{j}" for j in range(1, n + 1)]
         if header[2:] != expected:
-            raise ValidationError(
-                f"{path}: probability columns must be named p_1..p_{n}"
-            )
+            raise ValidationError(f"probability columns must be named p_1..p_{n}")
         ids: list[str] = []
         labels: list[int] = []
         flat: list[float] = []
@@ -230,39 +232,34 @@ def _load_csv(path: Path) -> LabeledDataset:
                     continue
                 if len(row) != n + 2:
                     raise ValidationError(
-                        f"{path}: row {row_no} has {len(row)} fields, "
-                        f"expected {n + 2}"
+                        f"row {row_no} has {len(row)} fields, expected {n + 2}"
                     )
                 ids.append(row[0])
                 try:
                     labels.append(int(row[1]))
                 except ValueError:
                     raise ValidationError(
-                        f"{path}: row {row_no} has non-integer label "
-                        f"{row[1]!r}"
+                        f"row {row_no} has non-integer label {row[1]!r}"
                     ) from None
                 try:
                     flat += map(float, row[2:])
                 except ValueError:
                     raise ValidationError(
-                        f"{path}: row {row_no} has a non-numeric probability"
+                        f"row {row_no} has a non-numeric probability"
                     ) from None
         except csv.Error as exc:
             # raised by the reader while it reads the row after ``row_no``
-            raise ValidationError(f"{path}: row {row_no + 1}: {exc}") from None
+            raise ValidationError(f"row {row_no + 1}: {exc}") from None
     if not ids:
-        raise ValidationError(f"{path}: no data rows")
-    return LabeledDataset(
-        probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
-        labels=labels,
-        instance_ids=tuple(ids),
-    )
+        raise ValidationError("no data rows")
+    return ids, labels, flat, n
 
 
-def _load_json(path: Path) -> LabeledDataset:
+def _load_json(path: Path) -> tuple[list[str], list[int], list[float], int]:
+    """The ids, labels, flat probabilities and class count of a JSON file."""
     records = read_json(path)
     if not isinstance(records, list) or not records:
-        raise ValidationError(f"{path}: expected a non-empty JSON array")
+        raise ValidationError("expected a non-empty JSON array")
     n: int | None = None
     ids: list[str] = []
     labels: list[int] = []
@@ -275,48 +272,37 @@ def _load_json(path: Path) -> LabeledDataset:
         except (KeyError, TypeError):
             # TypeError: the record is an array, a string or a scalar
             raise ValidationError(
-                f"{path}: record {row_no} must have id, label, probs"
+                f"record {row_no} must have id, label, probs"
             ) from None
         if type(probs) is not list:
-            raise ValidationError(
-                f"{path}: record {row_no} probs must be a JSON array"
-            )
+            raise ValidationError(f"record {row_no} probs must be a JSON array")
         if n is None:
             n = len(probs)
         if len(probs) != n:
             raise ValidationError(
-                f"{path}: record {row_no} has {len(probs)} probabilities, "
-                f"expected {n}"
+                f"record {row_no} has {len(probs)} probabilities, expected {n}"
             )
         if type(label) is not int:
-            raise ValidationError(
-                f"{path}: record {row_no} has non-integer label"
-            )
+            raise ValidationError(f"record {row_no} has non-integer label")
         # float() would take a string or a boolean as well
         if not _JSON_NUMBERS.issuperset(map(type, probs)):
-            raise ValidationError(
-                f"{path}: record {row_no} has a non-numeric probability"
-            )
+            raise ValidationError(f"record {row_no} has a non-numeric probability")
         try:
             flat += map(float, probs)
         except OverflowError:
             # an integer too large for a float
             raise ValidationError(
-                f"{path}: record {row_no} has a probability out of [0, 1]"
+                f"record {row_no} has a probability out of [0, 1]"
             ) from None
         # a number is read as its text; null, booleans, arrays and objects
         # would turn into 'None', 'True', '[1, 2]' or "{'a': 1}"
         if type(ident) is not str and type(ident) not in _JSON_NUMBERS:
             raise ValidationError(
-                f"{path}: record {row_no} has an id that is not a string or a number"
+                f"record {row_no} has an id that is not a string or a number"
             )
         ids.append(str(ident))
         labels.append(label)
-    return LabeledDataset(
-        probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
-        labels=labels,
-        instance_ids=tuple(ids),
-    )
+    return ids, labels, flat, n
 
 
 def save_dataset(

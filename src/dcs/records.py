@@ -48,6 +48,11 @@ class FieldError(ValidationError):
     """A record payload lacks a field or holds a value of the wrong type."""
 
 
+class PathError(ValidationError):
+    """A ValidationError whose message already starts with the file's path,
+    so a loader that prefixes its errors with the path passes it on as is."""
+
+
 def read_json(path: str | Path):
     """The parsed content of the JSON file at ``path``."""
     path = Path(path)
@@ -63,17 +68,17 @@ def read_json(path: str | Path):
         detail = f"a number has more than {sys.get_int_max_str_digits()} digits"
     except RecursionError:
         detail = "nested too deeply"
-    raise ValidationError(f"{path}: invalid JSON: {detail}")
+    raise PathError(f"{path}: invalid JSON: {detail}")
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> PathError:
     # a decode error from a text stream counts from the start of the chunk it
     # was decoding; decode the whole file once more to get the file offset
     try:
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as whole:
         exc = whole
-    return ValidationError(
+    return PathError(
         f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) "
         "is not valid UTF-8"
     )
@@ -136,12 +141,16 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def read_record(path: str | Path, cls, what: str):
     """``cls.from_dict`` of the JSON file at ``path``; a missing or mistyped
-    field is reported as ``<path>: malformed <what>: <field problem>``."""
+    field is reported as ``<path>: malformed <what>: <field problem>``, and
+    a value that fails ``cls``'s own checks as ``<path>: invalid <what>:
+    <problem>``."""
     payload = read_json(path)
     try:
         return cls.from_dict(payload)
     except FieldError as exc:
         raise ValidationError(f"{path}: malformed {what}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: invalid {what}: {exc}") from None
 
 
 class Record:

@@ -95,6 +95,13 @@ class _SchemeFile(Record):
     best_z: float
     dataset_fingerprint: _Fingerprint
 
+    def __post_init__(self) -> None:
+        if self.num_classes != len(self.selection):
+            raise ValidationError(
+                f"num_classes is {self.num_classes} but the selection covers "
+                f"{len(self.selection)} classes"
+            )
+
 
 def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
     """Write the scheme atomically (see ``records``): an interrupted save

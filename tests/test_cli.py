@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,14 +247,20 @@ class TestApply:
             "correction_params",
         }
 
-    def test_class_count_mismatch_exit_2(self, tmp_path, run_dir):
+    def test_class_count_mismatch_exit_2(self, tmp_path, run_dir, capsys):
         two_class = tmp_path / "two.csv"
         two_class.write_text(
             "id,label,p_1,p_2\na,1,0.9,0.1\nb,2,0.2,0.8\n"
         )
-        rc = main(["apply", "--scheme", str(run_dir / "scheme.json"),
+        scheme = run_dir / "scheme.json"
+        capsys.readouterr()
+        rc = main(["apply", "--scheme", str(scheme),
                    "--input", str(two_class), "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {two_class}: dataset has 2 classes but scheme {scheme} "
+            "covers 3\n"
+        )
 
     def test_mistyped_scheme_exit_2(self, tmp_path, run_dir):
         payload = json.loads((run_dir / "scheme.json").read_text())
@@ -589,9 +596,19 @@ BAD_JSON = {
 }
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden_files"
+
+
 def _reader_argv(reader, bad, train_csv, out):
     """CLI arguments that make ``reader`` read the file ``bad``."""
+    scheme = str(GOLDEN_DIR / "scheme.json")
     return {
+        "optimize": ["optimize", "--input", bad, "--seed", "0", "--out", out],
+        "apply": ["apply", "--scheme", scheme, "--input", bad, "--out", out],
+        "compare": ["compare", "--input", bad, "--seed", "0", "--out", out],
+        "compare-eval": ["compare", "--input", train_csv, "--eval-input", bad,
+                         "--seed", "0", "--out", out],
+        "oracle": ["oracle", "--input", bad, "--out", out],
         "scheme": ["apply", "--scheme", bad, "--input", train_csv,
                    "--out", out],
         "catalog": ["oracle", "--input", train_csv, "--catalog", bad,
@@ -603,7 +620,8 @@ def _reader_argv(reader, bad, train_csv, out):
 
 class TestJsonReaders:
     """Every JSON input the CLI reads rejects bad bytes with exit 2 and a
-    one-line error that names the file once, never with a traceback."""
+    one-line error that starts with the file's path and names it once,
+    never with a traceback."""
 
     @pytest.mark.parametrize("case", BAD_JSON)
     @pytest.mark.parametrize("reader", ["scheme", "catalog", "profile", "solve"])
@@ -614,7 +632,96 @@ class TestJsonReaders:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert err.count(str(bad)) == 1
+
+
+def _golden_with(name: str, edit) -> bytes:
+    """The golden JSON file ``name`` after ``edit`` changes its payload."""
+    payload = json.loads((GOLDEN_DIR / name).read_text())
+    edit(payload)
+    return json.dumps(payload).encode()
+
+
+# datasets that fail in the parser, in LabeledDataset's checks, in the JSON
+# reader and in UTF-8 decoding
+BAD_DATASETS = {
+    "csv-ragged": ("csv", b"id,label,p_1,p_2,p_3\na,1,0.5,0.5\n"),
+    "csv-duplicate-id": (
+        "csv",
+        b"id,label,p_1,p_2,p_3\na,1,0.5,0.5,0.5\na,2,0.5,0.5,0.5\n",
+    ),
+    "json-label-out-of-range": (
+        "json", b'[{"id": "a", "label": 4, "probs": [0.5, 0.5, 0.5]}]'
+    ),
+    "json-truncated": ("json", b'[{"id": "a"'),
+    "csv-not-utf8": ("csv", b"id,label,p_1,p_2,p_3\na,1,0.5,\xff,0.5\n"),
+}
+
+# JSON records that lack a field or fail their own checks
+BAD_RECORDS = {
+    "scheme": {
+        "missing-field": b'{"version": 1}',
+        "num-classes": _golden_with(
+            "scheme.json", lambda d: d.update(num_classes=7)
+        ),
+        "selection": _golden_with(
+            "scheme.json", lambda d: d.update(selection=[999, 1, 1])
+        ),
+    },
+    "catalog": {
+        "missing-field": b'{"memberships": []}',
+        "vertex-order": _golden_with(
+            "catalog.json", lambda d: d["memberships"][1].update(a=0.5)
+        ),
+        "no-weights": _golden_with(
+            "catalog.json", lambda d: d.update(num_weights=0)
+        ),
+    },
+    "profile": {
+        "missing-field": b"{}",
+        "one-class": _golden_with(
+            "profile.json",
+            lambda d: d.update(
+                num_classes=1, class_priors=[1.0], target_accuracy=[0.9]
+            ),
+        ),
+        "accuracy-above-one": _golden_with(
+            "profile.json", lambda d: d.update(target_accuracy=[0.9, 1.5, 0.8])
+        ),
+    },
+    "solve": {"missing-field": b"{}"},
+}
+
+BAD_INPUTS = [
+    *(
+        pytest.param(reader, f"bad.{suffix}", content, id=f"{reader}-{case}")
+        for reader in ("optimize", "apply", "compare", "compare-eval", "oracle")
+        for case, (suffix, content) in BAD_DATASETS.items()
+    ),
+    *(
+        pytest.param(reader, "bad.json", content, id=f"{reader}-{case}")
+        for reader, cases in BAD_RECORDS.items()
+        for case, content in cases.items()
+    ),
+]
+
+
+class TestErrorsNameTheFile:
+    """A bad input file, whether it fails to parse or fails its own checks,
+    exits 2 with a message that starts with its path and names it once."""
+
+    @pytest.mark.parametrize("reader, name, content", BAD_INPUTS)
+    def test_message_starts_with_path(
+        self, tmp_path, capsys, train_csv, reader, name, content
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        argv = _reader_argv(reader, str(bad), str(train_csv), str(tmp_path / "o"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert err.count(str(bad)) == 1
 
 

@@ -264,14 +264,20 @@ LOADER_CASES = [
     pytest.param(
         "nan.csv",
         b"id,label,p_1,p_2\na,1,0.5,nan\n",
-        2, "non-finite probability at row 1, class 2",
+        2, "{path}: non-finite probability at row 1, class 2",
         id="csv-nan",
     ),
     pytest.param(
         "inf.csv",
         b"id,label,p_1,p_2\na,1,0.5,0.5\nb,2,1e999,0.5\n",
-        2, "non-finite probability at row 2, class 1",
+        2, "{path}: non-finite probability at row 2, class 1",
         id="csv-overflow-to-inf",
+    ),
+    pytest.param(
+        "range.csv",
+        b"id,label,p_1,p_2\na,1,0.5,1.5\n",
+        2, "{path}: probability out of [0, 1] at row 1, class 2: 1.5",
+        id="csv-probability-above-one",
     ),
     pytest.param(
         "bom.csv",
@@ -338,7 +344,7 @@ LOADER_CASES = [
         "collide.json",
         b'[{"id": 1, "label": 1, "probs": [0.5, 0.5]},'
         b' {"id": "1", "label": 2, "probs": [0.5, 0.5]}]',
-        2, "duplicate instance id '1' at rows 1 and 2",
+        2, "{path}: duplicate instance id '1' at rows 1 and 2",
         id="json-ids-collide-after-str",
     ),
     *(
@@ -359,14 +365,21 @@ LOADER_CASES = [
     pytest.param(
         "nan.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, NaN]}]',
-        2, "non-finite probability at row 1, class 2",
+        2, "{path}: non-finite probability at row 1, class 2",
         id="json-nan",
     ),
     pytest.param(
         "inf.json",
         b'[{"id": "a", "label": 1, "probs": [1e999, 0.5]}]',
-        2, "non-finite probability at row 1, class 1",
+        2, "{path}: non-finite probability at row 1, class 1",
         id="json-overflow-to-inf",
+    ),
+    pytest.param(
+        "range.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 2, "probs": [-0.25, 0.5]}]',
+        2, "{path}: probability out of [0, 1] at row 2, class 1: -0.25",
+        id="json-probability-below-zero",
     ),
     pytest.param(
         "bom.json",
@@ -435,14 +448,14 @@ LOADER_CASES = [
     pytest.param(
         "label.csv",
         b"id,label,p_1,p_2\na,1,0.5,0.5\nb,99999999999999999999,0.5,0.5\n",
-        2, "label out of range 1..2 at row 2: 99999999999999999999",
+        2, "{path}: label out of range 1..2 at row 2: 99999999999999999999",
         id="csv-label-beyond-int64",
     ),
     pytest.param(
         "label.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
         b' {"id": "b", "label": -99999999999999999999, "probs": [0.5, 0.5]}]',
-        2, "label out of range 1..2 at row 2: -99999999999999999999",
+        2, "{path}: label out of range 1..2 at row 2: -99999999999999999999",
         id="json-label-beyond-int64",
     ),
     pytest.param(
@@ -483,6 +496,12 @@ class TestLoaderErrors:
         assert rc == code
         err = capsys.readouterr().err
         assert err == "error: " + message.format(path=path) + "\n"
+
+    def test_unknown_format_names_the_file(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path, "xml")
+        assert str(exc.value) == f"{path}: unknown dataset format 'xml'"
 
 
 @contextlib.contextmanager
@@ -555,7 +574,7 @@ def fuzz_dir(tmp_path_factory):
 
 class TestLoaderFuzz:
     """Any bytes end in a dataset or a ValidationError, never another
-    exception."""
+    exception; the error's message starts with the path and names it once."""
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     @settings(deadline=None, max_examples=150)
@@ -574,8 +593,10 @@ class TestLoaderFuzz:
         path.write_bytes(content)
         try:
             load_dataset(path)
-        except ValidationError:
-            pass
+        except ValidationError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            assert message.count(str(path)) == 1
 
 
 class TestSplit:

@@ -140,6 +140,20 @@ def test_unsupported_version_rejected(tmp_path, four_row_dataset):
         load_scheme(path)
 
 
+def test_top_level_num_classes_must_match_selection(tmp_path, four_row_dataset):
+    path = tmp_path / "scheme.json"
+    save_scheme(make_scheme(four_row_dataset), path)
+    payload = json.loads(path.read_text())
+    payload["num_classes"] = 7
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError) as exc:
+        load_scheme(path)
+    assert str(exc.value) == (
+        f"{path}: invalid scheme: num_classes is 7 but the selection covers "
+        "2 classes"
+    )
+
+
 def test_malformed_file_rejected(tmp_path):
     path = tmp_path / "scheme.json"
     path.write_text("{\"version\": 1}")
