@@ -6,16 +6,9 @@ linear down-weighting) by simulated annealing over an objective that trades
 off overall error, pairwise per-class accuracy imbalance, and a per-class
 prediction/label PMI reward. The selected scheme is a tiny artifact that can
 be saved, audited, and applied to new probability outputs of the same model.
+The root exports that library API; everything else lives in its own module.
 """
-from .annealing import (
-    AnnealConfig,
-    SolveResult,
-    accept,
-    anneal,
-    initial_solution,
-    make_streams,
-    neighbor,
-)
+from .annealing import AnnealConfig, accept, anneal
 from .corrections import (
     FunctionSet,
     TriangularMembership,
@@ -24,88 +17,47 @@ from .corrections import (
     eval_membership,
     eval_weight,
     heaviside,
-    load_catalog,
-    save_catalog,
-    validate_selection,
 )
-from .data import (
-    DatasetSplit,
-    LabeledDataset,
-    load_dataset,
-    save_dataset,
-    save_predictions,
-    split_dataset,
-)
+from .data import LabeledDataset, load_dataset, save_dataset
 from .errors import PreconditionError, ValidationError
 from .objective import (
-    EvalReport,
-    ObjectiveEvaluator,
     ObjectiveWeights,
     evaluate,
     objective_value,
-    per_class_accuracy,
     predict,
     z_cobias,
     z_err,
     z_pmi,
 )
-from .oracle import OracleResult, exhaustive_search
+from .oracle import exhaustive_search
 from .scheme import CorrectionScheme, load_scheme, save_scheme
-from .synth import (
-    BiasProfile,
-    SuiteTask,
-    benchmark_suite,
-    generate,
-    load_profile,
-    save_profile,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnealConfig",
-    "BiasProfile",
     "CorrectionScheme",
-    "DatasetSplit",
-    "EvalReport",
     "FunctionSet",
     "LabeledDataset",
-    "ObjectiveEvaluator",
     "ObjectiveWeights",
-    "OracleResult",
     "PreconditionError",
-    "SolveResult",
-    "SuiteTask",
     "TriangularMembership",
     "ValidationError",
     "accept",
     "anneal",
     "apply_selection",
-    "benchmark_suite",
     "default_function_set",
     "eval_membership",
     "eval_weight",
     "evaluate",
     "exhaustive_search",
-    "generate",
     "heaviside",
-    "initial_solution",
-    "load_catalog",
     "load_dataset",
-    "load_profile",
     "load_scheme",
-    "make_streams",
-    "neighbor",
     "objective_value",
-    "per_class_accuracy",
     "predict",
-    "save_catalog",
     "save_dataset",
-    "save_predictions",
-    "save_profile",
     "save_scheme",
-    "split_dataset",
-    "validate_selection",
     "z_cobias",
     "z_err",
     "z_pmi",

@@ -161,8 +161,6 @@ class DatasetSplit:
 
     optimization_set: LabeledDataset
     dev_set: LabeledDataset
-    dev_fraction: float
-    seed: int
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -227,9 +225,11 @@ def _load_csv(path: Path) -> tuple[list[str], list[int], list[float], int]:
         flat: list[float] = []
         row_no = 0
         try:
-            for row_no, row in enumerate(reader, start=1):
+            # row_no counts data rows, as LabeledDataset's checks do
+            for row in reader:
                 if not row:
                     continue
+                row_no += 1
                 if len(row) != n + 2:
                     raise ValidationError(
                         f"row {row_no} has {len(row)} fields, expected {n + 2}"
@@ -377,6 +377,4 @@ def split_dataset(
     return DatasetSplit(
         optimization_set=ds.subset(opt_idx),
         dev_set=ds.subset(dev_idx),
-        dev_fraction=dev_fraction,
-        seed=seed,
     )

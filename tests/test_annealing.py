@@ -10,16 +10,19 @@ from dcs import (
     AnnealConfig,
     ObjectiveWeights,
     PreconditionError,
-    SolveResult,
     accept,
     anneal,
     default_function_set,
+    objective_value,
+)
+from dcs.annealing import (
+    BLOCK,
+    SolveResult,
+    _blocks,
     initial_solution,
     make_streams,
     neighbor,
-    objective_value,
 )
-from dcs.annealing import BLOCK, _blocks
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 

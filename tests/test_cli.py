@@ -7,16 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcs import (
-    generate as synth_generate,
-    load_dataset,
-    load_scheme,
-    predict,
-    save_dataset,
-)
+from dcs import load_dataset, load_scheme, predict, save_dataset
 from dcs.cli import main, mode_indices
-from dcs.corrections import default_function_set
-from dcs.synth import BiasProfile, save_profile
+from dcs.corrections import default_function_set, save_catalog
+from dcs.synth import BiasProfile, generate as synth_generate, save_profile
 
 FAST = [
     "--init-temp", "100.0",
@@ -475,8 +469,6 @@ class TestReport:
 
 class TestOracleCommand:
     def test_writes_result(self, tmp_path, tiny_catalog):
-        from dcs import save_catalog
-
         profile = BiasProfile(
             num_classes=2,
             class_priors=(0.5, 0.5),
@@ -497,8 +489,6 @@ class TestOracleCommand:
         assert len(payload["best_xi"]) == 2
 
     def test_mistyped_catalog_exit_2(self, tmp_path, train_csv, tiny_catalog):
-        from dcs import save_catalog
-
         cat = tmp_path / "cat.json"
         save_catalog(tiny_catalog, cat)
         payload = json.loads(cat.read_text())
@@ -512,8 +502,6 @@ class TestOracleCommand:
     def test_huge_num_weights_exit_2(
         self, tmp_path, capsys, train_csv, tiny_catalog, command
     ):
-        from dcs import save_catalog
-
         cat = tmp_path / "cat.json"
         save_catalog(tiny_catalog, cat)
         payload = json.loads(cat.read_text())

@@ -14,12 +14,14 @@ from dcs import (
     eval_membership,
     eval_weight,
     heaviside,
-    load_catalog,
     predict,
+)
+from dcs.corrections import (
+    MAX_WEIGHTS,
+    load_catalog,
     save_catalog,
     validate_selection,
 )
-from dcs.corrections import MAX_WEIGHTS
 
 from conftest import make_dataset
 

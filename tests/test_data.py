@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcs import (
-    LabeledDataset,
-    ValidationError,
-    load_dataset,
-    save_dataset,
-    save_predictions,
-    split_dataset,
-)
+from dcs import LabeledDataset, ValidationError, load_dataset, save_dataset
+from dcs.data import save_predictions, split_dataset
 from dcs.cli import main
 from conftest import make_dataset
 
@@ -240,7 +234,7 @@ LOADER_CASES = [
     pytest.param(
         "ragged.csv",
         b"id,label,p_1,p_2\na,1,0.5,0.5\n\nb,2,0.5\n",
-        2, "{path}: row 3 has 3 fields, expected 4",
+        2, "{path}: row 2 has 3 fields, expected 4",
         id="csv-ragged-after-blank",
     ),
     pytest.param(
@@ -304,7 +298,7 @@ LOADER_CASES = [
     pytest.param(
         "wide.csv",
         b"id,label,p_1,p_2\na,1,0.5,0.5\n\n" + b"b" * 200_000 + b",2,0.5,0.5\n",
-        2, "{path}: row 3: field larger than field limit "
+        2, "{path}: row 2: field larger than field limit "
         f"({csv.field_size_limit()})",
         id="csv-row-field-beyond-limit",
     ),
@@ -496,6 +490,19 @@ class TestLoaderErrors:
         assert rc == code
         err = capsys.readouterr().err
         assert err == "error: " + message.format(path=path) + "\n"
+
+    def test_blank_line_is_not_a_row(self, tmp_path, capsys):
+        # a parse error and a dataset check name the same line alike
+        body = b"id,label,p_1,p_2\na,1,0.5,0.5\n\n"
+        for name, last, message in [
+            ("dup.csv", b"a,2,0.5,0.5\n", "duplicate instance id 'a' at rows 1 and 2"),
+            ("ragged.csv", b"b,2,0.5\n", "row 2 has 3 fields, expected 4"),
+        ]:
+            path = tmp_path / name
+            path.write_bytes(body + last)
+            rc = main(["oracle", "--input", str(path), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_unknown_format_names_the_file(self, tmp_path):
         path = tmp_path / "ds.csv"

@@ -24,14 +24,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dcs import (
-    BiasProfile,
-    default_function_set,
-    generate,
-    save_catalog,
-    save_dataset,
-    save_profile,
-)
+from dcs import default_function_set, save_dataset
+from dcs.corrections import save_catalog
+from dcs.synth import BiasProfile, generate, save_profile
 from dcs.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden_files")

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from dcs import (
     FunctionSet,
-    ObjectiveEvaluator,
     ObjectiveWeights,
     PreconditionError,
     TriangularMembership,
@@ -17,7 +16,6 @@ from dcs import (
     default_function_set,
     evaluate,
     objective_value,
-    per_class_accuracy,
     predict,
     z_cobias,
     z_err,
@@ -26,8 +24,10 @@ from dcs import (
 from dcs.objective import (
     _CHUNK,
     EvalReport,
+    ObjectiveEvaluator,
     _pairwise_sum,
     combine_terms,
+    per_class_accuracy,
     score_predictions,
 )
 from dcs.corrections import mode_indices

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from dcs import (
+from dcs import ValidationError
+from dcs.synth import (
     BiasProfile,
-    ValidationError,
     benchmark_suite,
+    confusion_logits,
     generate,
     load_profile,
     save_profile,
 )
-from dcs.synth import confusion_logits
 
 
 def profile(**overrides) -> BiasProfile:
