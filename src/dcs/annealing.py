@@ -13,15 +13,18 @@ choice, acceptance draw. This keeps runs bit-reproducible for a given seed
 on any platform.
 
 ``anneal`` draws each stream in blocks of ``BLOCK`` values and draws a new
-block when one is used up. Every proposal takes one coordinate and one value
-draw, and only a non-improving move takes an acceptance draw, as with the
-scalar ``neighbor``/``accept`` pair. A value draw r maps to the r-th allowed
-index other than the current one through a position map, which is the value
-``neighbor`` picks from its list of choices. The values equal scalar draws
-because numpy's ``Generator.integers(n, size=B)`` and ``random(B)``
-return what B scalar ``integers(n)``/``random()`` calls would, so
-bit-reproducibility now rests on that property of the installed numpy;
-``tests/test_annealing.py`` pins it.
+block when one is used up. Every proposal takes one coordinate draw j in
+0..N-1 and one value draw r in 0..A-2, for A allowed indices; only a
+non-improving move takes an acceptance draw. A position map skips the
+current index: with ``position[k]`` the place of k in the sorted allowed
+tuple, r picks ``allowed[r]`` below the current index's place and
+``allowed[r + 1]`` from it on, so each of the other A - 1 indices is equally
+likely. Block draws equal scalar draws because numpy's
+``Generator.integers(n, size=B)`` and ``random(B)`` return what B scalar
+``integers(n)``/``random()`` calls would, so bit-reproducibility rests on
+that property of the installed numpy; ``tests/test_annealing.py`` pins it.
+``neighbor`` makes the same proposal from scalar draws; ``anneal`` does not
+call it.
 """
 from __future__ import annotations
 

@@ -5,16 +5,17 @@ weight coefficients. A selection assigns every class one 1-based index k into
 the combined list: k <= D_F picks the membership mu_k, k > D_F picks the
 weight coefficient (k - D_F) / D_W. Applied to a probability p in [0, 1]:
 
-* membership: mu(p) rises linearly from a to b, falls linearly from b to c,
-  and is 0 outside [a, c]; the a = b = 0 shoulder is (c - p) / c on [0, c]
-  and the b = c = 1 shoulder is (p - a) / (1 - a) on [a, 1].
+* membership: mu(p) = (p - a) / (b - a) on [a, b] if b > a, then
+  (c - p) / (c - b) on [b, c] if c > b, and 0 outside [a, c]; so mu(b) = 1.
+  The shoulders (0, 0, c) and (a, 1, 1) are this triangle without its
+  rising or its falling side.
 * weight: omega(p) = ((k - D_F) / D_W) * p.
 
 Exactly one of the two branches fires for each index; the routing is the pair
 of unit-step gates ``step(D_F - k)`` and ``step(k - D_F - 1)``, which sum to 1
 for every valid k. The membership (0, 1, 1) is the mandatory "Don't Change"
-element: it maps every p to itself bit-for-bit, so selecting it leaves a
-class untouched.
+element: its rising side (p - 0) / 1 maps every p to itself bit-for-bit, so
+selecting it leaves a class untouched.
 """
 from __future__ import annotations
 
@@ -65,19 +66,13 @@ class TriangularMembership(Record):
 def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
     a, b, c = f.a, f.b, f.c
     out = np.zeros_like(p)
-    if a == 0.0 and b == 0.0:
-        m = p <= c
-        out[m] = (c - p[m]) / c
-    elif b == 1.0 and c == 1.0:
-        m = p >= a
-        out[m] = (p[m] - a) / (1.0 - a)
-    else:
-        if b > a:
-            m = (p > a) & (p <= b)
-            out[m] = (p[m] - a) / (b - a)
-        if c > b:
-            m = (p > b) & (p <= c)
-            out[m] = (c - p[m]) / (c - b)
+    if b > a:
+        m = (p >= a) & (p <= b)
+        out[m] = (p[m] - a) / (b - a)
+    if c > b:
+        # rewrites p = b with the same 1.0
+        m = (p >= b) & (p <= c)
+        out[m] = (c - p[m]) / (c - b)
     return out
 
 
@@ -100,9 +95,10 @@ def _on_values(p, kernel, *args):
 def eval_membership(f: TriangularMembership, p):
     """Evaluate mu_f at ``p`` (scalar or array of values in [0, 1]).
 
-    Output is always in [0, 1]. The shoulder special cases keep the curve
-    continuous at the pinned ends: a = b = 0 gives mu(0) = 1 and b = c = 1
-    gives mu(1) = 1.
+    One formula serves every membership: (p - a) / (b - a) on [a, b] if
+    b > a, (c - p) / (c - b) on [b, c] if c > b, else 0. Output is always in
+    [0, 1] and mu(b) = 1, so a = b = 0 gives mu(0) = 1 and b = c = 1 gives
+    mu(1) = 1.
     """
     return _on_values(p, _membership_array, f)
 

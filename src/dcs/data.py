@@ -63,8 +63,14 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        # a float label would be truncated and a bool one read as 0 or 1
+        if labels.size and labels.dtype.kind not in "iuO":
+            raise ValidationError(
+                f"labels must be integers, got dtype {labels.dtype}"
+            )
         try:
-            labels = np.array(self.labels, dtype=np.int64)
+            labels = labels.astype(np.int64)
         except OverflowError:
             # a label beyond int64 is out of range; as a Python int it
             # reaches the range check below, which reports its row
@@ -101,10 +107,20 @@ class LabeledDataset:
             raise ValidationError(
                 f"label out of range 1..{n} at row {r + 1}: {labels[r]}"
             )
-        if not all(ids) or len(set(ids)) != m:
+        try:
+            "".join(ids)  # in C: a TypeError on the first non-string
+            clean = all(ids) and len(set(ids)) == m
+        except TypeError:
+            clean = False
+        if not clean:
             # name the first bad row
             seen: dict[str, int] = {}
             for r, ident in enumerate(ids):
+                if not isinstance(ident, str):
+                    raise ValidationError(
+                        f"instance id at row {r + 1} is not a string: "
+                        f"{ident!r}"
+                    )
                 if not ident:
                     raise ValidationError(f"empty instance id at row {r + 1}")
                 if ident in seen:

@@ -3,6 +3,7 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dcs import FunctionSet, LabeledDataset, TriangularMembership
 
@@ -21,6 +22,42 @@ def make_dataset(probs, labels, ids=None) -> LabeledDataset:
     return LabeledDataset(
         probabilities=probs, labels=labels, instance_ids=tuple(ids)
     )
+
+
+# bytes a mutation draws from besides arbitrary ones: the delimiters,
+# quotes, digits and keyword letters of CSV and JSON
+STRUCTURAL = b',"\r\n[]{}: 0123456789.-+eEnaNItrufl\\'
+# 1 to 4 mutations; each replaces the byte at an offset with 0 to 3 bytes,
+# so it deletes, replaces or inserts
+MUTATIONS = st.lists(
+    st.tuples(
+        st.integers(0, 2**16),
+        st.one_of(
+            st.binary(max_size=3),
+            st.lists(st.sampled_from(STRUCTURAL), max_size=3).map(bytes),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutated(content: bytes, mutations) -> bytes:
+    for at, replacement in mutations:
+        at %= len(content)
+        content = content[:at] + replacement + content[at + 1:]
+    return content
+
+
+def fresh_file(directory, suffix):
+    # a fresh file each time: replacing or deleting a file written
+    # moments before can stall for a tenth of a second on ext4
+    return directory / f"{len(list(directory.iterdir()))}.{suffix}"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @pytest.fixture

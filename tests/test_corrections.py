@@ -149,6 +149,58 @@ def test_membership_continuity_on_dense_grid():
         assert np.all(np.abs(np.diff(vals)) <= bound)
 
 
+# every stock membership, and two with a = b > 0 whose peak a kernel
+# half-open at b would drop to 0
+VERTEX_CASES = [
+    (f.a, f.b, f.c) for f in default_function_set().memberships
+] + [(0.3, 0.3, 0.6), (0.25, 0.25, 0.5)]
+# a grid with both signed zeros, the smallest subnormal and every stock vertex
+SIGNED_GRID = np.concatenate(
+    [[-0.0, 0.0, 5e-324, 1.0], np.linspace(0.0, 1.0, 1001)]
+    + [np.array(v) for v in VERTEX_CASES]
+)
+
+
+class TestMembershipVertices:
+    @pytest.mark.parametrize("abc", VERTEX_CASES, ids=str)
+    def test_peak_is_one(self, abc):
+        f = TriangularMembership(*abc)
+        assert eval_membership(f, f.b) == 1.0
+
+    @pytest.mark.parametrize("abc", VERTEX_CASES, ids=str)
+    def test_feet_and_outside_are_zero(self, abc):
+        f = TriangularMembership(*abc)
+        if f.a < f.b:
+            assert eval_membership(f, f.a) == 0.0
+        if f.c > f.b:
+            assert eval_membership(f, f.c) == 0.0
+        outside = (SIGNED_GRID < f.a) | (SIGNED_GRID > f.c)
+        assert np.all(eval_membership(f, SIGNED_GRID)[outside] == 0.0)
+
+    @given(memberships())
+    def test_vertices_of_any_membership(self, f):
+        assert eval_membership(f, f.b) == 1.0
+        assert f.a == f.b or eval_membership(f, f.a) == 0.0
+        assert f.c == f.b or eval_membership(f, f.c) == 0.0
+
+    def test_dont_change_is_bitwise_identity(self):
+        f = TriangularMembership(0.0, 1.0, 1.0)
+        out = eval_membership(f, SIGNED_GRID)
+        assert out.tobytes() == SIGNED_GRID.tobytes()
+
+    @pytest.mark.parametrize("c", (0.2, 0.4, 0.6, 0.8, 1.0))
+    def test_falling_shoulder_closed_form(self, c):
+        p = SIGNED_GRID[SIGNED_GRID <= c]
+        out = eval_membership(TriangularMembership(0.0, 0.0, c), p)
+        assert out.tobytes() == ((c - p) / c).tobytes()
+
+    @pytest.mark.parametrize("a", (0.2, 0.4, 0.6, 0.8))
+    def test_rising_shoulder_closed_form(self, a):
+        p = SIGNED_GRID[SIGNED_GRID >= a]
+        out = eval_membership(TriangularMembership(a, 1.0, 1.0), p)
+        assert out.tobytes() == ((p - a) / (1 - a)).tobytes()
+
+
 class TestFunctionSetGates:
     def test_gate_exclusivity_identity_over_catalog(self):
         fs = default_function_set()

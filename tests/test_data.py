@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dcs import LabeledDataset, ValidationError, load_dataset, save_dataset
 from dcs.data import save_predictions, split_dataset
 from dcs.cli import main
-from conftest import make_dataset
+from conftest import MUTATIONS, fresh_file, make_dataset, mutated
 
 
 class TestValidation:
@@ -43,12 +43,27 @@ class TestValidation:
             (("a", ""), "empty instance id at row 2"),
             (("", "a", "a"), "empty instance id at row 1"),
             (("a", "a", ""), "duplicate instance id 'a' at rows 1 and 2"),
+            # an int id would break ``fingerprint`` and come back from JSON
+            # as a string, with another fingerprint
+            ((7, 8), "instance id at row 1 is not a string: 7"),
+            (("a", b"b"), "instance id at row 2 is not a string: b'b'"),
+            (("a", ["b"]), "instance id at row 2 is not a string: ['b']"),
         ],
     )
     def test_first_bad_id_is_named(self, ids, message):
         with pytest.raises(ValidationError) as info:
             make_dataset(np.full((len(ids), 2), 0.5), [1] * len(ids), ids=ids)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "labels, dtype",
+        [(np.array([1.7, 2.2]), "float64"), (np.array([True, False]), "bool")],
+    )
+    def test_rejects_non_integer_labels(self, labels, dtype):
+        # no silent truncation of 1.7 to 1, nor of True to 1
+        with pytest.raises(ValidationError) as info:
+            LabeledDataset(np.full((2, 2), 0.5), labels, ("a", "b"))
+        assert str(info.value) == f"labels must be integers, got dtype {dtype}"
 
     def test_rejects_single_class_shape(self):
         with pytest.raises(ValidationError):
@@ -562,42 +577,19 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
 
 
-# bytes a mutation draws from besides arbitrary ones: the two formats'
-# delimiters, quotes, digits and keyword letters
-STRUCTURAL = b',"\r\n[]{}: 0123456789.-+eEnaNItrufl\\'
-MUTATION = st.tuples(
-    st.integers(0, 2**16),
-    st.one_of(
-        st.binary(max_size=3),
-        st.lists(st.sampled_from(STRUCTURAL), max_size=3).map(bytes),
-    ),
-)
-
-
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
-
-
 class TestLoaderFuzz:
     """Any bytes end in a dataset or a ValidationError, never another
     exception; the error's message starts with the path and names it once."""
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     @settings(deadline=None, max_examples=150)
-    @given(mutations=st.lists(MUTATION, min_size=1, max_size=4))
+    @given(mutations=MUTATIONS)
     def test_mutated_file_loads_or_is_rejected(
         self, fuzz_dir, suffix, mutations
     ):
         content = GOLDEN_CSV if suffix == "csv" else GOLDEN_JSON
-        for at, replacement in mutations:
-            at %= len(content)
-            # replace one byte; an empty replacement deletes it
-            content = content[:at] + replacement + content[at + 1:]
-        # a fresh file each time: replacing or deleting a file written
-        # moments before can stall for a tenth of a second on ext4
-        path = fuzz_dir / f"{len(list(fuzz_dir.iterdir()))}.{suffix}"
-        path.write_bytes(content)
+        path = fresh_file(fuzz_dir, suffix)
+        path.write_bytes(mutated(content, mutations))
         try:
             load_dataset(path)
         except ValidationError as exc:

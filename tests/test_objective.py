@@ -37,6 +37,15 @@ from conftest import make_dataset
 EXACT = 1e-12
 # every value a tie can hinge on: both signed zeros and two exact levels
 TIE_VALUES = (0.0, -0.0, 0.25, 1.0)
+# the stock catalog, and one whose extra membership peaks at a tie value
+TIE_CATALOGS = (
+    default_function_set(),
+    FunctionSet(
+        default_function_set().memberships
+        + (TriangularMembership(0.25, 0.25, 0.5),),
+        num_weights=30,
+    ),
+)
 
 
 class TestPredict:
@@ -471,8 +480,9 @@ class TestEvaluatorEquivalence:
     def test_predictions_match_predict_on_ties(self, data):
         # the rank keys must reproduce ``predict`` where corrections make
         # ties: shoulders and triangles send many values to 0, and weights
-        # scale 1.0 and 0.25 onto equal values across classes
-        fs = default_function_set()
+        # scale 1.0 and 0.25 onto equal values across classes. The second
+        # catalog adds (0.25, 0.25, 0.5), whose vertex 0.25 maps to 1.0
+        fs = data.draw(st.sampled_from(TIE_CATALOGS), label="catalog")
         n = data.draw(st.integers(2, 8), label="N")
         m = data.draw(st.integers(1, 30), label="M")
         values = data.draw(
@@ -490,7 +500,8 @@ class TestEvaluatorEquivalence:
         corrections = [
             k for k in range(1, fs.size + 1) if k != fs.dont_change_index
         ]
-        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights())
+        # the error term alone, so that ``value`` scores one present class
+        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights.from_mode("err"))
         for _ in range(3):
             xi = data.draw(
                 st.lists(
@@ -498,7 +509,11 @@ class TestEvaluatorEquivalence:
                 ),
                 label="xi",
             )
-            assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
+            expected = predict(ds, fs, xi)
+            assert np.array_equal(ev.predictions(xi), expected)
+            # the path ``anneal`` runs: load the selection, read the cells
+            ev.value(xi)
+            assert np.array_equal(ev._walk_codes() % n + 1, expected)
 
     def test_walk_across_chunk_boundary(self):
         # the keys are built _CHUNK instances at a time; instances on both

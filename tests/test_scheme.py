@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from dcs import (
     AnnealConfig,
@@ -13,10 +14,11 @@ from dcs import (
     predict,
     save_scheme,
 )
+from dcs.corrections import load_catalog, save_catalog
 from dcs.records import write_csv, write_json, write_json_rows
 import numpy as np
 
-from conftest import make_dataset
+from conftest import MUTATIONS, fresh_file, make_dataset, mutated
 
 
 def make_scheme(ds, selection=(13, 25)) -> CorrectionScheme:
@@ -162,3 +164,37 @@ def test_malformed_file_rejected(tmp_path):
     path.write_text("not json")
     with pytest.raises(ValidationError, match="JSON"):
         load_scheme(path)
+
+
+LOADERS = {"catalog": load_catalog, "scheme": load_scheme}
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(tmp_path_factory):
+    """The bytes ``save_catalog`` and ``save_scheme`` write, by kind."""
+    out = tmp_path_factory.mktemp("saved")
+    save_catalog(default_function_set(), out / "catalog.json")
+    ds = make_dataset([[0.9, 0.1], [0.3, 0.7]], [1, 2])
+    save_scheme(make_scheme(ds), out / "scheme.json")
+    return {kind: (out / f"{kind}.json").read_bytes() for kind in LOADERS}
+
+
+class TestLoaderFuzz:
+    """Any bytes end in a catalog or scheme or a ValidationError, never
+    another exception; the error's message starts with the path and names
+    it once."""
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(deadline=None, max_examples=150)
+    @given(mutations=MUTATIONS)
+    def test_mutated_file_loads_or_is_rejected(
+        self, saved_bytes, fuzz_dir, kind, mutations
+    ):
+        path = fresh_file(fuzz_dir, "json")
+        path.write_bytes(mutated(saved_bytes[kind], mutations))
+        try:
+            LOADERS[kind](path)
+        except ValidationError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            assert message.count(str(path)) == 1
