@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _index_vector
 from .errors import PreconditionError, ValidationError
 from .records import Record, read_record, write_json
 
@@ -202,22 +203,18 @@ def _apply_column(fs: FunctionSet, k: int, p: np.ndarray) -> np.ndarray:
 def validate_selection(fs: FunctionSet, xi, num_classes: int | None = None):
     """Check a per-class selection vector against the catalog; return a tuple.
 
-    Every entry must be an integer index in 1..(D_F + D_W); when
-    ``num_classes`` is given the length must equal it.
+    Every entry must be an integer index in 1..(D_F + D_W), under the rule
+    dataset labels follow: a float, even 1.0, or a string is rejected, not
+    converted. When ``num_classes`` is given the length must equal it.
     """
-    entries = tuple(int(k) for k in xi)
+    entries = _index_vector(xi, fs.size, "selection value", at="entry")
     if num_classes is not None and len(entries) != num_classes:
         raise ValidationError(
             f"selection has {len(entries)} entries, expected {num_classes}"
         )
-    if not entries:
+    if not len(entries):
         raise ValidationError("selection vector is empty")
-    for i, k in enumerate(entries):
-        if not 1 <= k <= fs.size:
-            raise ValidationError(
-                f"selection entry {i + 1} is {k}, outside 1..{fs.size}"
-            )
-    return entries
+    return tuple(entries.tolist())
 
 
 def normalize_allowed(fs: FunctionSet, allowed_indices) -> tuple[int, ...]:

@@ -43,6 +43,38 @@ CSV_PROB_DIGITS = 12
 _JSON_NUMBERS = frozenset({float, int})
 
 
+def _index_vector(values, top: int, name: str, at: str = "row") -> np.ndarray:
+    """``values`` as a new 1-d int64 array of integers in 1..top.
+
+    The one rule for labels, predictions and selections. A numpy array must
+    have an integer dtype; any other vector must hold Python or numpy ints,
+    so a float (even 1.0), a bool, None or a string is rejected rather than
+    truncated or read as 0 or 1. Such a vector is compared as Python objects,
+    before any cast, so an entry past int64 or a uint64 one is reported as it
+    is. A ValidationError names the dtype or the first bad entry, counted
+    from 1 as ``{at} r``.
+    """
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        values = np.array(values, dtype=object)
+        # bool is an int subclass, and numpy would read [True, 2] as [1, 2]
+        if values.ndim == 1 and not set(map(type, values)) <= {int}:
+            for r, v in enumerate(values):
+                if type(v) is bool or not isinstance(v, (int, np.integer)):
+                    raise ValidationError(
+                        f"{name}s must be integers, got {v!r} at {at} {r + 1}"
+                    )
+    elif values.dtype.kind not in "iu":
+        raise ValidationError(f"{name}s must be integers, got dtype {values.dtype}")
+    if values.ndim != 1:
+        raise ValidationError(f"{name}s must be a 1-d vector, got {values.shape}")
+    bad = np.flatnonzero((values < 1) | (values > top))
+    if bad.size:
+        raise ValidationError(
+            f"{name} out of range 1..{top} at {at} {bad[0] + 1}: {values[bad[0]]}"
+        )
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """An M x N matrix of class probabilities with 1-based true labels.
@@ -63,18 +95,6 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        # a float label would be truncated and a bool one read as 0 or 1
-        if labels.size and labels.dtype.kind not in "iuO":
-            raise ValidationError(
-                f"labels must be integers, got dtype {labels.dtype}"
-            )
-        try:
-            labels = labels.astype(np.int64)
-        except OverflowError:
-            # a label beyond int64 is out of range; as a Python int it
-            # reaches the range check below, which reports its row
-            labels = np.array(self.labels, dtype=object)
         ids = tuple(self.instance_ids)
 
         if probs.ndim != 2:
@@ -84,8 +104,6 @@ class LabeledDataset:
             raise ValidationError("dataset must contain at least one instance")
         if n < 2:
             raise ValidationError("dataset must cover at least two classes")
-        if labels.shape != (m,):
-            raise ValidationError(f"expected {m} labels, got {labels.shape}")
         if len(ids) != m:
             raise ValidationError(f"expected {m} instance ids, got {len(ids)}")
 
@@ -101,12 +119,10 @@ class LabeledDataset:
                 f"probability out of [0, 1] at row {r + 1}, class {c + 1}: "
                 f"{float(probs[r, c])!r}"
             )
-        bad_label = np.flatnonzero((labels < 1) | (labels > n))
-        if bad_label.size:
-            r = bad_label[0]
-            raise ValidationError(
-                f"label out of range 1..{n} at row {r + 1}: {labels[r]}"
-            )
+        # after the probabilities, so that a file reports them first
+        labels = _index_vector(self.labels, n, "label")
+        if labels.shape != (m,):
+            raise ValidationError(f"expected {m} labels, got {labels.shape}")
         try:
             "".join(ids)  # in C: a TypeError on the first non-string
             clean = all(ids) and len(set(ids)) == m
@@ -353,7 +369,7 @@ def save_predictions(
     ds: LabeledDataset, predictions: np.ndarray, path: str | Path
 ) -> None:
     """Write a CSV with header ``id,label,prediction``, one row per instance."""
-    preds = np.asarray(predictions, dtype=np.int64)
+    preds = _index_vector(predictions, ds.num_classes, "prediction")
     if preds.shape != (ds.num_instances,):
         raise ValidationError(
             f"expected {ds.num_instances} predictions, got {preds.shape}"

@@ -46,7 +46,7 @@ from .corrections import (
     normalize_allowed,
     validate_selection,
 )
-from .data import LabeledDataset
+from .data import LabeledDataset, _index_vector
 from .errors import PreconditionError, ValidationError
 from .records import Record
 
@@ -56,6 +56,8 @@ PMI_EPSILON = 1e-12
 _CHUNK = 256
 # the objective ablations ``ObjectiveWeights.from_mode`` builds
 OBJECTIVES = ("full", "err", "err+pmi")
+# the bound ``z_err`` checks against before it infers N from the values
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -216,47 +218,33 @@ class _Scorer:
         return err, acc, cobias, -total
 
 
-def _confusion(predictions, labels, num_classes: int) -> list[int]:
-    """The flat N x N confusion count of one prediction vector, as Python
-    ints: ``flat[t * N + p]`` counts instances labeled t + 1 and predicted
-    p + 1."""
-    preds = np.asarray(predictions)
-    labels = np.asarray(labels)
+def _terms(
+    predictions, labels, num_classes: int, need_cobias: bool = False
+) -> _Terms:
+    """Every term of one prediction vector: count, then score.
+
+    The count is the flat N x N confusion count as Python ints:
+    ``flat[t * N + p]`` counts instances labeled t + 1 and predicted p + 1.
+    """
+    n = num_classes
+    # in range, as an out-of-range value would alias into another cell; and
+    # in int64, as a narrow caller dtype would wrap (label - 1) * N
+    preds = _index_vector(predictions, n, "prediction")
+    labels = _index_vector(labels, n, "label")
     if preds.shape != labels.shape:
         raise ValidationError(
             f"predictions shape {preds.shape} differs from labels "
             f"shape {labels.shape}"
         )
-    for name, values in (("predictions", preds), ("labels", labels)):
-        if values.size and values.dtype.kind not in "iu":
-            raise ValidationError(
-                f"{name} must be integers, got dtype {values.dtype}"
-            )
-    n = num_classes
-    # out-of-range values would alias into another cell of the count
-    if labels.shape[0] and (
-        min(preds.min(), labels.min()) < 1 or max(preds.max(), labels.max()) > n
-    ):
-        raise ValidationError(f"predictions and labels must lie in 1..{n}")
-    # in intp: a narrow caller dtype would wrap (label - 1) * N
-    cells = (labels.astype(np.intp) - 1) * n + (preds.astype(np.intp) - 1)
-    return np.bincount(cells, minlength=n * n).tolist()
-
-
-def _terms(
-    predictions, labels, num_classes: int, need_cobias: bool = False
-) -> _Terms:
-    """Every term of one prediction vector: count, then score."""
-    flat = _confusion(predictions, labels, num_classes)
-    n = num_classes
+    flat = np.bincount((labels - 1) * n + (preds - 1), minlength=n * n).tolist()
     scorer = _Scorer([sum(flat[t * n : t * n + n]) for t in range(n)])
     return scorer.terms(flat, need_cobias)
 
 
 def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of instances whose prediction differs from the label."""
-    preds = np.asarray(predictions)
-    labels = np.asarray(labels)
+    preds = _index_vector(predictions, _INT64_MAX, "prediction")
+    labels = _index_vector(labels, _INT64_MAX, "label")
     n = int(max(preds.max(initial=1), labels.max(initial=1)))
     return _terms(preds, labels, n).err
 

@@ -1,9 +1,10 @@
 """Acceptance gate: eight criteria, one printed pass/fail line each.
 
-Each test covers one numbered criterion at its stated tolerance and prints
-a single summary line straight to the terminal (bypassing capture), so a
-full run reads as a checklist. Tolerances and runtime bounds are asserted,
-not merely reported.
+Each ``test_a<n>_`` test covers one numbered criterion at its stated
+tolerance and prints a single summary line straight to the terminal
+(bypassing capture), so a full run reads as a checklist. Tolerances and
+runtime bounds are asserted, not merely reported. One more test reruns A4's
+grid on two processes and prints nothing.
 """
 import itertools
 import json
@@ -218,23 +219,36 @@ def test_a3_debiasing_at_desk_scale(capsys, tmp_path, p1_train_csv):
         assert passing >= 2
 
 
-def test_a4_ensemble_dominance(capsys, suite_tasks):
+A4_GRID = (
+    ("dcs", "dnip", "furud"),
+    (0, 1, 2),
+    default_function_set(),
+    ObjectiveWeights(beta=1.0, tau=1.0),
+    {},
+)
+
+
+@pytest.fixture(scope="module")
+def a4_grid(suite_tasks):
+    """A4's compare grid run sequentially: its start time, its (name, train,
+    eval) datasets and its rows."""
+    start = time.perf_counter()
+    named = [
+        (task.name, task.train_dataset(), task.eval_dataset())
+        for task in suite_tasks
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DCS_THREADS", "1")
+        rows = run_compare_grid(named, *A4_GRID)
+    return start, named, rows
+
+
+def test_a4_ensemble_dominance(capsys, suite_tasks, a4_grid):
     with criterion(
         capsys,
         "A4 mean accuracy dcs >= dnip and furud; weak class picks membership",
     ):
-        start = time.perf_counter()
-        named = [
-            (task.name, task.train_dataset(), task.eval_dataset())
-            for task in suite_tasks
-        ]
-        catalog = default_function_set()
-        weights = ObjectiveWeights(beta=1.0, tau=1.0)
-        config_kw = {}
-        rows = run_compare_grid(
-            named, ("dcs", "dnip", "furud"), (0, 1, 2),
-            catalog, weights, config_kw,
-        )
+        start, _, rows = a4_grid
 
         def mode_mean(mode):
             accs = [r["eval_accuracy"] for r in rows if r["mode"] == mode]
@@ -266,6 +280,19 @@ def test_a4_ensemble_dominance(capsys, suite_tasks):
         assert membership_hits >= 1
 
         assert time.perf_counter() - start < 600.0
+
+
+def test_a4_grid_is_the_same_on_two_processes(monkeypatch, a4_grid):
+    # every cell is an independent chain, so only wall_time may differ
+    _, named, rows = a4_grid
+    monkeypatch.setenv("DCS_THREADS", "2")
+    parallel = run_compare_grid(named, *A4_GRID)
+
+    def strip_wall(grid):
+        return [{k: v for k, v in r.items() if k != "wall_time"} for r in grid]
+
+    assert len(rows) == 45
+    assert strip_wall(parallel) == strip_wall(rows)
 
 
 def test_a5_oracle_equivalence(capsys):

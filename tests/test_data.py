@@ -2,14 +2,25 @@
 import contextlib
 import csv
 import gc
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dcs import LabeledDataset, ValidationError, load_dataset, save_dataset
+from dcs import (
+    FunctionSet,
+    LabeledDataset,
+    TriangularMembership,
+    ValidationError,
+    load_dataset,
+    save_dataset,
+)
+from dcs.corrections import validate_selection
 from dcs.data import save_predictions, split_dataset
+from dcs.objective import per_class_accuracy
 from dcs.cli import main
 from conftest import MUTATIONS, fresh_file, make_dataset, mutated
 
@@ -64,6 +75,41 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             LabeledDataset(np.full((2, 2), 0.5), labels, ("a", "b"))
         assert str(info.value) == f"labels must be integers, got dtype {dtype}"
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([1, None], "labels must be integers, got None at row 2"),
+            # not truncated to [1, 2]
+            (
+                np.array([1.7, 2], dtype=object),
+                "labels must be integers, got 1.7 at row 1",
+            ),
+            ([1.0, 2], "labels must be integers, got 1.0 at row 1"),
+            # numpy would read [True, 2] as [1, 2]
+            ([True, 2], "labels must be integers, got True at row 1"),
+            # not wrapped to -9223372036854775808
+            (
+                np.array([1, 2**63], dtype=np.uint64),
+                "label out of range 1..2 at row 2: 9223372036854775808",
+            ),
+            (
+                [1, -(2**64)],
+                "label out of range 1..2 at row 2: -18446744073709551616",
+            ),
+        ],
+    )
+    def test_label_entries_are_checked_exactly(self, labels, message):
+        with pytest.raises(ValidationError) as info:
+            LabeledDataset(np.full((2, 2), 0.5), labels, ("a", "b"))
+        assert str(info.value) == message
+
+    def test_labels_are_a_private_int64_copy(self):
+        labels = np.array([1, 2], dtype=np.uint8)
+        ds = LabeledDataset(np.full((2, 2), 0.5), labels, ("a", "b"))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 2]
+        labels[0] = 2
+        assert ds.labels.tolist() == [1, 2] and labels.flags.writeable
 
     def test_rejects_single_class_shape(self):
         with pytest.raises(ValidationError):
@@ -166,6 +212,26 @@ class TestSerialization:
         assert lines[0] == "id,label,prediction"
         assert lines[1] == "r0,1,1"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "preds, message",
+        [
+            (
+                np.array([1.0, 1.7, 2.0, 2.0]),
+                "predictions must be integers, got dtype float64",
+            ),
+            (np.array([1, 3, 2, 2]), "prediction out of range 1..2 at row 2: 3"),
+        ],
+    )
+    def test_save_predictions_checks_entries(
+        self, tmp_path, four_row_dataset, preds, message
+    ):
+        # a float is not truncated and a class past N is not written
+        path = tmp_path / "preds.csv"
+        with pytest.raises(ValidationError) as info:
+            save_predictions(four_row_dataset, preds, path)
+        assert str(info.value) == message
+        assert not path.exists()
 
 
 AWKWARD = dict(
@@ -467,6 +533,20 @@ LOADER_CASES = [
         2, "{path}: label out of range 1..2 at row 2: -99999999999999999999",
         id="json-label-beyond-int64",
     ),
+    # numpy reads a list of ints that holds one past int64 as float64
+    pytest.param(
+        "label.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\nb,9223372036854775808,0.5,0.5\n",
+        2, "{path}: label out of range 1..2 at row 2: 9223372036854775808",
+        id="csv-label-2-to-the-63",
+    ),
+    pytest.param(
+        "label.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
+        b' {"id": "b", "label": 18446744073709551615, "probs": [0.5, 0.5]}]',
+        2, "{path}: label out of range 1..2 at row 2: 18446744073709551615",
+        id="json-label-uint64-max",
+    ),
     pytest.param(
         "digits.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, 1' + b"0" * 4999 + b"]}]",
@@ -654,3 +734,89 @@ class TestSplit:
         for part in (split.optimization_set, split.dev_set):
             idx = [order[rid] for rid in part.instance_ids]
             assert idx == sorted(idx)
+
+
+# entries of every kind a caller might pass, in range or not: ints out to
+# past +-2^64, floats (1.0 among them), bools, None and strings
+ENTRIES = st.one_of(
+    st.integers(-1, 6),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+INDEX_VECTORS = st.one_of(
+    st.lists(ENTRIES, min_size=1, max_size=6),
+    st.lists(ENTRIES, min_size=1, max_size=6).map(
+        lambda v: np.array(v, dtype=object)
+    ),
+    hnp.arrays(
+        st.one_of(hnp.integer_dtypes(), hnp.unsigned_integer_dtypes()),
+        st.integers(1, 6),
+        elements=st.integers(0, 7),
+    ),
+    hnp.arrays(
+        st.one_of(
+            hnp.integer_dtypes(),
+            hnp.unsigned_integer_dtypes(),
+            hnp.floating_dtypes(),
+            hnp.boolean_dtypes(),
+        ),
+        st.integers(1, 6),
+    ),
+)
+
+
+def accepted(values, top):
+    """The drawn integers as Python ints if they form an index vector in
+    1..top, else None."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "iu":
+            return None
+        items = values.tolist()
+    else:
+        items = list(values)
+        if any(type(v) is bool or not isinstance(v, int) for v in items):
+            return None
+    return items if all(1 <= v <= top for v in items) else None
+
+
+class TestIndexVectorRule:
+    """Labels, selections and prediction counts accept the same vectors:
+    the drawn integers come back exactly, and anything else is a
+    ValidationError, never a TypeError, an OverflowError or a truncation."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(values=INDEX_VECTORS, top=st.integers(2, 5))
+    def test_one_rule_for_every_caller(self, values, top):
+        m = len(values)
+        catalog = FunctionSet(
+            memberships=(TriangularMembership(0.0, 1.0, 1.0),),
+            num_weights=top - 1,
+        )
+        callers = {
+            "labels": lambda: LabeledDataset(
+                np.full((m, top), 0.5), values, tuple(map(str, range(m)))
+            ).labels.tolist(),
+            "selection": lambda: list(validate_selection(catalog, values)),
+            "accuracy": lambda: per_class_accuracy(values, values, top).tolist(),
+        }
+        outcomes = {}
+        for name, call in callers.items():
+            try:
+                outcomes[name] = call()
+            except ValidationError:
+                outcomes[name] = None
+        expected = accepted(values, top)
+        assert outcomes["labels"] == expected
+        assert outcomes["selection"] == expected
+        if expected is None:
+            assert outcomes["accuracy"] is None
+        else:
+            # 1.0 for every class among the values, NaN for the others
+            accuracy = outcomes["accuracy"]
+            assert [a == 1.0 for a in accuracy] == [
+                j in expected for j in range(1, top + 1)
+            ]
+            assert all(a == 1.0 or math.isnan(a) for a in accuracy)

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcs import (
+    AnnealConfig,
+    CorrectionScheme,
     FunctionSet,
     ObjectiveWeights,
     PreconditionError,
     TriangularMembership,
     ValidationError,
+    apply_selection,
     default_function_set,
     evaluate,
     objective_value,
@@ -127,6 +130,108 @@ class TestCountInputTypes:
     def test_non_integer_values_rejected(self, preds, labels):
         with pytest.raises(ValidationError, match="must be integers"):
             z_pmi(preds, labels, 2)
+
+
+class TestTermInputs:
+    """Every public term function checks its vectors with the rule labels
+    follow, so numpy's own errors never escape."""
+
+    TERMS = {
+        "z_err": z_err,
+        "per_class_accuracy": lambda p, t: per_class_accuracy(p, t, 2),
+        "z_cobias": lambda p, t: z_cobias(p, t, 2),
+        "z_pmi": lambda p, t: z_pmi(p, t, 2),
+    }
+
+    @pytest.mark.parametrize("term", sorted(TERMS))
+    def test_two_dimensional_vectors_rejected(self, term):
+        vectors = np.array([[1, 2], [2, 1]])
+        with pytest.raises(ValidationError) as info:
+            self.TERMS[term](vectors, vectors)
+        assert str(info.value) == "predictions must be a 1-d vector, got (2, 2)"
+
+    @pytest.mark.parametrize("term", sorted(TERMS))
+    def test_string_labels_rejected(self, term):
+        with pytest.raises(ValidationError) as info:
+            self.TERMS[term](np.array([1, 2]), np.array(["1", "2"]))
+        assert str(info.value) == "labels must be integers, got dtype <U1"
+
+    def test_z_err_checks_before_it_infers_n(self):
+        with pytest.raises(ValidationError) as info:
+            z_err([1, 2], [1, "2"])
+        assert str(info.value) == "labels must be integers, got '2' at row 2"
+        with pytest.raises(ValidationError) as info:
+            z_err(np.array([1, 0]), np.array([1, 2]))
+        assert str(info.value) == (
+            f"prediction out of range 1..{2**63 - 1} at row 2: 0"
+        )
+
+    def test_out_of_range_names_the_row(self):
+        with pytest.raises(ValidationError) as info:
+            z_pmi(np.array([1, 2, 3]), np.array([1, 2, 2]), 2)
+        assert str(info.value) == "prediction out of range 1..2 at row 3: 3"
+
+
+class TestSelectionEntries:
+    """A selection entry must be an integer: a float, even 1.0, and a
+    numeric string are rejected, not converted, by every selection caller."""
+
+    CALLERS = {
+        "apply_selection": lambda ds, fs, xi: apply_selection(
+            fs, xi, ds.probabilities
+        ),
+        "objective_value": lambda ds, fs, xi: objective_value(
+            ds, fs, xi, ObjectiveWeights()
+        ),
+        "evaluate": lambda ds, fs, xi: evaluate(ds, fs, xi, ObjectiveWeights()),
+        "CorrectionScheme": lambda ds, fs, xi: CorrectionScheme(
+            catalog=fs,
+            selection=xi,
+            objective=ObjectiveWeights(),
+            anneal_config=AnnealConfig(seed=0),
+            best_z=0.0,
+            dataset_num_instances=ds.num_instances,
+            dataset_num_classes=ds.num_classes,
+            dataset_sha256=ds.fingerprint(),
+        ),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize(
+        "xi, message",
+        [
+            ((13.9, 25), "selection values must be integers, got 13.9 at entry 1"),
+            (("13", "25"), "selection values must be integers, got '13' at entry 1"),
+            ((1.0, 2.0), "selection values must be integers, got 1.0 at entry 1"),
+            ((13, True), "selection values must be integers, got True at entry 2"),
+            (
+                np.array([13.0, 25.0]),
+                "selection values must be integers, got dtype float64",
+            ),
+            ((13, 50), "selection value out of range 1..49 at entry 2: 50"),
+            ((2**64, 1), f"selection value out of range 1..49 at entry 1: {2**64}"),
+        ],
+    )
+    def test_bad_entries_rejected(self, four_row_dataset, caller, xi, message):
+        fs = default_function_set()
+        with pytest.raises(ValidationError) as info:
+            self.CALLERS[caller](four_row_dataset, fs, xi)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_numpy_integer_entries_accepted(self, four_row_dataset, caller):
+        fs = default_function_set()
+        for xi in (np.array([13, 25], dtype=np.uint8), (np.int64(13), 25)):
+            self.CALLERS[caller](four_row_dataset, fs, xi)
+
+    def test_objective_value_agrees_with_the_evaluator(self, four_row_dataset):
+        # both reject what neither can score
+        fs = default_function_set()
+        w = ObjectiveWeights()
+        with pytest.raises(ValidationError):
+            ObjectiveEvaluator(four_row_dataset, fs, w).value((1.9, "2"))
+        with pytest.raises(ValidationError):
+            objective_value(four_row_dataset, fs, (1.9, "2"), w)
 
 
 class TestPerClassAccuracy:
