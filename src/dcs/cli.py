@@ -312,9 +312,7 @@ def _thread_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValidationError(
-            f"DCS_THREADS must be a positive integer, got {raw!r}"
-        ) from None
+        value = 0  # rejected below, with the same message
     if value < 1:
         raise ValidationError(
             f"DCS_THREADS must be a positive integer, got {raw!r}"
@@ -572,8 +570,6 @@ def _seed_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("need at least one seed")
     return seeds
 
 

@@ -105,12 +105,15 @@ def eval_membership(f: TriangularMembership, p):
 
 
 def eval_weight(k: int, num_memberships: int, num_weights: int, p):
-    """Evaluate the weight coefficient for index k: ((k - D_F) / D_W) * p."""
-    if not num_memberships + 1 <= k <= num_memberships + num_weights:
-        raise ValidationError(
-            f"weight index {k} outside "
-            f"{num_memberships + 1}..{num_memberships + num_weights}"
-        )
+    """Evaluate the weight coefficient for index k: ((k - D_F) / D_W) * p.
+
+    k must be a catalog index (``validate_selection``'s rule) past the
+    memberships, in D_F + 1..D_F + D_W.
+    """
+    top = num_memberships + num_weights
+    (k,) = _index_vector((k,), top, "selection value", at="entry").tolist()
+    if k <= num_memberships:
+        raise ValidationError(f"weight index {k} outside {num_memberships + 1}..{top}")
     return _on_values(p, np.multiply, (k - num_memberships) / num_weights)
 
 
@@ -162,7 +165,7 @@ class FunctionSet(Record):
 
     def index_kind(self, k: int) -> str:
         """"membership" for k <= D_F, "weight" above."""
-        self._check_index(k)
+        (k,) = validate_selection(self, (k,))
         return "membership" if k <= self.num_memberships else "weight"
 
     def weight_factor(self, k: int) -> float:
@@ -170,20 +173,14 @@ class FunctionSet(Record):
 
     def describe_index(self, k: int) -> dict:
         """Parameters of the function at index k, for reports."""
-        self._check_index(k)
+        (k,) = validate_selection(self, (k,))
         if k <= self.num_memberships:
             return {"kind": "membership", **self.memberships[k - 1].to_dict()}
         return {"kind": "weight", "factor": self.weight_factor(k)}
 
-    def _check_index(self, k: int) -> None:
-        if not 1 <= k <= self.size:
-            raise ValidationError(
-                f"function index {k} outside 1..{self.size}"
-            )
-
     def apply_index(self, k: int, p):
         """Apply the function at index k to ``p`` (scalar or array)."""
-        self._check_index(k)
+        (k,) = validate_selection(self, (k,))
         return _on_values(p, _apply_column, self, k)
 
 
@@ -218,13 +215,20 @@ def validate_selection(fs: FunctionSet, xi, num_classes: int | None = None):
 
 
 def normalize_allowed(fs: FunctionSet, allowed_indices) -> tuple[int, ...]:
-    """Sorted, deduplicated search indices; None means the whole catalog."""
+    """Sorted, deduplicated search indices; None means the whole catalog.
+
+    Every index must pass ``validate_selection``'s rule; one that does not
+    raises PreconditionError.
+    """
     if allowed_indices is None:
         return tuple(range(1, fs.size + 1))
-    allowed = tuple(sorted(set(int(k) for k in allowed_indices)))
-    if any(k < 1 or k > fs.size for k in allowed):
-        raise PreconditionError(f"allowed indices must lie in 1..{fs.size}")
-    return allowed
+    try:
+        allowed = _index_vector(
+            tuple(allowed_indices), fs.size, "allowed value", at="entry"
+        )
+    except ValidationError as exc:
+        raise PreconditionError(str(exc)) from None
+    return tuple(sorted(set(allowed.tolist())))
 
 
 # the paper's method and the two predecessors it is compared with
@@ -251,9 +255,8 @@ def mode_indices(fs: FunctionSet, mode: str) -> tuple[int, ...]:
 def kind_bucket(fs: FunctionSet, k: int) -> str:
     """``fs.index_kind(k)``, with Don't Change split out of the membership
     family so tallies show how often a class is left alone."""
-    if k == fs.dont_change_index:
-        return "dont_change"
-    return fs.index_kind(k)
+    kind = fs.index_kind(k)
+    return "dont_change" if k == fs.dont_change_index else kind
 
 
 def apply_selection(fs: FunctionSet, xi, probs) -> np.ndarray:

@@ -43,26 +43,36 @@ CSV_PROB_DIGITS = 12
 _JSON_NUMBERS = frozenset({float, int})
 
 
+def _require_integers(values, name: str, at: str) -> None:
+    """Raise ValidationError at the first entry of ``values`` that is not a
+    Python or numpy int, counted from 1 as ``{at} r``.
+
+    bool is an int subclass, but True is not an index: numpy would read
+    [True, 2] as [1, 2].
+    """
+    if not set(map(type, values)) <= {int}:
+        for r, v in enumerate(values):
+            if type(v) is bool or not isinstance(v, (int, np.integer)):
+                raise ValidationError(
+                    f"{name}s must be integers, got {v!r} at {at} {r + 1}"
+                )
+
+
 def _index_vector(values, top: int, name: str, at: str = "row") -> np.ndarray:
     """``values`` as a new 1-d int64 array of integers in 1..top.
 
-    The one rule for labels, predictions and selections. A numpy array must
-    have an integer dtype; any other vector must hold Python or numpy ints,
-    so a float (even 1.0), a bool, None or a string is rejected rather than
-    truncated or read as 0 or 1. Such a vector is compared as Python objects,
-    before any cast, so an entry past int64 or a uint64 one is reported as it
-    is. A ValidationError names the dtype or the first bad entry, counted
-    from 1 as ``{at} r``.
+    The one rule for labels, predictions, selections and catalog indices. A
+    numpy array must have an integer dtype; any other vector must hold
+    Python or numpy ints (``_require_integers``), so a float (even 1.0), a
+    bool, None or a string is rejected rather than truncated or read as 0 or
+    1. Such a vector is compared as Python objects, before any cast, so an
+    entry past int64 or a uint64 one is reported as it is. A ValidationError
+    names the dtype or the first bad entry, counted from 1 as ``{at} r``.
     """
     if not isinstance(values, np.ndarray) or values.dtype == object:
         values = np.array(values, dtype=object)
-        # bool is an int subclass, and numpy would read [True, 2] as [1, 2]
-        if values.ndim == 1 and not set(map(type, values)) <= {int}:
-            for r, v in enumerate(values):
-                if type(v) is bool or not isinstance(v, (int, np.integer)):
-                    raise ValidationError(
-                        f"{name}s must be integers, got {v!r} at {at} {r + 1}"
-                    )
+        if values.ndim == 1:
+            _require_integers(values, name, at)
     elif values.dtype.kind not in "iu":
         raise ValidationError(f"{name}s must be integers, got dtype {values.dtype}")
     if values.ndim != 1:

@@ -46,7 +46,7 @@ from .corrections import (
     normalize_allowed,
     validate_selection,
 )
-from .data import LabeledDataset, _index_vector
+from .data import LabeledDataset, _index_vector, _require_integers
 from .errors import PreconditionError, ValidationError
 from .records import Record
 
@@ -56,8 +56,6 @@ PMI_EPSILON = 1e-12
 _CHUNK = 256
 # the objective ablations ``ObjectiveWeights.from_mode`` builds
 OBJECTIVES = ("full", "err", "err+pmi")
-# the bound ``z_err`` checks against before it infers N from the values
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -218,6 +216,18 @@ class _Scorer:
         return err, acc, cobias, -total
 
 
+def _index_pair(predictions, labels, top: int):
+    """Predictions and labels as int64 vectors in 1..top of one shape."""
+    preds = _index_vector(predictions, top, "prediction")
+    labels = _index_vector(labels, top, "label")
+    if preds.shape != labels.shape:
+        raise ValidationError(
+            f"predictions shape {preds.shape} differs from labels "
+            f"shape {labels.shape}"
+        )
+    return preds, labels
+
+
 def _terms(
     predictions, labels, num_classes: int, need_cobias: bool = False
 ) -> _Terms:
@@ -229,24 +239,23 @@ def _terms(
     n = num_classes
     # in range, as an out-of-range value would alias into another cell; and
     # in int64, as a narrow caller dtype would wrap (label - 1) * N
-    preds = _index_vector(predictions, n, "prediction")
-    labels = _index_vector(labels, n, "label")
-    if preds.shape != labels.shape:
-        raise ValidationError(
-            f"predictions shape {preds.shape} differs from labels "
-            f"shape {labels.shape}"
-        )
+    preds, labels = _index_pair(predictions, labels, n)
     flat = np.bincount((labels - 1) * n + (preds - 1), minlength=n * n).tolist()
     scorer = _Scorer([sum(flat[t * n : t * n + n]) for t in range(n)])
     return scorer.terms(flat, need_cobias)
 
 
 def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of instances whose prediction differs from the label."""
-    preds = _index_vector(predictions, _INT64_MAX, "prediction")
-    labels = _index_vector(labels, _INT64_MAX, "label")
-    n = int(max(preds.max(initial=1), labels.max(initial=1)))
-    return _terms(preds, labels, n).err
+    """Fraction of instances whose prediction differs from the label; NaN
+    for no instances.
+
+    The mismatch count is M minus the confusion count's diagonal, so this is
+    the err of every other term function, without its N x N count.
+    """
+    # no class count bounds the values, only int64
+    preds, labels = _index_pair(predictions, labels, np.iinfo(np.int64).max)
+    m = len(labels)
+    return int(np.count_nonzero(preds != labels)) / m if m else math.nan
 
 
 def per_class_accuracy(
@@ -332,9 +341,10 @@ class ObjectiveEvaluator:
     subset keep the subset's order and ties, so every comparison of two keys
     is the one the whole catalog's ranks would give. Functions outside the
     searchable set get no keys; ``value`` and ``predictions`` reject them,
-    and a selection of the wrong length, with ``ValidationError``. The
-    keys take the smallest unsigned type that holds them, uint16 for the
-    stock catalog up to 10 classes.
+    an entry that is not an int (``_index_vector``'s rule) and a selection
+    of the wrong length with ``ValidationError``. The keys take the
+    smallest unsigned type that holds them, uint16 for the stock catalog up
+    to 10 classes.
 
     The build ranks ``_CHUNK`` instances at a time, so it never holds the
     float N*D*M table, only the (N, D, M) keys.
@@ -421,11 +431,16 @@ class ObjectiveEvaluator:
         return self._walk_value()
 
     def _key_rows(self, xi) -> list[np.ndarray]:
-        """Class j's key row of function xi[j], for every j."""
+        """Class j's key row of function xi[j], for every j.
+
+        Entries pass ``_index_vector``'s type rule before the lookup, as an
+        equal float, 13.0 for 13, would find the same key in the dict.
+        """
         if len(xi) != len(self._rows):
             raise ValidationError(
                 f"selection has {len(xi)} entries, expected {len(self._rows)}"
             )
+        _require_integers(xi, "selection value", "entry")
         try:
             return [self._rows[j][k] for j, k in enumerate(xi)]
         except KeyError as exc:
@@ -496,6 +511,7 @@ def _report_from_predictions(
     """``evaluate``'s report for a validated selection whose predictions on
     ``ds`` are already computed."""
     t = _terms(preds, ds.labels, ds.num_classes, need_cobias=w.enable_cobias)
+    params = tuple(fs.describe_index(k) for k in entries)
     enabled = tuple(
         name
         for name, on in (
@@ -518,6 +534,6 @@ def _report_from_predictions(
         beta=w.beta,
         tau=w.tau,
         enabled_terms=enabled,
-        correction_kinds=tuple(fs.index_kind(k) for k in entries),
-        correction_params=tuple(fs.describe_index(k) for k in entries),
+        correction_kinds=tuple(p["kind"] for p in params),
+        correction_params=params,
     )

@@ -10,6 +10,7 @@ from dcs import (
     AnnealConfig,
     ObjectiveWeights,
     PreconditionError,
+    ValidationError,
     accept,
     anneal,
     default_function_set,
@@ -154,6 +155,10 @@ class TestInitialSolution:
         fs = default_function_set()
         assert initial_solution(fs, 4) == (1, 1, 1, 1)
 
+    def test_rejects_zero_classes(self):
+        with pytest.raises(PreconditionError, match="at least one class"):
+            initial_solution(default_function_set(), 0)
+
 
 class TestAnnealRun:
     def test_schedule_is_closed_form(self):
@@ -233,6 +238,15 @@ class TestAnnealRun:
         with pytest.raises(PreconditionError):
             anneal(ds, fs, w, AnnealConfig(seed=0), allowed_indices=(20, 21))
 
+    def test_dont_change_alone_rejected(self):
+        ds = small_dataset()
+        fs = default_function_set()
+        with pytest.raises(PreconditionError, match="at least two allowed"):
+            anneal(
+                ds, fs, ObjectiveWeights(), AnnealConfig(seed=0),
+                allowed_indices=(fs.dont_change_index,),
+            )
+
     def test_single_present_class_rejected(self):
         ds = make_dataset([[0.9, 0.1], [0.8, 0.2]], [1, 1])
         fs = default_function_set()
@@ -264,6 +278,25 @@ class TestAnnealRun:
         assert again.stop_reason == "max_outer_loops"
         assert again.evaluations == sum(g for g, _ in again.acceptance_counts)
 
+    def test_from_dict_rejects_a_three_value_count(self):
+        payload = SolveResult(
+            best_xi=(1, 1),
+            best_z=0.5,
+            z_trace=(0.5,),
+            temperatures=(1.0,),
+            acceptance_counts=((3, 1),),
+            outer_loops_run=1,
+            wall_time=0.0,
+            evaluations=3,
+            stop_reason="max_outer_loops",
+        ).to_dict()
+        payload["acceptance_counts"] = [[3, 1, 0]]
+        with pytest.raises(ValidationError) as info:
+            SolveResult.from_dict(payload)
+        assert str(info.value) == (
+            "field 'acceptance_counts[0]' must be an array of 2, got [3, 1, 0]"
+        )
+
 
 class TestAnnealConfig:
     def test_default_schedule_values(self):
@@ -284,6 +317,13 @@ class TestAnnealConfig:
             AnnealConfig(seed=0, initial_temperature=0.0)
         with pytest.raises(PreconditionError):
             AnnealConfig(seed=0, min_temperature=300_000.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("max_outer_loops", 0)]
+    )
+    def test_rejects_out_of_range_count(self, field, value):
+        with pytest.raises(PreconditionError, match=field):
+            AnnealConfig(**{"seed": 0, field: value})
 
     @pytest.mark.parametrize(
         "field",

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcs import load_dataset, load_scheme, predict, save_dataset
+from dcs import ValidationError, load_dataset, load_scheme, predict, save_dataset
 from dcs.cli import main, mode_indices
 from dcs.corrections import default_function_set, save_catalog
 from dcs.synth import BiasProfile, generate as synth_generate, save_profile
@@ -332,6 +332,21 @@ class TestApply:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and field in err
 
+    def test_unreproduced_best_z_exit_3(self, tmp_path, run_dir, capsys):
+        # apply's only exit 3: the scheme's own data no longer gives its Z
+        payload = json.loads((run_dir / "scheme.json").read_text())
+        payload["best_z"] += 1e-9
+        moved = tmp_path / "moved_scheme.json"
+        moved.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(["apply", "--scheme", str(moved),
+                   "--input", str(run_dir / "optimization_set.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "does not reproduce its recorded objective" in err
+        assert not (tmp_path / "x").exists()
+
     def test_nan_beta_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
         payload = json.loads((run_dir / "scheme.json").read_text())
         payload["objective"]["beta"] = float("nan")
@@ -400,6 +415,38 @@ class TestCompare:
                    "--seed", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_eval_set_class_count_mismatch_exit_2(
+        self, tmp_path, train_csv, capsys
+    ):
+        two_class = tmp_path / "two.csv"
+        two_class.write_text("id,label,p_1,p_2\na,1,0.9,0.1\nb,2,0.2,0.8\n")
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(train_csv),
+                   "--eval-input", str(two_class), "--seed", "0",
+                   "--out", str(tmp_path / "x"), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {two_class}: eval set has 2 classes, train has 3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "1,x", "expected comma-separated integers, got '1,x'"),
+            ("--mode", "dcs,foo", "unknown mode 'foo'"),
+            ("--mode", ",", "need at least one mode"),
+        ],
+    )
+    def test_bad_list_flag_is_a_usage_error(
+        self, tmp_path, train_csv, capsys, flag, value, message
+    ):
+        argv = ["compare", "--input", str(train_csv), "--seed", "0",
+                "--out", str(tmp_path / "x"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_thread_invariance_except_wall_time(
         self, tmp_path, train_csv, monkeypatch
     ):
@@ -427,6 +474,16 @@ class TestCompare:
         rc = main(["compare", "--input", str(train_csv), "--seed", "0",
                    "--out", str(tmp_path / "x"), *FAST])
         assert rc == 2
+
+    def test_zero_threads_exit_2(self, tmp_path, train_csv, monkeypatch, capsys):
+        monkeypatch.setenv("DCS_THREADS", "0")
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(train_csv), "--seed", "0",
+                   "--out", str(tmp_path / "x"), *FAST])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: DCS_THREADS must be a positive integer, got '0'\n"
+        )
 
 
 class TestReport:
@@ -656,9 +713,21 @@ BAD_RECORDS = {
         "selection": _golden_with(
             "scheme.json", lambda d: d.update(selection=[999, 1, 1])
         ),
+        # "selection vector is empty"
+        "no-selection": _golden_with(
+            "scheme.json", lambda d: d.update(selection=[], num_classes=0)
+        ),
+        # "must be within float range"
+        "best-z-past-float": _golden_with(
+            "scheme.json", lambda d: d.update(best_z=10**400)
+        ),
     },
     "catalog": {
         "missing-field": b'{"memberships": []}',
+        # "catalog needs at least one membership"
+        "no-memberships": _golden_with(
+            "catalog.json", lambda d: d.update(memberships=[])
+        ),
         "vertex-order": _golden_with(
             "catalog.json", lambda d: d["memberships"][1].update(a=0.5)
         ),
@@ -722,3 +791,7 @@ class TestModeIndices:
         assert all(fs.index_kind(k) == "weight" for k in dnip[1:])
         furud = mode_indices(fs, "furud")
         assert furud == tuple(range(1, 20))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError, match="unknown mode 'x'"):
+            mode_indices(default_function_set(), "x")

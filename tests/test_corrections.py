@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dcs import (
     FunctionSet,
+    PreconditionError,
     TriangularMembership,
     ValidationError,
     apply_selection,
@@ -18,7 +19,9 @@ from dcs import (
 )
 from dcs.corrections import (
     MAX_WEIGHTS,
+    kind_bucket,
     load_catalog,
+    normalize_allowed,
     save_catalog,
     validate_selection,
 )
@@ -104,6 +107,21 @@ class TestWeightFormula:
             eval_weight(19, 19, 30, 0.5)
         with pytest.raises(ValidationError):
             eval_weight(50, 19, 30, 0.5)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            # not the weight 1.5 / 30, which the catalog does not hold
+            (20.5, "selection values must be integers, got 20.5 at entry 1"),
+            (True, "selection values must be integers, got True at entry 1"),
+            (50, "selection value out of range 1..49 at entry 1: 50"),
+            (19, "weight index 19 outside 20..49"),
+        ],
+    )
+    def test_index_follows_the_selection_rule(self, k, message):
+        with pytest.raises(ValidationError) as info:
+            eval_weight(k, 19, 30, 0.9)
+        assert str(info.value) == message
 
     @given(
         st.floats(0.0, 1.0, allow_nan=False),
@@ -346,6 +364,105 @@ class TestDefaultCatalog:
         fs = default_function_set()
         for j in range(1, 31):
             assert abs(fs.weight_factor(19 + j) - j / 30) <= EXACT
+
+
+# scalar catalog indices of every kind a caller might pass: ints about the
+# catalog's ends and out past +-2^64, floats (1.0 and 20.5 among them),
+# bools, None, strings and numpy ints
+SCALAR_INDICES = st.one_of(
+    st.integers(-1, 51),
+    st.sampled_from([2**64, -(2**64), 1.0, 20.5, 13.0]),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.integers(0, 50).map(np.int64),
+    st.integers(0, 50).map(np.uint8),
+)
+
+
+class TestCatalogIndexRule:
+    """Every scalar catalog index passes ``validate_selection``'s rule: a
+    float, even 1.0, a bool, None or a string is rejected, not read as the
+    int it equals or truncates to, and never with a TypeError."""
+
+    @pytest.mark.parametrize(
+        "method, k",
+        [
+            ("apply_index", 20.5),
+            ("apply_index", 1.5),
+            ("describe_index", True),
+            ("index_kind", np.float64(2.0)),
+        ],
+    )
+    def test_non_integer_rejected(self, method, k):
+        fs = default_function_set()
+        args = (k, 0.5) if method == "apply_index" else (k,)
+        with pytest.raises(ValidationError) as info:
+            getattr(fs, method)(*args)
+        assert str(info.value) == (
+            f"selection values must be integers, got {k!r} at entry 1"
+        )
+
+    def test_out_of_range_message(self):
+        with pytest.raises(ValidationError) as info:
+            default_function_set().describe_index(50)
+        assert str(info.value) == "selection value out of range 1..49 at entry 1: 50"
+
+    def test_kind_bucket_checks_before_dont_change(self):
+        fs = default_function_set()
+        assert kind_bucket(fs, 1) == "dont_change"
+        with pytest.raises(ValidationError, match="got 1.0 at entry 1"):
+            kind_bucket(fs, 1.0)
+
+    @pytest.mark.parametrize(
+        "allowed, message",
+        [
+            ((1.7, 2.2, True), "allowed values must be integers, got 1.7 at entry 1"),
+            ((2, True), "allowed values must be integers, got True at entry 2"),
+            ((1, 50), "allowed value out of range 1..49 at entry 2: 50"),
+        ],
+    )
+    def test_allowed_indices_follow_the_rule(self, allowed, message):
+        with pytest.raises(PreconditionError) as info:
+            normalize_allowed(default_function_set(), allowed)
+        assert str(info.value) == message
+
+    @settings(deadline=None, max_examples=300)
+    @given(v=SCALAR_INDICES)
+    def test_one_rule_for_every_scalar_caller(self, v):
+        fs = default_function_set()
+        try:
+            (k,) = validate_selection(fs, (v,))
+        except ValidationError:
+            k = None
+        callers = {
+            "index_kind": lambda: fs.index_kind(v),
+            "describe_index": lambda: fs.describe_index(v),
+            "apply_index": lambda: fs.apply_index(v, 0.5),
+            "kind_bucket": lambda: kind_bucket(fs, v),
+            "normalize_allowed": lambda: normalize_allowed(fs, (v,)),
+            "eval_weight": lambda: eval_weight(v, 19, 30, 0.5),
+        }
+        outcomes = {}
+        for name, call in callers.items():
+            try:
+                outcomes[name] = call()
+            except (ValidationError, PreconditionError):
+                outcomes[name] = None
+        if k is None:
+            assert set(outcomes.values()) == {None}
+            return
+        kind = "membership" if k <= 19 else "weight"
+        assert outcomes == {
+            "index_kind": kind,
+            "describe_index": fs.describe_index(k),
+            "apply_index": fs.apply_index(k, 0.5),
+            "kind_bucket": "dont_change" if k == 1 else kind,
+            "normalize_allowed": (k,),
+            "eval_weight": None if k <= 19 else (k - 19) / 30 * 0.5,
+        }
 
 
 def test_validate_selection_bounds(tiny_catalog):

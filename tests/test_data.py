@@ -67,6 +67,18 @@ class TestValidation:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "probs, ids, message",
+        [
+            (np.full(2, 0.5), ("a", "b"), "probabilities must be a 2-d matrix"),
+            (np.full((2, 2), 0.5), ("a",), "expected 2 instance ids, got 1"),
+        ],
+    )
+    def test_shapes_must_agree(self, probs, ids, message):
+        with pytest.raises(ValidationError) as info:
+            LabeledDataset(probs, [1, 2], ids)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "labels, dtype",
         [(np.array([1.7, 2.2]), "float64"), (np.array([True, False]), "bool")],
     )
@@ -97,6 +109,7 @@ class TestValidation:
                 [1, -(2**64)],
                 "label out of range 1..2 at row 2: -18446744073709551616",
             ),
+            ([1, 2, 1], "expected 2 labels, got (3,)"),
         ],
     )
     def test_label_entries_are_checked_exactly(self, labels, message):
@@ -221,6 +234,7 @@ class TestSerialization:
                 "predictions must be integers, got dtype float64",
             ),
             (np.array([1, 3, 2, 2]), "prediction out of range 1..2 at row 2: 3"),
+            (np.array([1, 1, 2]), "expected 4 predictions, got (3,)"),
         ],
     )
     def test_save_predictions_checks_entries(
@@ -708,6 +722,10 @@ class TestSplit:
             split_dataset(four_row_dataset, 0.0, seed=0)
         with pytest.raises(ValidationError):
             split_dataset(four_row_dataset, 1.0, seed=0)
+
+    def test_rejects_one_row(self):
+        with pytest.raises(ValidationError, match="need at least 2 rows"):
+            split_dataset(make_dataset([[0.5, 0.5]], [1]), 0.5, seed=0)
 
     @settings(deadline=None, max_examples=25)
     @given(

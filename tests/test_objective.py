@@ -34,7 +34,7 @@ from dcs.objective import (
     score_predictions,
 )
 from dcs.corrections import mode_indices
-from dcs.synth import BiasProfile, generate
+from dcs.synth import BiasProfile, benchmark_suite, generate
 from conftest import make_dataset
 
 EXACT = 1e-12
@@ -97,6 +97,19 @@ class TestErr:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             z_err(np.array([1]), np.array([1, 2]))
+
+    def test_cost_does_not_grow_with_a_value(self):
+        # no N x N count sized by the largest value
+        assert z_err([1, 2**40], [1, 1]) == 0.5
+        assert z_err(np.array([2**62]), np.array([2**62])) == 0.0
+        assert math.isnan(z_err([], []))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_err_term_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        preds, labels = rng.integers(1, 7, size=(2, 97))
+        err_only = ObjectiveWeights.from_mode("err")
+        assert z_err(preds, labels) == score_predictions(preds, labels, 6, err_only)
 
 
 class TestCountInputTypes:
@@ -223,6 +236,25 @@ class TestSelectionEntries:
         fs = default_function_set()
         for xi in (np.array([13, 25], dtype=np.uint8), (np.int64(13), 25)):
             self.CALLERS[caller](four_row_dataset, fs, xi)
+
+    def test_evaluator_checks_entries_before_the_lookup(self):
+        # 13.0 == 13 and True == 1 would find those functions' keys
+        train = benchmark_suite()[0].train_dataset()
+        ev = ObjectiveEvaluator(train, default_function_set(), ObjectiveWeights())
+        z = ev.value((13, 25, 1))
+        for xi, bad in [
+            ((13.0, 25.0, 1.0), "13.0 at entry 1"),
+            ((13, 25, True), "True at entry 3"),
+            (np.array([13.0, 25.0, 1.0]), f"{np.float64(13.0)!r} at entry 1"),
+            ((13, [25], 1), "[25] at entry 2"),
+        ]:
+            for call in (ev.value, ev.predictions):
+                with pytest.raises(ValidationError) as info:
+                    call(xi)
+                assert str(info.value) == (
+                    f"selection values must be integers, got {bad}"
+                )
+        assert ev.value((np.int64(13), np.uint8(25), 1)) == z
 
     def test_objective_value_agrees_with_the_evaluator(self, four_row_dataset):
         # both reject what neither can score
@@ -705,6 +737,12 @@ class TestEvaluatorEquivalence:
         ds = make_dataset(np.eye(num_classes)[:2], [1, 2])
         ev = ObjectiveEvaluator(ds, default_function_set(), ObjectiveWeights())
         assert ev._keys.dtype == key_type
+
+    def test_empty_allowed_set_rejected(self, four_row_dataset):
+        with pytest.raises(PreconditionError, match="allowed index set is empty"):
+            ObjectiveEvaluator(
+                four_row_dataset, default_function_set(), ObjectiveWeights(), ()
+            )
 
     def test_keys_past_64_bits_rejected(self):
         # 2^15 classes and a 2^20-weight catalog need a 66-bit key

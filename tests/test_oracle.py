@@ -112,6 +112,12 @@ def test_allowed_indices_restrict_enumeration(four_row_dataset, tiny_catalog):
     assert all(k in (1, 3) for k in result.best_xi)
 
 
+def test_empty_allowed_set_rejected(four_row_dataset, tiny_catalog):
+    w = ObjectiveWeights()
+    with pytest.raises(PreconditionError, match="allowed index set is empty"):
+        exhaustive_search(four_row_dataset, tiny_catalog, w, allowed_indices=())
+
+
 def test_limit_guard(four_row_dataset):
     from dcs import default_function_set
 

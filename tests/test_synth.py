@@ -44,6 +44,23 @@ class TestProfileValidation:
         with pytest.raises(ValidationError):
             profile(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "class_priors",
+                (0.5, 0.5),
+                "class_priors and target_accuracy must have num_classes entries",
+            ),
+            ("class_priors", (-0.5, 0.75, 0.75), "class priors must be non-negative"),
+            ("seed", -1, "seed must be a non-negative integer"),
+        ],
+    )
+    def test_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(ValidationError) as info:
+            profile(**{field: value})
+        assert str(info.value) == message
+
     def test_targets_must_be_probabilities(self):
         with pytest.raises(ValidationError):
             profile(target_accuracy=(1.2, 0.2, 0.9))
