@@ -398,6 +398,63 @@ LOADER_CASES = [
         id="csv-row-field-beyond-limit",
     ),
     pytest.param(
+        "wide.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0." + b"5" * 200_000 + b"\n",
+        2, "{path}: row 1: field larger than field limit "
+        f"({csv.field_size_limit()})",
+        id="csv-probability-field-beyond-limit",
+    ),
+    # int() takes the label text: a float is refused, while underscores and
+    # non-ASCII digits are read as the number they spell
+    pytest.param(
+        "label.csv",
+        b"id,label,p_1,p_2\na,3.0,0.5,0.5\n",
+        2, "{path}: row 1 has non-integer label '3.0'",
+        id="csv-float-label",
+    ),
+    pytest.param(
+        "label.csv",
+        b"id,label,p_1,p_2\na,1_0,0.5,0.5\n",
+        2, "{path}: label out of range 1..2 at row 1: 10",
+        id="csv-underscore-label",
+    ),
+    pytest.param(
+        "label.csv",
+        "id,label,p_1,p_2\na,\u0663,0.5,0.5\n".encode(),
+        2, "{path}: label out of range 1..2 at row 1: 3",
+        id="csv-arabic-indic-label",
+    ),
+    # ``#`` starts no comment, and a quoted id keeps its comma, its doubled
+    # quote and its CRLF, and is one row
+    *(
+        pytest.param(
+            "ids.csv",
+            b"id,label,p_1,p_2\n"
+            + ident + b",1,0.5,0.5\n"
+            + ident + b",2,0.5,0.5\n",
+            2, "{path}: duplicate instance id " + message + " at rows 1 and 2",
+            id=f"csv-id-{kind}",
+        )
+        for kind, ident, message in (
+            ("hash", b"#a", "'#a'"),
+            ("quoted-comma", b'"a,b"', "'a,b'"),
+            ("quoted-quote", b'"say ""hi"""', "'say \"hi\"'"),
+            ("quoted-crlf", b'"x\r\ny"', "'x\\r\\ny'"),
+        )
+    ),
+    pytest.param(
+        "space.csv",
+        b"id,label,p_1,p_2\na,1,0.5,0.5\n \t\nb,2,0.5,0.5\n",
+        2, "{path}: row 2 has 1 fields, expected 4",
+        id="csv-whitespace-line",
+    ),
+    pytest.param(
+        "cr.csv",
+        b"id,label,p_1,p_2\ra,1,0.5,0.5\rb,2,0.5\r",
+        2, "{path}: row 2 has 3 fields, expected 4",
+        id="csv-bare-cr-line-ends",
+    ),
+    pytest.param(
         "null.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, null]}]',
         2, "{path}: record 1 has a non-numeric probability",
