@@ -19,12 +19,13 @@ selecting it leaves a class untouched.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import _index_vector
+from .data import _index_vector, _require_integers
 from .errors import PreconditionError, ValidationError
 from .records import Record, read_record, write_json
 
@@ -49,6 +50,15 @@ class TriangularMembership(Record):
     c: float
 
     def __post_init__(self) -> None:
+        # numbers.Real holds numpy's floats and ints, not strings or None
+        if not all(
+            isinstance(v, numbers.Real) and type(v) is not bool
+            for v in (self.a, self.b, self.c)
+        ):
+            raise ValidationError(
+                f"membership vertices must be numbers, "
+                f"got ({self.a!r}, {self.b!r}, {self.c!r})"
+            )
         if not (0.0 <= self.a <= self.b <= self.c <= 1.0):
             raise ValidationError(
                 f"membership vertices must satisfy 0 <= a <= b <= c <= 1, "
@@ -134,6 +144,7 @@ class FunctionSet(Record):
         object.__setattr__(self, "memberships", memberships)
         if not memberships:
             raise ValidationError("catalog needs at least one membership")
+        _require_integers((self.num_weights,), "num_weight")
         if self.num_weights < 1:
             raise ValidationError("catalog needs at least one weight")
         if self.num_weights > MAX_WEIGHTS:

@@ -43,9 +43,9 @@ CSV_PROB_DIGITS = 12
 _JSON_NUMBERS = frozenset({float, int})
 
 
-def _require_integers(values, name: str, at: str) -> None:
+def _require_integers(values, name: str, at: str | None = None) -> None:
     """Raise ValidationError at the first entry of ``values`` that is not a
-    Python or numpy int, counted from 1 as ``{at} r``.
+    Python or numpy int, counted from 1 as ``{at} r`` when ``at`` is given.
 
     bool is an int subclass, but True is not an index: numpy would read
     [True, 2] as [1, 2].
@@ -53,8 +53,9 @@ def _require_integers(values, name: str, at: str) -> None:
     if not set(map(type, values)) <= {int}:
         for r, v in enumerate(values):
             if type(v) is bool or not isinstance(v, (int, np.integer)):
+                where = f" at {at} {r + 1}" if at else ""
                 raise ValidationError(
-                    f"{name}s must be integers, got {v!r} at {at} {r + 1}"
+                    f"{name}s must be integers, got {v!r}{where}"
                 )
 
 

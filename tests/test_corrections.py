@@ -91,6 +91,28 @@ class TestMembershipFormula:
         with pytest.raises(ValidationError):
             TriangularMembership(0.6, 0.5, 0.8)
 
+    @pytest.mark.parametrize(
+        "abc",
+        [
+            ("0", "1", "1"),
+            (0.0, "0.5", 1.0),
+            (False, True, True),
+            (np.bool_(False), 1.0, 1.0),
+            (None, 1.0, 1.0),
+        ],
+    )
+    def test_rejects_non_numeric_vertices(self, abc):
+        # a string compared with a float would escape as a bare TypeError
+        with pytest.raises(ValidationError) as info:
+            TriangularMembership(*abc)
+        assert str(info.value) == (
+            "membership vertices must be numbers, got (%r, %r, %r)" % abc
+        )
+
+    def test_numpy_vertices_accepted(self):
+        f = TriangularMembership(np.float32(0.0), np.int64(1), np.float64(1.0))
+        assert f.is_dont_change
+
 
 class TestWeightFormula:
     def test_midrange_factor(self):
@@ -498,3 +520,17 @@ def test_num_weights_bound():
     )
     with pytest.raises(ValidationError, match="num_weights"):
         FunctionSet(dont_change, num_weights=MAX_WEIGHTS + 1)
+
+
+@pytest.mark.parametrize("num_weights", [2.5, float("nan"), True, "3", None])
+def test_num_weights_must_be_an_integer(num_weights):
+    # 2.5 gave size 3.5 and a TypeError later; NaN and True constructed
+    dont_change = (TriangularMembership(0.0, 1.0, 1.0),)
+    with pytest.raises(ValidationError) as info:
+        FunctionSet(dont_change, num_weights=num_weights)
+    assert str(info.value) == f"num_weights must be integers, got {num_weights!r}"
+
+
+def test_numpy_int_num_weights_accepted():
+    dont_change = (TriangularMembership(0.0, 1.0, 1.0),)
+    assert FunctionSet(dont_change, num_weights=np.int64(3)).size == 4
