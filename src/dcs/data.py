@@ -28,8 +28,10 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import itertools
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +41,11 @@ from .errors import ValidationError
 from .records import PathError, _not_utf8, read_json, write_csv, write_json_rows
 
 CSV_PROB_DIGITS = 12
+# characters of CSV body lines ``_load_csv_numpy`` reads per batch
+_CSV_BATCH_CHARS = 1 << 16
+# ASCII separators that numpy's number parsers strip as whitespace and
+# int() and float() refuse
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # the types of a JSON number as ``json.load`` returns it
 _JSON_NUMBERS = frozenset({float, int})
 
@@ -232,7 +239,7 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
         parse = _load_json if _infer_format(path, fmt) == "json" else _load_csv
         ids, labels, flat, n = parse(path)
         return LabeledDataset(
-            probabilities=np.array(flat, dtype=np.float64).reshape(len(ids), n),
+            probabilities=np.asarray(flat, dtype=np.float64).reshape(len(ids), n),
             labels=labels,
             instance_ids=tuple(ids),
         )
@@ -247,8 +254,73 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
             gc.enable()
 
 
-def _load_csv(path: Path) -> tuple[list[str], list[int], list[float], int]:
-    """The ids, labels, flat probabilities and class count of a CSV file."""
+def _load_csv(path: Path):
+    """The ids, labels, probabilities and class count of a CSV file."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        parsed = _load_csv_numpy(fh)
+    return _load_csv_rows(path) if parsed is None else parsed
+
+
+def _load_csv_numpy(fh):
+    """What ``_load_csv_rows`` returns for the file open in ``fh``, parsed
+    by numpy's C reader, or None where the file is one it declines.
+
+    It declines unless the header is the exact literal, ``np.loadtxt``
+    parses the body without an error or a warning, the body has one line
+    per row (no blank line, no quoted line break), no line is longer than
+    ``csv.field_size_limit()`` and no line holds a character in
+    ``_NUMPY_ONLY_SPACE``. A file that passes has one well-formed row per
+    line and no field past the limit, and ``loadtxt`` reads its ids, quotes
+    and all, as ``csv.reader`` does; an int or float cell ``loadtxt`` takes
+    is ASCII text that ``int()`` or ``float()`` reads as the same number,
+    down to the bits of the float.
+    """
+    limit = csv.field_size_limit()
+    lines = 0
+
+    def body():
+        nonlocal lines
+        while batch := fh.readlines(_CSV_BATCH_CHARS):
+            text = "".join(batch)
+            if max(map(len, batch)) > limit or any(
+                c in text for c in _NUMPY_ONLY_SPACE
+            ):
+                raise ValueError  # ends the parse, which declines
+            lines += len(batch)
+            yield batch
+
+    try:
+        header = fh.readline()
+        n = header.count(",") - 1
+        names = ",".join(f"p_{j}" for j in range(1, n + 1))
+        if n < 2 or header.rstrip("\r\n") != f"id,label,{names}":
+            return None
+        dtype = [("id", object), ("label", np.int64), ("p", np.float64, (n,))]
+        with warnings.catch_warnings():
+            # numpy 1.x reads "3.0" as the int 3 with a DeprecationWarning;
+            # an empty body warns as well
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                itertools.chain.from_iterable(body()),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=1,
+            )
+    except Exception:
+        # a decode error too: the row loop reports it, or an error before it
+        return None
+    # numpy skips blank lines and joins a quoted line break into its row
+    if len(table) != lines:
+        return None
+    return table["id"].tolist(), table["label"], table["p"], n
+
+
+def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
+    """The ids, labels, flat probabilities and class count of a CSV file,
+    read row by row: the reference reader, which decides every file
+    ``_load_csv_numpy`` declines."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -18,6 +18,7 @@ from dcs import (
     load_dataset,
     save_dataset,
 )
+import dcs.data
 from dcs.corrections import validate_selection
 from dcs.data import save_predictions, split_dataset
 from dcs.objective import per_class_accuracy
@@ -747,6 +748,137 @@ class TestLoaderFuzz:
             message = str(exc)
             assert message.startswith(f"{path}: ")
             assert message.count(str(path)) == 1
+
+
+def outcome(path):
+    """``load_dataset``'s fingerprint for ``path``, or its error message."""
+    try:
+        return load_dataset(path).fingerprint()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def reference_outcome(path):
+    """``outcome`` with the row loop reading every CSV file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dcs.data, "_load_csv_numpy", lambda fh: None)
+        return outcome(path)
+
+
+def numpy_reads(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return dcs.data._load_csv_numpy(fh) is not None
+
+
+HEADER = b"id,label,p_1,p_2\n"
+# cells for the awkward-cell comparison: numbers in spaces that int(),
+# float() and numpy's parsers may strip differently, numbers that only some
+# of them read, and text near numbers
+SPACE = st.sampled_from(["", " ", "\t", "\xa0", "\u2000", "\x1c"])
+AWKWARD_CELL = st.one_of(
+    st.tuples(
+        SPACE,
+        st.one_of(
+            st.floats(0, 1).map(repr),
+            st.sampled_from(
+                ["1", "2", "+1", "01", "-0", ".5", "5e-1", "1e-400", "inf"]
+            ),
+            st.sampled_from(["1.0", "1_0", "0_5", "\u0663", '"1"']),
+        ),
+        SPACE,
+    ).map("".join),
+    st.text(alphabet='0123456789.-+eE_ \t\x0b\x1f\u0663nainfty,"\n', max_size=5),
+)
+
+
+class TestCsvReaders:
+    """``load_dataset`` reads a CSV file with numpy's C reader where that
+    reader gives what the row loop gives, and with the row loop elsewhere;
+    either way the result is the row loop's."""
+
+    @pytest.mark.parametrize(
+        "content, fast",
+        [
+            pytest.param(GOLDEN_CSV, True, id="golden"),
+            pytest.param(
+                b"id,label,p_1,p_2\ra,1,0.5,0.5\rb,2, .25 ,+1\r", True,
+                id="bare-cr",
+            ),
+            pytest.param(
+                b'"id",label,p_1,p_2\na,1,0.5,0.5\n', False,
+                id="header-not-literal",
+            ),
+            pytest.param(
+                b"id,label,p_1\na,1,0.5\n", False, id="one-class-header"
+            ),
+            pytest.param(
+                HEADER + b"a,3.0,0.5,0.5\n", False, id="loadtxt-raises"
+            ),
+            pytest.param(HEADER, False, id="loadtxt-warns-on-empty-body"),
+            pytest.param(
+                HEADER + b"a,1,0.5,0.5\n\nb,2,0.5,0.5\n", False,
+                id="blank-line",
+            ),
+            pytest.param(
+                HEADER + b'"a\r\nb",1,0.5,0.5\n', False,
+                id="quoted-line-break",
+            ),
+            pytest.param(
+                HEADER + b"a,1,0.5,0." + b"5" * 200_000 + b"\n", False,
+                id="line-beyond-field-limit",
+            ),
+            pytest.param(
+                HEADER + b"a,1,0.5,0.5\x1c\n", False,
+                id="separator-numpy-strips",
+            ),
+            pytest.param(
+                HEADER + b"a\xff,1,0.5,0.5\n", False, id="not-utf8"
+            ),
+        ],
+    )
+    def test_which_reader(self, tmp_path, content, fast):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(content)
+        assert numpy_reads(path) is fast
+        assert outcome(path) == reference_outcome(path)
+
+    def test_numpy_arrays_match_the_loop(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(GOLDEN_CSV)
+        with path.open(newline="", encoding="utf-8") as fh:
+            ids, labels, probs, n = dcs.data._load_csv_numpy(fh)
+        ref_ids, ref_labels, flat, ref_n = dcs.data._load_csv_rows(path)
+        assert (ids, labels.tolist(), n) == (ref_ids, ref_labels, ref_n)
+        assert probs.tobytes() == np.array(flat).reshape(-1, n).tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(mutations=MUTATIONS)
+    def test_mutated_file_as_the_loop_reads_it(self, fuzz_dir, mutations):
+        path = fresh_file(fuzz_dir, "csv")
+        path.write_bytes(mutated(GOLDEN_CSV, mutations))
+        assert outcome(path) == reference_outcome(path)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        probs=st.lists(st.floats(0, 1), min_size=2, max_size=8),
+        at=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        cell=AWKWARD_CELL,
+        end=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_awkward_cell_as_the_loop_reads_it(
+        self, fuzz_dir, probs, at, cell, end
+    ):
+        rows = [
+            [f"r{i}", 1 + i % 2, repr(p1), repr(p2)]
+            for i, (p1, p2) in enumerate(zip(probs[::2], probs[1::2]))
+        ]
+        rows[at[0] % len(rows)][at[1]] = cell
+        path = fresh_file(fuzz_dir, "csv")
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator=end)
+            writer.writerow(["id", "label", "p_1", "p_2"])
+            writer.writerows(rows)
+        assert outcome(path) == reference_outcome(path)
 
 
 class TestSplit:
