@@ -13,15 +13,31 @@ is inferred from the header (CSV) or the first record (JSON).
 CSV probability cells are written with 12 significant digits, which round-trips
 values within 1e-12. JSON writes use ``repr`` floats and round-trip exactly.
 
-The parsers stream every row into flat lists (ids, int labels, and one list
-of all probabilities, reshaped to (M, N) once at the end) and keep no list
-per row. ``load_dataset`` runs either parser with CPython's cyclic garbage
-collector paused, and restores the caller's setting whether the load returns
-or raises. The parsers make no reference cycles, so the pause leaves nothing
-behind for the collector. Without it, every older-generation collection
-during a JSON load rescans the record dicts and probability lists that
-``json.load`` has built, 2 x 10^5 containers for 10^5 rows. The writers
-walk ``tolist()`` values rather than indexing numpy scalars row by row.
+A CSV file has two readers with one result. ``_load_csv_numpy`` parses the
+body with numpy's C reader: one ``np.loadtxt`` call, streamed from the open
+file after the header line into a structured (id, label, p) array.
+``_load_csv_rows``, the reference reader, runs ``csv.reader`` and calls
+``int()`` and ``float()`` on every cell. The C reader declines, and the row
+loop reads the whole file, unless the header is the exact literal,
+``loadtxt`` raises no error and no warning, every line of the body is one
+row or blank (no quoted line break), no line is longer than
+``csv.field_size_limit()`` and no line holds one of the ASCII separators
+that numpy strips around a number and ``int()`` and ``float()`` refuse. So
+every message, row number and error precedence is the row loop's. A file the C reader takes loads to the same bits: both
+readers call ``PyOS_string_to_double`` on the same ASCII text, and numpy
+refuses the underscores and non-ASCII digits that ``int()`` and ``float()``
+take.
+
+The row loop and the JSON parser stream every row into flat lists (ids, int
+labels, and one list of all probabilities, reshaped to (M, N) once at the
+end) and keep no list per row. ``load_dataset`` runs either format's parser
+with CPython's cyclic garbage collector paused, and restores the caller's
+setting whether the load returns or raises. The parsers make no reference
+cycles, so the pause leaves nothing behind for the collector. Without it,
+every older-generation collection during a JSON load rescans the record
+dicts and probability lists that ``json.load`` has built, 2 x 10^5
+containers for 10^5 rows. The writers walk ``tolist()`` values rather than
+indexing numpy scalars row by row.
 """
 from __future__ import annotations
 
@@ -262,31 +278,26 @@ def _load_csv(path: Path):
 
 
 def _load_csv_numpy(fh):
-    """What ``_load_csv_rows`` returns for the file open in ``fh``, parsed
-    by numpy's C reader, or None where the file is one it declines.
+    """What ``_load_csv_rows`` returns for the CSV file open in ``fh``,
+    read by numpy's C reader, or None if the file is one it declines (see
+    the module docstring).
 
-    It declines unless the header is the exact literal, ``np.loadtxt``
-    parses the body without an error or a warning, the body has one line
-    per row (no blank line, no quoted line break), no line is longer than
-    ``csv.field_size_limit()`` and no line holds a character in
-    ``_NUMPY_ONLY_SPACE``. A file that passes has one well-formed row per
-    line and no field past the limit, and ``loadtxt`` reads its ids, quotes
-    and all, as ``csv.reader`` does; an int or float cell ``loadtxt`` takes
-    is ASCII text that ``int()`` or ``float()`` reads as the same number,
-    down to the bits of the float.
+    A file that passes every check has one well-formed row on each line
+    that is not blank and no field past the csv limit, and ``loadtxt`` splits and unquotes it as
+    ``csv.reader`` does.
     """
     limit = csv.field_size_limit()
-    lines = 0
+    rows = 0  # lines that are not blank
 
     def body():
-        nonlocal lines
+        nonlocal rows
         while batch := fh.readlines(_CSV_BATCH_CHARS):
             text = "".join(batch)
             if max(map(len, batch)) > limit or any(
                 c in text for c in _NUMPY_ONLY_SPACE
             ):
                 raise ValueError  # ends the parse, which declines
-            lines += len(batch)
+            rows += len(batch) - sum(map(batch.count, ("\n", "\r\n", "\r")))
             yield batch
 
     try:
@@ -301,18 +312,15 @@ def _load_csv_numpy(fh):
             # an empty body warns as well
             warnings.simplefilter("error")
             table = np.loadtxt(
-                itertools.chain.from_iterable(body()),
-                dtype=dtype,
-                delimiter=",",
-                comments=None,
-                quotechar='"',
-                ndmin=1,
+                itertools.chain.from_iterable(body()), dtype=dtype,
+                delimiter=",", comments=None, quotechar='"', ndmin=1,
             )
     except Exception:
         # a decode error too: the row loop reports it, or an error before it
         return None
-    # numpy skips blank lines and joins a quoted line break into its row
-    if len(table) != lines:
+    # numpy skips blank lines, as the row loop does, and joins a quoted line
+    # break into its row, where a field can outgrow every line
+    if len(table) != rows:
         return None
     return table["id"].tolist(), table["label"], table["p"], n
 

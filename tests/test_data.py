@@ -816,8 +816,8 @@ class TestCsvReaders:
             ),
             pytest.param(HEADER, False, id="loadtxt-warns-on-empty-body"),
             pytest.param(
-                HEADER + b"a,1,0.5,0.5\n\nb,2,0.5,0.5\n", False,
-                id="blank-line",
+                HEADER + b"a,1,0.5,0.5\n\r\n\r\nb,2,0.5,0.5\n\n", True,
+                id="blank-lines",
             ),
             pytest.param(
                 HEADER + b'"a\r\nb",1,0.5,0.5\n', False,
