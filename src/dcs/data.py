@@ -283,8 +283,8 @@ def _load_csv_numpy(fh):
     the module docstring).
 
     A file that passes every check has one well-formed row on each line
-    that is not blank and no field past the csv limit, and ``loadtxt`` splits and unquotes it as
-    ``csv.reader`` does.
+    that is not blank and no field past the csv limit, and ``loadtxt``
+    splits and unquotes it as ``csv.reader`` does.
     """
     limit = csv.field_size_limit()
     rows = 0  # lines that are not blank
