@@ -65,6 +65,7 @@ class AnnealConfig(Record):
     max_outer_loops: int = 150
 
     def __post_init__(self) -> None:
+        self._check_fields()
         if self.seed < 0:
             raise PreconditionError("seed must be a non-negative integer")
         # negated comparisons, so that a NaN fails them too; a finite
@@ -144,7 +145,8 @@ def neighbor(xi, domain, coord_rng, value_rng) -> tuple[int, ...]:
 def accept(delta_z: float, temperature: float, rng) -> bool:
     """Metropolis rule: improvements always pass, otherwise with
     probability exp(-delta_z / temperature)."""
-    if temperature <= 0.0:
+    # negated, so that a NaN fails it too
+    if not temperature > 0.0:
         raise PreconditionError("temperature must be positive")
     if delta_z < 0.0:
         return True

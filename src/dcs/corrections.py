@@ -19,13 +19,12 @@ selecting it leaves a class untouched.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import _index_vector, _require_integers
+from .data import _index_vector
 from .errors import PreconditionError, ValidationError
 from .records import Record, read_record, write_json
 
@@ -50,15 +49,7 @@ class TriangularMembership(Record):
     c: float
 
     def __post_init__(self) -> None:
-        # numbers.Real holds numpy's floats and ints, not strings or None
-        if not all(
-            isinstance(v, numbers.Real) and type(v) is not bool
-            for v in (self.a, self.b, self.c)
-        ):
-            raise ValidationError(
-                f"membership vertices must be numbers, "
-                f"got ({self.a!r}, {self.b!r}, {self.c!r})"
-            )
+        self._check_fields()
         if not (0.0 <= self.a <= self.b <= self.c <= 1.0):
             raise ValidationError(
                 f"membership vertices must satisfy 0 <= a <= b <= c <= 1, "
@@ -120,11 +111,16 @@ def eval_weight(k: int, num_memberships: int, num_weights: int, p):
     k must be a catalog index (``validate_selection``'s rule) past the
     memberships, in D_F + 1..D_F + D_W.
     """
+    return _on_values(p, np.multiply, _weight_factor(k, num_memberships, num_weights))
+
+
+def _weight_factor(k: int, num_memberships: int, num_weights: int) -> float:
+    """(k - D_F) / D_W for a weight index k, checked as ``eval_weight`` says."""
     top = num_memberships + num_weights
     (k,) = _index_vector((k,), top, "selection value", at="entry").tolist()
     if k <= num_memberships:
         raise ValidationError(f"weight index {k} outside {num_memberships + 1}..{top}")
-    return _on_values(p, np.multiply, (k - num_memberships) / num_weights)
+    return (k - num_memberships) / num_weights
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,9 @@ class FunctionSet(Record):
     num_weights: int
 
     def __post_init__(self) -> None:
-        memberships = tuple(self.memberships)
-        object.__setattr__(self, "memberships", memberships)
-        if not memberships:
+        self._check_fields()
+        if not self.memberships:
             raise ValidationError("catalog needs at least one membership")
-        _require_integers((self.num_weights,), "num_weight")
         if self.num_weights < 1:
             raise ValidationError("catalog needs at least one weight")
         if self.num_weights > MAX_WEIGHTS:
@@ -153,7 +147,7 @@ class FunctionSet(Record):
                 f"got {self.num_weights}"
             )
         k0 = next(
-            (i + 1 for i, f in enumerate(memberships) if f.is_dont_change),
+            (i + 1 for i, f in enumerate(self.memberships) if f.is_dont_change),
             None,
         )
         if k0 is None:
@@ -180,7 +174,8 @@ class FunctionSet(Record):
         return "membership" if k <= self.num_memberships else "weight"
 
     def weight_factor(self, k: int) -> float:
-        return (k - self.num_memberships) / self.num_weights
+        """(k - D_F) / D_W for a weight index k in D_F + 1..D_F + D_W."""
+        return _weight_factor(k, self.num_memberships, self.num_weights)
 
     def describe_index(self, k: int) -> dict:
         """Parameters of the function at index k, for reports."""
@@ -205,7 +200,7 @@ def _apply_column(fs: FunctionSet, k: int, p: np.ndarray) -> np.ndarray:
     d_f = fs.num_memberships
     if heaviside(d_f - k):
         return _membership_array(fs.memberships[k - 1], p)
-    return fs.weight_factor(k) * p
+    return (k - d_f) / fs.num_weights * p
 
 
 def validate_selection(fs: FunctionSet, xi, num_classes: int | None = None):

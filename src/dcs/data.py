@@ -485,6 +485,9 @@ def split_dataset(
         raise ValidationError(
             f"dev_fraction must be in (0, 1), got {dev_fraction}"
         )
+    _require_integers((seed,), "seed")
+    if seed < 0:
+        raise ValidationError("seed must be a non-negative integer")
     m = ds.num_instances
     if m < 2:
         raise ValidationError("dataset too small to split: need at least 2 rows")

@@ -69,6 +69,7 @@ class ObjectiveWeights(Record):
     enable_pmi: bool = True
 
     def __post_init__(self) -> None:
+        self._check_fields()
         if not (self.enable_err or self.enable_cobias or self.enable_pmi):
             raise ValidationError("at least one objective term must be enabled")
         # negated, so that a NaN fails it too

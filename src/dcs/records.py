@@ -23,6 +23,8 @@ file, or the write fails with an ``OSError`` (exit 4 from the CLI).
 ``to_dict`` lists them in declaration order, tuples as lists and nested
 records as dicts; ``from_dict`` converts each value by the field's type
 annotation and raises ``FieldError`` naming a missing or mistyped field.
+A record that takes input built in Python runs the same rule on its own
+fields (``_check_fields``), so what it holds saves and loads back as it is.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import csv
 import functools
 import itertools
 import json
+import numbers
 import os
 import sys
 import typing
@@ -172,6 +175,13 @@ class Record:
             values[name] = _convert(tp, payload[name], key)
         return cls(**values)
 
+    def _check_fields(self) -> None:
+        """Put every field through ``from_dict``'s rule, in place: a numpy
+        int or float becomes a Python one, a value of the wrong type raises
+        ``FieldError`` naming the field."""
+        for name, tp in _type_hints(type(self)).items():
+            object.__setattr__(self, name, _convert(tp, getattr(self, name), name))
+
 
 def _plain(value):
     if isinstance(value, Record):
@@ -183,7 +193,13 @@ def _plain(value):
 
 def _convert(tp, value, where: str):
     """``value`` as type ``tp``: X | None, tuple[X, ...], tuple[X, Y],
-    a Record, float (which takes integers too), int, bool, str or dict."""
+    a Record, float (which takes integers too), int, bool, str or dict.
+
+    A value of type ``tp`` itself is returned as it is. Otherwise int and
+    float take any ``numbers.Integral`` or ``numbers.Real`` but a bool, and
+    return a Python int or float, so a numpy scalar is converted too."""
+    if type(value) is tp:
+        return value
     args = typing.get_args(tp)
     if type(None) in args:  # X | None
         return None if value is None else _convert(args[0], value, where)
@@ -200,13 +216,15 @@ def _convert(tp, value, where: str):
         )
     if issubclass(tp, Record):
         return tp.from_dict(value, where)
-    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, bool) and tp is not bool:
+        raise _mistyped(where, tp.__name__, value)
+    if tp is float and isinstance(value, numbers.Real):
         try:
             return float(value)
         except OverflowError:
             raise _mistyped(where, "within float range", value) from None
-    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
-        return value
+    if tp is int and isinstance(value, numbers.Integral):
+        return int(value)
     raise _mistyped(where, tp.__name__, value)
 
 

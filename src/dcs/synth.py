@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, _require_integers
 from .errors import ValidationError
 from .records import Record, read_record, write_json
 
@@ -52,13 +52,11 @@ class BiasProfile(Record):
     seed: int
 
     def __post_init__(self) -> None:
+        self._check_fields()
         n = self.num_classes
         if n < 2:
             raise ValidationError("profile needs at least two classes")
-        priors = tuple(float(p) for p in self.class_priors)
-        targets = tuple(float(t) for t in self.target_accuracy)
-        object.__setattr__(self, "class_priors", priors)
-        object.__setattr__(self, "target_accuracy", targets)
+        priors, targets = self.class_priors, self.target_accuracy
         if len(priors) != n or len(targets) != n:
             raise ValidationError(
                 "class_priors and target_accuracy must have num_classes entries"
@@ -124,6 +122,8 @@ def generate(
     gives a fresh sample from the same distribution (for held-out
     evaluation sets).
     """
+    _require_integers((num_instances,), "num_instance")
+    _require_integers((replica,), "replica")
     n = profile.num_classes
     m = num_instances
     if m < n:

@@ -70,6 +70,14 @@ class TestAccept:
         with pytest.raises(PreconditionError):
             accept(1.0, 0.0, rng)
 
+    def test_nan_temperature_raises_before_any_draw(self):
+        # it returned False and used up a draw
+        a = np.random.default_rng(3)
+        b = np.random.default_rng(3)
+        with pytest.raises(PreconditionError, match="temperature must be positive"):
+            accept(1.0, float("nan"), a)
+        assert a.random() == b.random()
+
 
 class TestNeighbor:
     @given(st.integers(0, 2**31 - 1))

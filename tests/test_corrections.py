@@ -102,12 +102,14 @@ class TestMembershipFormula:
         ],
     )
     def test_rejects_non_numeric_vertices(self, abc):
-        # a string compared with a float would escape as a bare TypeError
+        # a string compared with a float would escape as a bare TypeError;
+        # the message names the first vertex that is not a float
         with pytest.raises(ValidationError) as info:
             TriangularMembership(*abc)
-        assert str(info.value) == (
-            "membership vertices must be numbers, got (%r, %r, %r)" % abc
+        name, value = next(
+            (n, v) for n, v in zip("abc", abc) if not isinstance(v, float)
         )
+        assert str(info.value) == f"field {name!r} must be float, got {value!r}"
 
     def test_numpy_vertices_accepted(self):
         f = TriangularMembership(np.float32(0.0), np.int64(1), np.float64(1.0))
@@ -387,6 +389,25 @@ class TestDefaultCatalog:
         for j in range(1, 31):
             assert abs(fs.weight_factor(19 + j) - j / 30) <= EXACT
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            # a membership index gave a negative factor, 20.5 the weight
+            # 1.5 / 30 the catalog does not hold and True the factor -0.6
+            (3, "weight index 3 outside 20..49"),
+            (20.5, "selection values must be integers, got 20.5 at entry 1"),
+            (True, "selection values must be integers, got True at entry 1"),
+            (50, "selection value out of range 1..49 at entry 1: 50"),
+        ],
+    )
+    def test_weight_factor_takes_weight_indices_only(self, k, message):
+        with pytest.raises(ValidationError) as info:
+            default_function_set().weight_factor(k)
+        assert str(info.value) == message
+
+    def test_weight_factor_takes_numpy_ints(self):
+        assert default_function_set().weight_factor(np.int64(20)) == 1 / 30
+
 
 # scalar catalog indices of every kind a caller might pass: ints about the
 # catalog's ends and out past +-2^64, floats (1.0 and 20.5 among them),
@@ -528,7 +549,9 @@ def test_num_weights_must_be_an_integer(num_weights):
     dont_change = (TriangularMembership(0.0, 1.0, 1.0),)
     with pytest.raises(ValidationError) as info:
         FunctionSet(dont_change, num_weights=num_weights)
-    assert str(info.value) == f"num_weights must be integers, got {num_weights!r}"
+    assert str(info.value) == (
+        f"field 'num_weights' must be int, got {num_weights!r}"
+    )
 
 
 def test_numpy_int_num_weights_accepted():

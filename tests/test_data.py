@@ -916,6 +916,26 @@ class TestSplit:
         with pytest.raises(ValidationError, match="need at least 2 rows"):
             split_dataset(make_dataset([[0.5, 0.5]], [1]), 0.5, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # -1 ended in numpy's bare ValueError, True seeded as 1
+            (-1, "seed must be a non-negative integer"),
+            (True, "seeds must be integers, got True"),
+            (1.5, "seeds must be integers, got 1.5"),
+            ("1", "seeds must be integers, got '1'"),
+        ],
+    )
+    def test_rejects_bad_seed(self, four_row_dataset, seed, message):
+        with pytest.raises(ValidationError) as info:
+            split_dataset(four_row_dataset, 0.5, seed)
+        assert str(info.value) == message
+
+    def test_numpy_int_seed_accepted(self, four_row_dataset):
+        a = split_dataset(four_row_dataset, 0.5, np.int64(5))
+        b = split_dataset(four_row_dataset, 0.5, 5)
+        assert a.dev_set.instance_ids == b.dev_set.instance_ids
+
     @settings(deadline=None, max_examples=25)
     @given(
         m=st.integers(4, 60),

@@ -135,6 +135,24 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             generate(profile(), 100, replica=-1)
 
+    @pytest.mark.parametrize(
+        "num_instances, replica, message",
+        [
+            # 10.0 and '1' ended in a bare TypeError, True drew replica 1
+            (10.0, 0, "num_instances must be integers, got 10.0"),
+            (10, "1", "replicas must be integers, got '1'"),
+            (10, True, "replicas must be integers, got True"),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, num_instances, replica, message):
+        with pytest.raises(ValidationError) as info:
+            generate(profile(), num_instances, replica=replica)
+        assert str(info.value) == message
+
+    def test_numpy_int_arguments_accepted(self):
+        ds = generate(profile(), np.int64(50), replica=np.int32(1))
+        assert ds.fingerprint() == generate(profile(), 50, replica=1).fingerprint()
+
 
 class TestSuite:
     def test_five_tasks_with_unique_names(self):
