@@ -334,8 +334,15 @@ def run_compare_grid(
     train set itself when no held-out data exists. ``config_kw`` is the
     AnnealConfig fields minus seed. Concurrency is capped by DCS_THREADS
     (default 1, sequential); each cell is an independent chain, so every
-    field except wall_time is identical at any thread count.
+    field except wall_time is identical at any thread count. A repeated
+    dataset name, mode or seed raises ValidationError: its rows would merge
+    into one summary row.
     """
+    names = [name for name, _, _ in named_datasets]
+    for what, values in (("dataset name", names), ("mode", modes), ("seed", seeds)):
+        repeated = [v for v, n in Counter(values).items() if n > 1]
+        if repeated:
+            raise ValidationError(f"compare grid repeats {what} {repeated[0]!r}")
     cells = [
         (name, train, eval_ds, mode, seed, catalog, weights, config_kw)
         for name, train, eval_ds in named_datasets

@@ -39,7 +39,7 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 
 # a dataclass's fields and their types, in declaration order
 _type_hints = functools.cache(typing.get_type_hints)
@@ -146,13 +146,14 @@ def read_record(path: str | Path, cls, what: str):
     """``cls.from_dict`` of the JSON file at ``path``; a missing or mistyped
     field is reported as ``<path>: malformed <what>: <field problem>``, and
     a value that fails ``cls``'s own checks as ``<path>: invalid <what>:
-    <problem>``."""
+    <problem>``, a ``PreconditionError`` too (a bad schedule in a file is
+    bad input, not a solver precondition)."""
     payload = read_json(path)
     try:
         return cls.from_dict(payload)
     except FieldError as exc:
         raise ValidationError(f"{path}: malformed {what}: {exc}") from None
-    except ValidationError as exc:
+    except (ValidationError, PreconditionError) as exc:
         raise ValidationError(f"{path}: invalid {what}: {exc}") from None
 
 

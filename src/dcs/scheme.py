@@ -15,16 +15,22 @@ from pathlib import Path
 from .annealing import AnnealConfig
 from .corrections import FunctionSet, validate_selection
 from .data import LabeledDataset
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .objective import ObjectiveWeights
-from .records import FieldError, Record, read_json, write_json
+from .records import Record, _convert, read_record, write_json
 
 SCHEME_VERSION = 1
+# the prefix of the fields a scheme file nests as "dataset_fingerprint"
+_DATASET = "dataset_"
 
 
 @dataclass(frozen=True)
-class CorrectionScheme:
-    """A portable, auditable per-class correction assignment."""
+class CorrectionScheme(Record):
+    """A portable, auditable per-class correction assignment.
+
+    Its file is its ``to_dict``: ``version`` and ``num_classes``, then the
+    fields in declaration order, with the ``dataset_*`` ones nested as
+    ``dataset_fingerprint``."""
 
     catalog: FunctionSet
     selection: tuple[int, ...]
@@ -36,10 +42,16 @@ class CorrectionScheme:
     dataset_sha256: str
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.best_z):
-            raise ValidationError(f"best_z must be finite, got {self.best_z!r}")
+        # the catalog first, since the selection is checked against it; the
+        # selection before the other fields, by the index rule's messages
+        object.__setattr__(
+            self, "catalog", _convert(FunctionSet, self.catalog, "catalog")
+        )
         entries = validate_selection(self.catalog, self.selection)
         object.__setattr__(self, "selection", entries)
+        self._check_fields()
+        if not math.isfinite(self.best_z):
+            raise ValidationError(f"best_z must be finite, got {self.best_z!r}")
         if self.dataset_num_classes != len(entries):
             raise ValidationError(
                 f"selection covers {len(entries)} classes but the dataset "
@@ -59,20 +71,29 @@ class CorrectionScheme:
         )
 
     def to_dict(self) -> dict:
-        return _SchemeFile(
-            SCHEME_VERSION,
-            self.num_classes,
-            self.catalog,
-            self.selection,
-            self.objective,
-            self.anneal_config,
-            self.best_z,
-            _Fingerprint(
-                self.dataset_num_instances,
-                self.dataset_num_classes,
-                self.dataset_sha256,
-            ),
-        ).to_dict()
+        own = super().to_dict()
+        dataset = [name for name in own if name.startswith(_DATASET)]
+        fingerprint = {name.removeprefix(_DATASET): own.pop(name) for name in dataset}
+        head = {"version": SCHEME_VERSION, "num_classes": self.num_classes}
+        return {**head, **own, "dataset_fingerprint": fingerprint}
+
+    @classmethod
+    def from_dict(cls, payload, where: str = ""):
+        """The version first, then the fields only the file holds, then the
+        scheme's own, and last whether ``num_classes`` fits the selection."""
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version not in (None, SCHEME_VERSION):
+            raise ValidationError(f"unsupported scheme version {version!r}")
+        file = _SchemeFile.from_dict(payload, where)
+        fingerprint = file.dataset_fingerprint.to_dict()
+        dataset = {_DATASET + name: v for name, v in fingerprint.items()}
+        scheme = super().from_dict({**payload, **dataset}, where)
+        if file.num_classes != scheme.num_classes:
+            raise ValidationError(
+                f"num_classes is {file.num_classes} but the selection covers "
+                f"{scheme.num_classes} classes"
+            )
+        return scheme
 
 
 @dataclass(frozen=True)
@@ -84,23 +105,11 @@ class _Fingerprint(Record):
 
 @dataclass(frozen=True)
 class _SchemeFile(Record):
-    """The layout of a scheme file; field order is the file's key order."""
+    """The fields a scheme file holds besides the scheme's own."""
 
     version: int
     num_classes: int
-    catalog: FunctionSet
-    selection: tuple[int, ...]
-    objective: ObjectiveWeights
-    anneal_config: AnnealConfig
-    best_z: float
     dataset_fingerprint: _Fingerprint
-
-    def __post_init__(self) -> None:
-        if self.num_classes != len(self.selection):
-            raise ValidationError(
-                f"num_classes is {self.num_classes} but the selection covers "
-                f"{len(self.selection)} classes"
-            )
 
 
 def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
@@ -110,27 +119,4 @@ def save_scheme(scheme: CorrectionScheme, path: str | Path) -> None:
 
 
 def load_scheme(path: str | Path) -> CorrectionScheme:
-    payload = read_json(path)
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version not in (None, SCHEME_VERSION):
-        raise ValidationError(f"{path}: unsupported scheme version {version!r}")
-    try:
-        file = _SchemeFile.from_dict(payload)
-        fp = file.dataset_fingerprint
-        return CorrectionScheme(
-            catalog=file.catalog,
-            selection=file.selection,
-            objective=file.objective,
-            anneal_config=file.anneal_config,
-            best_z=file.best_z,
-            dataset_num_instances=fp.num_instances,
-            dataset_num_classes=fp.num_classes,
-            dataset_sha256=fp.sha256,
-        )
-    except FieldError as exc:
-        raise ValidationError(f"{path}: malformed scheme file: {exc}") from None
-    except PreconditionError as exc:
-        # a bad schedule in a file is bad input, not a solver precondition
-        raise ValidationError(f"{path}: invalid anneal_config: {exc}") from None
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: invalid scheme: {exc}") from None
+    return read_record(path, CorrectionScheme, "scheme")

@@ -1,4 +1,4 @@
-"""The package root's public names, and the README's library example.
+"""The package root's public names, and the README's two quick starts.
 
 ``dcs`` re-exports only the library API: what the acceptance gate imports,
 the dataset loader and its input type, and the two error classes. Everything
@@ -6,6 +6,7 @@ else is imported from the module that defines it.
 """
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import dcs
@@ -50,3 +51,22 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     # best_xi with accuracy and cobias, then furud's best_z, evaluations, stop
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch):
+    # each command as written, in order, so each reads what the ones before
+    # it wrote; the oracle line once named files that no command writes
+    section = (ROOT / "README.md").read_text().split("## Quick start (CLI)\n")[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, re.M | re.S).group(1)
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    assert [command[:2] for command in commands] == [
+        ["dcs", name]
+        for name in ("generate", "optimize", "apply", "compare", "report", "oracle")
+    ]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(command[1:]) == 0, command

@@ -430,6 +430,33 @@ class TestCompare:
         )
 
     @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # a 3-class and a 2-class set, both named by their stem 'train'
+            (["--input", "other/train.csv"], "dataset name 'train'"),
+            (["--mode", "dcs,dnip,dcs"], "mode 'dcs'"),
+            (["--seed", "0,1,0"], "seed 0"),
+        ],
+    )
+    def test_repeated_grid_key_exit_2(
+        self, tmp_path, train_csv, capsys, monkeypatch, extra, message
+    ):
+        # their rows merged into one summary row: 'train' with num_seeds 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "train.csv").write_text(
+            "id,label,p_1,p_2\na,1,0.9,0.1\nb,2,0.2,0.8\n"
+        )
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(train_csv), "--seed", "0",
+                   "--out", "x", *FAST, *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: compare grid repeats {message}\n"
+        )
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--seed", "1,x", "expected comma-separated integers, got '1,x'"),
