@@ -36,8 +36,16 @@ setting whether the load returns or raises. The parsers make no reference
 cycles, so the pause leaves nothing behind for the collector. Without it,
 every older-generation collection during a JSON load rescans the record
 dicts and probability lists that ``json.load`` has built, 2 x 10^5
-containers for 10^5 rows. The writers walk ``tolist()`` values rather than
-indexing numpy scalars row by row.
+containers for 10^5 rows.
+
+``save_dataset`` and ``save_predictions`` write through
+``records.write_rows``: one ``%`` format per row, with ``%.12g`` cells in
+CSV and ``%r`` ones in JSON, and the ids quoted as ``csv.writer`` or
+``json.dumps`` quote them, so the files keep those writers' bytes. Rows go
+from numpy to Python ``_ROW_BATCH`` at a time through ``tolist()`` and are
+zipped in C, so no Python code runs per row and neither the rows nor the
+file's text is held at once. A JSON save costs about twice a CSV one,
+because shortest-``repr`` float formatting sets its pace.
 """
 from __future__ import annotations
 
@@ -54,9 +62,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .records import PathError, _not_utf8, read_json, write_csv, write_json_rows
+from .records import (
+    PathError,
+    _not_utf8,
+    csv_fields,
+    json_string,
+    read_json,
+    write_rows,
+)
 
 CSV_PROB_DIGITS = 12
+# rows the writers convert, format and write at a time
+_ROW_BATCH = 256
 # characters of CSV body lines ``_load_csv_numpy`` reads per batch
 _CSV_BATCH_CHARS = 1 << 16
 # ASCII separators that numpy's number parsers strip as whitespace and
@@ -120,7 +137,8 @@ class LabeledDataset:
     labels : np.ndarray
         Shape (M,) int64, values in {1..N}. Read-only after init.
     instance_ids : tuple[str, ...]
-        M unique non-empty identifiers, one per row, order preserved.
+        M unique non-empty identifiers, one per row, order preserved, each
+        text that UTF-8 can encode (no lone surrogate).
     """
 
     probabilities: np.ndarray
@@ -158,9 +176,13 @@ class LabeledDataset:
         if labels.shape != (m,):
             raise ValidationError(f"expected {m} labels, got {labels.shape}")
         try:
-            "".join(ids)  # in C: a TypeError on the first non-string
+            # in C: a TypeError on the first non-string, and a
+            # UnicodeEncodeError on a lone surrogate, which no UTF-8 file can
+            # hold (isascii reads a flag, so ASCII ids are not encoded)
+            if not "".join(ids).isascii():
+                "".join(ids).encode("utf-8")
             clean = all(ids) and len(set(ids)) == m
-        except TypeError:
+        except (TypeError, UnicodeEncodeError):
             clean = False
         if not clean:
             # name the first bad row
@@ -173,6 +195,11 @@ class LabeledDataset:
                     )
                 if not ident:
                     raise ValidationError(f"empty instance id at row {r + 1}")
+                # only a lone surrogate fails to come back
+                if ident.encode("utf-8", "replace").decode("utf-8") != ident:
+                    raise ValidationError(
+                        f"instance id at row {r + 1} is not UTF-8 text: {ident!r}"
+                    )
                 if ident in seen:
                     raise ValidationError(
                         f"duplicate instance id {ident!r} at rows "
@@ -428,31 +455,37 @@ def _load_json(path: Path) -> tuple[list[str], list[int], list[float], int]:
     return ids, labels, flat, n
 
 
+def _batches(ds: LabeledDataset, quote, columns: np.ndarray):
+    """The rows ``(id, label, *columns[r])`` of ``ds``, the ids through
+    ``quote``, in batches of ``_ROW_BATCH``: each converted to Python values
+    with one ``tolist()`` per column and zipped in C."""
+    for s in range(0, ds.num_instances, _ROW_BATCH):
+        yield zip(
+            quote(ds.instance_ids[s:s + _ROW_BATCH]),
+            ds.labels[s:s + _ROW_BATCH].tolist(),
+            *columns[s:s + _ROW_BATCH].T.tolist(),
+        )
+
+
 def save_dataset(
     ds: LabeledDataset, path: str | Path, fmt: str | None = None
 ) -> None:
     """Write ``ds`` to ``path`` in CSV or JSON form (inferred from suffix)."""
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    rows = zip(ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist())
-    if fmt == "csv":
-        n = ds.num_classes
-        cell = f"%.{CSV_PROB_DIGITS}g"
-        write_csv(
-            path,
-            ["id", "label"] + [f"p_{j}" for j in range(1, n + 1)],
-            (
-                [ident, label] + [cell % v for v in probs]
-                for ident, label, probs in rows
-            ),
+    n = ds.num_classes
+    if _infer_format(path, fmt) == "csv":
+        names = ",".join(f"p_{j}" for j in range(1, n + 1))
+        cells = ",".join([f"%.{CSV_PROB_DIGITS}g"] * n)
+        write_rows(
+            path, f"id,label,{names}\r\n", f"%s,%d,{cells}\r\n",
+            _batches(ds, csv_fields, ds.probabilities),
         )
     else:
-        write_json_rows(
-            path,
-            (
-                {"id": ident, "label": label, "probs": probs}
-                for ident, label, probs in rows
-            ),
+        probs = ", ".join(["%r"] * n)
+        write_rows(
+            path, "[", f'{{"id": %s, "label": %d, "probs": [{probs}]}}',
+            _batches(ds, lambda ids: map(json_string, ids), ds.probabilities),
+            "]\n", ", ",
         )
 
 
@@ -465,10 +498,9 @@ def save_predictions(
         raise ValidationError(
             f"expected {ds.num_instances} predictions, got {preds.shape}"
         )
-    write_csv(
-        path,
-        ["id", "label", "prediction"],
-        zip(ds.instance_ids, ds.labels.tolist(), preds.tolist()),
+    write_rows(
+        path, "id,label,prediction\r\n", "%s,%d,%d\r\n",
+        _batches(ds, csv_fields, preds[:, None]),
     )
 
 

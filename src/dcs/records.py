@@ -8,16 +8,20 @@ longer than Python's digit limit for string conversion, and arrays or
 objects nested too deeply to parse. A missing or unreadable file raises
 ``OSError``.
 
-``write_json``, ``write_json_rows`` and ``write_csv`` are the package's only
+``write_json``, ``write_csv`` and ``write_rows`` are the package's only
 writers. JSON floats go out as ``repr``, so a write followed by a read
 returns every value bit for bit; CSV cells go through ``csv.writer`` as they
-are (floats as ``repr``, None as an empty cell). Each writes a sibling temp
-file, ``.<name>.<pid>.tmp``, and ``os.replace``s it over the target, so a
-reader sees the earlier file or the new one, never a half-written one, and
-an interrupted write leaves the earlier file and no temp file. The new file
-gets the umask's permissions, not the earlier file's. A symlink or device at
-the target is not written through: the rename replaces it with a regular
-file, or the write fails with an ``OSError`` (exit 4 from the CLI).
+are (floats as ``repr``, None as an empty cell). ``write_rows`` writes the
+large files, datasets and predictions, with one ``%`` format per row; the
+callers' formats spell out the bytes ``csv.writer`` or ``json.dump`` would
+give the same row, with ids quoted by ``csv_fields`` or ``json_string``.
+Each writes a sibling temp file, ``.<name>.<pid>.tmp``, and ``os.replace``s
+it over the target, so a reader sees the earlier file or the new one, never
+a half-written one, and an interrupted write leaves the earlier file and no
+temp file. The new file gets the umask's permissions, not the earlier
+file's. A symlink or device at the target is not written through: the
+rename replaces it with a regular file, or the write fails with an
+``OSError`` (exit 4 from the CLI).
 
 ``Record`` gives a frozen dataclass its JSON form from its fields.
 ``to_dict`` lists them in declaration order, tuples as lists and nested
@@ -30,21 +34,21 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import numbers
 import os
 import sys
 import typing
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as json_string
 from pathlib import Path
 
 from .errors import PreconditionError, ValidationError
 
 # a dataclass's fields and their types, in declaration order
 _type_hints = functools.cache(typing.get_type_hints)
-# rows ``write_json_rows`` encodes per ``json.dumps`` call
-_JSON_SLICE = 256
+# characters that make ``csv.writer``'s default dialect quote a field
+_CSV_QUOTED = ',"\r\n'
 
 
 class FieldError(ValidationError):
@@ -109,26 +113,38 @@ def write_json(path: str | Path, payload) -> None:
     _replace(path, dump)
 
 
-def write_json_rows(path: str | Path, rows) -> None:
-    """A JSON array of ``rows`` on one line, with the bytes ``json.dump``
-    gives ``list(rows)`` at ``indent=None``.
+def write_rows(
+    path: str | Path, head: str, row_format: str, batches, tail: str = "",
+    separator: str = "",
+) -> None:
+    """``head``, then ``row_format % row`` for each row (a tuple) of each of
+    ``batches``, joined by ``separator``, then ``tail``.
 
-    ``json.dump`` always runs the pure-Python encoder; ``json.dumps`` runs
-    the C one. So the rows go through ``json.dumps`` ``_JSON_SLICE`` at
-    a time, and neither the whole list nor the file's text is held at once.
+    Each batch is formatted and written at once, so the caller's batch size
+    bounds the rows and the text held; no batch may be empty.
     """
 
     def dump(fh) -> None:
-        fh.write("[")
-        rows_left = iter(rows)
-        separator = ""
-        while batch := list(itertools.islice(rows_left, _JSON_SLICE)):
-            fh.write(separator)
-            fh.write(json.dumps(batch)[1:-1])
-            separator = ", "
-        fh.write("]\n")
+        fh.write(head)
+        joint = ""
+        for batch in batches:
+            fh.write(joint + separator.join(map(row_format.__mod__, batch)))
+            joint = separator
+        fh.write(tail)
 
     _replace(path, dump)
+
+
+def csv_fields(texts):
+    """``texts`` as ``csv.writer``'s default dialect writes them as fields:
+    one that holds a comma, a quote or a line break goes in quotes, with
+    each quote doubled."""
+    if not any(c in "".join(texts) for c in _CSV_QUOTED):
+        return texts
+    return [
+        '"%s"' % t.replace('"', '""') if any(c in t for c in _CSV_QUOTED) else t
+        for t in texts
+    ]
 
 
 def write_csv(path: str | Path, header, rows) -> None:

@@ -2,6 +2,8 @@
 import contextlib
 import csv
 import gc
+import io
+import json
 import math
 import sys
 
@@ -20,7 +22,7 @@ from dcs import (
 )
 import dcs.data
 from dcs.corrections import validate_selection
-from dcs.data import save_predictions, split_dataset
+from dcs.data import _ROW_BATCH, save_predictions, split_dataset
 from dcs.objective import per_class_accuracy
 from dcs.cli import main
 from conftest import MUTATIONS, fresh_file, make_dataset, mutated
@@ -60,6 +62,12 @@ class TestValidation:
             ((7, 8), "instance id at row 1 is not a string: 7"),
             (("a", b"b"), "instance id at row 2 is not a string: b'b'"),
             (("a", ["b"]), "instance id at row 2 is not a string: ['b']"),
+            # a lone surrogate, which UTF-8 cannot encode: fingerprint and
+            # every file save raised UnicodeEncodeError
+            (("a", "b\ud800"),
+             "instance id at row 2 is not UTF-8 text: 'b\\ud800'"),
+            (("\udfff", "a", "a"),
+             "instance id at row 1 is not UTF-8 text: '\\udfff'"),
         ],
     )
     def test_first_bad_id_is_named(self, ids, message):
@@ -320,6 +328,114 @@ class TestWriters:
         assert probs.tobytes() == expected.tobytes()
 
 
+# cells at the edges of both formats: signed zeros, subnormals and 1.0
+CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300, 5e-324, 2.225073858507201e-308]),
+    st.floats(0.0, 1.0),
+)
+# ids that each writer must quote or escape, non-ASCII ones among them
+ODD_IDS = ("a,b", 'say "hi"', "\r", "\n", "\x00", "\u2028", "\x85", "\ufeff",
+           "é", "\U0001f600")
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets whose ids come from ``st.text()``, which draws commas,
+    quotes, line breaks, NUL, U+2028, U+0085, a BOM and other non-ASCII
+    text."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4))
+    ids = draw(st.lists(st.text(min_size=1), min_size=m, max_size=m, unique=True))
+    probs = draw(
+        st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    labels = draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
+    return make_dataset(probs, labels, ids)
+
+
+def stdlib_files(ds, preds) -> dict[str, bytes]:
+    """The CSV and JSON files of ``ds`` and its predictions file as
+    ``csv.writer`` and ``json.dump`` write them."""
+    rows = list(zip(ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist()))
+    names = [f"p_{j}" for j in range(1, ds.num_classes + 1)]
+    files = {}
+    for name, header, table in [
+        ("ds.csv", ["id", "label", *names],
+         [[i, label, *("%.12g" % v for v in p)] for i, label, p in rows]),
+        ("preds.csv", ["id", "label", "prediction"],
+         zip(ds.instance_ids, ds.labels.tolist(), preds.tolist())),
+    ]:
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(table)
+        files[name] = text.getvalue().encode("utf-8")
+    text = io.StringIO(newline="")
+    json.dump([{"id": i, "label": label, "probs": p} for i, label, p in rows], text)
+    files["ds.json"] = (text.getvalue() + "\n").encode("utf-8")
+    return files
+
+
+def saved_files(ds, preds, directory) -> dict[str, bytes]:
+    """The same three files as ``save_dataset`` and ``save_predictions``
+    write them."""
+    files = {}
+    for name in ("ds.csv", "preds.csv", "ds.json"):
+        path = fresh_file(directory, name.split(".")[1])
+        if name == "preds.csv":
+            save_predictions(ds, preds, path)
+        else:
+            save_dataset(ds, path)
+        files[name] = path.read_bytes()
+    return files
+
+
+class TestRowWriter:
+    """``save_dataset`` and ``save_predictions`` format each row with one
+    ``%`` format; the files keep the bytes of ``csv.writer`` and
+    ``json.dump``, at every row count and for any id."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(ds=datasets(), data=st.data())
+    def test_bytes_equal_the_stdlib_writers(self, fuzz_dir, ds, data):
+        m, n = ds.probabilities.shape
+        preds = np.array(
+            data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
+        )
+        assert saved_files(ds, preds, fuzz_dir) == stdlib_files(ds, preds)
+
+    @pytest.mark.parametrize(
+        "count",
+        [1, _ROW_BATCH - 1, _ROW_BATCH, _ROW_BATCH + 1, 2 * _ROW_BATCH + 1],
+    )
+    def test_bytes_at_batch_boundaries(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        probs = rng.random((count, 3))
+        probs[::3, 0] = -0.0
+        probs[1::3, 1] = 5e-324
+        probs[2::3, 2] = 1.0
+        ids = [f"{ODD_IDS[i % len(ODD_IDS)]}{i}" for i in range(count)]
+        ds = make_dataset(probs, rng.integers(1, 4, count), ids)
+        preds = rng.integers(1, 4, count)
+        assert saved_files(ds, preds, tmp_path) == stdlib_files(ds, preds)
+
+    @settings(deadline=None, max_examples=100)
+    @given(ds=datasets())
+    def test_saved_files_load_back(self, fuzz_dir, ds):
+        for suffix in ("csv", "json"):
+            path = fresh_file(fuzz_dir, suffix)
+            save_dataset(ds, path)
+            loaded = load_dataset(path)
+            assert loaded.instance_ids == ds.instance_ids
+            assert loaded.labels.tolist() == ds.labels.tolist()
+            expected = ds.probabilities
+            if suffix == "csv":
+                expected = np.array(
+                    [[float("%.12g" % v) for v in p] for p in expected.tolist()]
+                )
+            assert loaded.probabilities.tobytes() == expected.tobytes()
+
+
 # a bad byte past the text stream's first decode chunk, so that the error
 # must name its offset in the file, not in the chunk
 CSV_NOT_UTF8 = b"id,label,p_1,p_2\n" + b"r,1,0.5,0.5\n" * 2000 + b"s,2,\xff,0.5\n"
@@ -327,6 +443,13 @@ JSON_NOT_UTF8 = b'[{"id": "a\xff", "label": 1, "probs": [0.5, 0.5]}]'
 
 # (file name, content, exit code, stderr message); "{path}" is the input file
 LOADER_CASES = [
+    pytest.param(
+        "surrogate.json",
+        b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]}, '
+        b'{"id": "a\\ud800", "label": 2, "probs": [0.5, 0.5]}]',
+        2, "{path}: instance id at row 2 is not UTF-8 text: 'a\\ud800'",
+        id="json-lone-surrogate-id",
+    ),
     pytest.param(
         "ragged.csv",
         b"id,label,p_1,p_2\na,1,0.5,0.5\n\nb,2,0.5\n",
@@ -657,6 +780,21 @@ class TestLoaderErrors:
         assert rc == code
         err = capsys.readouterr().err
         assert err == "error: " + message.format(path=path) + "\n"
+
+    def test_optimize_names_a_lone_surrogate_id(self, tmp_path, capsys):
+        # the escape loads as a str that UTF-8 cannot encode; optimize
+        # fingerprinted it and ended in a UnicodeEncodeError traceback
+        path = tmp_path / "ds.json"
+        path.write_bytes(
+            b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]}, '
+            b'{"id": "\\ud800b", "label": 2, "probs": [0.5, 0.5]}]'
+        )
+        rc = main(["optimize", "--input", str(path), "--seed", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: instance id at row 2 is not UTF-8 text: '\\ud800b'\n"
+        )
 
     def test_blank_line_is_not_a_row(self, tmp_path, capsys):
         # a parse error and a dataset check name the same line alike

@@ -1,8 +1,8 @@
 """The one-writer rule and the one field rule of ``dcs.records``.
 
 Only ``dcs.records`` writes files: every other module in ``src/dcs`` goes
-through ``records.write_json``, ``records.write_json_rows`` and
-``records.write_csv``, which replace their targets atomically. The scan
+through ``records.write_json``, ``records.write_csv`` and
+``records.write_rows``, which replace their targets atomically. The scan
 below reads each module's syntax tree and fails on any call that opens a
 file for writing (or with a mode it cannot read), writes through
 ``write_text``/``write_bytes``, or calls ``json.dump`` or ``os.replace``.
@@ -35,13 +35,14 @@ from dcs import (
     save_scheme,
 )
 from dcs.corrections import load_catalog, save_catalog
+from dcs.data import _ROW_BATCH
 from dcs.records import (
-    _JSON_SLICE,
     Record,
     _type_hints,
+    json_string,
     write_csv,
     write_json,
-    write_json_rows,
+    write_rows,
 )
 from dcs.synth import BiasProfile, load_profile, save_profile
 
@@ -127,18 +128,28 @@ def test_symlink_at_target_is_replaced_not_followed(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "count", [0, 1, _JSON_SLICE - 1, _JSON_SLICE, _JSON_SLICE + 1,
-              2 * _JSON_SLICE + 1]
+    "count",
+    [0, 1, _ROW_BATCH - 1, _ROW_BATCH, _ROW_BATCH + 1, 2 * _ROW_BATCH + 1],
 )
 def test_json_rows_bytes_equal_one_dump(tmp_path, count):
-    # rows are encoded a slice at a time; the joins between slices must
+    # rows are formatted a batch at a time; the joins between batches must
     # leave the bytes of one json.dump of the whole list
     rows = [
         {"id": f"r{i}", "label": i % 3 + 1, "probs": [i / 7, -0.0, 1e-300]}
         for i in range(count)
     ]
     path = tmp_path / "rows.json"
-    write_json_rows(path, iter(rows))
+    write_rows(
+        path, "[", '{"id": %s, "label": %d, "probs": [%r, %r, %r]}',
+        (
+            [
+                (json_string(r["id"]), r["label"], *r["probs"])
+                for r in rows[s:s + _ROW_BATCH]
+            ]
+            for s in range(0, count, _ROW_BATCH)
+        ),
+        "]\n", ", ",
+    )
     expected = tmp_path / "expected.json"
     with expected.open("w", encoding="utf-8") as fh:
         json.dump(list(rows), fh, indent=None)

@@ -15,7 +15,7 @@ from dcs import (
     save_scheme,
 )
 from dcs.corrections import load_catalog, save_catalog
-from dcs.records import write_csv, write_json, write_json_rows
+from dcs.records import write_csv, write_json, write_rows
 import numpy as np
 
 from conftest import MUTATIONS, fresh_file, make_dataset, mutated
@@ -50,9 +50,14 @@ def _rows_then_disk_full():
     raise OSError("disk full")
 
 
+def _batches_then_disk_full():
+    yield [("r0", 0.5)]
+    raise OSError("disk full")
+
+
 # writer -> (first write, second write); json.dump fails halfway through the
-# second JSON write, and the second CSV and JSON-rows writes' rows fail
-# after one row
+# second JSON write, and the second CSV and row writes fail after one row or
+# one batch of rows
 WRITES = {
     "save_scheme": (
         lambda ds, path: save_scheme(make_scheme(ds), path),
@@ -66,9 +71,11 @@ WRITES = {
         lambda ds, path: write_csv(path, ["id", "p"], [["r0", 0.25]]),
         lambda ds, path: write_csv(path, ["id", "p"], _rows_then_disk_full()),
     ),
-    "write_json_rows": (
-        lambda ds, path: write_json_rows(path, [["r0", 0.25]]),
-        lambda ds, path: write_json_rows(path, _rows_then_disk_full()),
+    "write_rows": (
+        lambda ds, path: write_rows(path, "[", "[%r, %r]", [[("r0", 0.25)]], "]\n"),
+        lambda ds, path: write_rows(
+            path, "[", "[%r, %r]", _batches_then_disk_full(), "]\n"
+        ),
     ),
 }
 
