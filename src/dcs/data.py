@@ -28,15 +28,24 @@ readers call ``PyOS_string_to_double`` on the same ASCII text, and numpy
 refuses the underscores and non-ASCII digits that ``int()`` and ``float()``
 take.
 
-The row loop and the JSON parser stream every row into flat lists (ids, int
-labels, and one list of all probabilities, reshaped to (M, N) once at the
-end) and keep no list per row. ``load_dataset`` runs either format's parser
-with CPython's cyclic garbage collector paused, and restores the caller's
-setting whether the load returns or raises. The parsers make no reference
-cycles, so the pause leaves nothing behind for the collector. Without it,
-every older-generation collection during a JSON load rescans the record
-dicts and probability lists that ``json.load`` has built, 2 x 10^5
-containers for 10^5 rows.
+A JSON file has one set of record checks and two readers. ``_load_json``
+first runs the checks over ``records.read_json_chunks``, which parses the
+top-level array about a MiB of text at a time, so each chunk's records are
+freed before the next is read. If that fails, on text the chunked reader
+declines or a record that fails its checks, it runs the checks again over
+``read_json``'s whole-file parse, which then decides every message and
+which error comes first. So a file that fails is parsed twice.
+
+The row loop and the JSON parser stream every row into flat columns (ids,
+int labels, and all probabilities, reshaped to (M, N) once at the end) and
+keep nothing per row. The JSON parser stores the probabilities in an
+``array("d")`` and the row loop in a list of floats. ``load_dataset`` runs
+either format's parser with CPython's cyclic garbage collector paused, and
+restores the caller's setting whether the load returns or raises. The
+parsers make no reference cycles, so the pause leaves nothing behind for
+the collector. Without it, every older-generation collection during a JSON
+load rescans the record dicts and probability lists that ``json`` has
+built.
 
 ``save_dataset`` and ``save_predictions`` write through
 ``records.write_rows``: one ``%`` format per row, with ``%.12g`` cells in
@@ -56,6 +65,7 @@ import itertools
 import math
 import struct
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +78,7 @@ from .records import (
     csv_fields,
     json_string,
     read_json,
+    read_json_chunks,
     write_rows,
 )
 
@@ -405,15 +416,30 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
     return ids, labels, flat, n
 
 
-def _load_json(path: Path) -> tuple[list[str], list[int], list[float], int]:
-    """The ids, labels, flat probabilities and class count of a JSON file."""
+def _load_json(path: Path) -> tuple[list[str], list[int], array, int]:
+    """The ids, labels, flat probabilities and class count of a JSON file,
+    read one chunk at a time, or as a whole when anything in that fails."""
+    try:
+        return _json_columns(
+            itertools.chain.from_iterable(read_json_chunks(path))
+        )
+    except (ValueError, RecursionError):
+        # a text the chunked reader declines, a parse error or a failed
+        # record: the whole-file path decides what is wrong, and what first
+        pass
     records = read_json(path)
     if not isinstance(records, list) or not records:
         raise ValidationError("expected a non-empty JSON array")
+    return _json_columns(records)
+
+
+def _json_columns(records) -> tuple[list[str], list[int], array, int]:
+    """The ids, labels, flat probabilities and class count of the dataset
+    records that ``records`` yields."""
     n: int | None = None
     ids: list[str] = []
     labels: list[int] = []
-    flat: list[float] = []
+    flat = array("d")
     # json.load builds plain dicts, lists and ints, so ``type(x) is`` tests
     # stand in for isinstance, and a boolean label is not an int
     for row_no, rec in enumerate(records, start=1):
@@ -438,7 +464,8 @@ def _load_json(path: Path) -> tuple[list[str], list[int], list[float], int]:
         if not _JSON_NUMBERS.issuperset(map(type, probs)):
             raise ValidationError(f"record {row_no} has a non-numeric probability")
         try:
-            flat += map(float, probs)
+            # the doubles float() gives, with no float object per cell
+            flat.fromlist(probs)
         except OverflowError:
             # an integer too large for a float
             raise ValidationError(

@@ -1,12 +1,17 @@
 """The file formats of every file dcs writes, and of the JSON it reads.
 
-``read_json`` is the package's one JSON reader. Whatever bytes a file holds,
-it returns the parsed value or raises ``ValidationError`` with a one-line
-message that starts with the file's path: bytes that are not UTF-8 (with
-the offset of the first bad byte), malformed or truncated JSON, an integer
-longer than Python's digit limit for string conversion, and arrays or
-objects nested too deeply to parse. A missing or unreadable file raises
-``OSError``.
+``read_json`` and ``read_json_chunks`` are the package's JSON readers.
+``read_json`` reads a file whole. Whatever bytes a file holds, it returns
+the parsed value or raises ``ValidationError`` with a one-line message that
+starts with the file's path: bytes that are not UTF-8 (with the offset of
+the first bad byte), malformed or truncated JSON, an integer longer than
+Python's digit limit for string conversion, and arrays or objects nested
+too deeply to parse. A missing or unreadable file raises ``OSError``.
+``read_json_chunks`` parses a top-level array of objects one chunk of text
+at a time, so that a dataset's records need not all be held at once. It
+gives ``read_json``'s elements or raises, without a message of its own: a
+caller that gets an error reads the file again with ``read_json``, which
+decides what is wrong.
 
 ``write_json``, ``write_csv`` and ``write_rows`` are the package's only
 writers. JSON floats go out as ``repr``, so a write followed by a read
@@ -49,6 +54,10 @@ from .errors import PreconditionError, ValidationError
 _type_hints = functools.cache(typing.get_type_hints)
 # characters that make ``csv.writer``'s default dialect quote a field
 _CSV_QUOTED = ',"\r\n'
+# characters of a JSON file ``read_json_chunks`` reads at a time
+_JSON_CHUNK_CHARS = 1 << 20
+# the whitespace JSON allows between tokens
+_JSON_SPACE = " \t\n\r"
 
 
 class FieldError(ValidationError):
@@ -76,6 +85,39 @@ def read_json(path: str | Path):
     except RecursionError:
         detail = "nested too deeply"
     raise PathError(f"{path}: invalid JSON: {detail}")
+
+
+def read_json_chunks(path: str | Path):
+    """The elements of the JSON array in the file at ``path``, yielded as
+    non-empty lists, one ``json.loads`` of ``_JSON_CHUNK_CHARS`` characters
+    or so at a time. On any text it does not take, which need not be bad
+    JSON, it raises a ``ValueError``, or a ``RecursionError`` on nesting too
+    deep to parse.
+
+    The file is opened as ``read_json`` opens it, so both parse the same
+    characters. Each segment runs to the last ``}`` read so far and, after
+    its leading ``[`` or ``,``, parses as the body of one array, which it
+    can only when the cut ends an element. Only JSON whitespace may come
+    before that ``[`` or ``,``, and only ``]`` and whitespace after the last
+    segment.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        pieces: list[str] = []  # the text since the last cut
+        opener = "["
+        while chunk := fh.read(_JSON_CHUNK_CHARS):
+            cut = chunk.rfind("}") + 1
+            if not cut:
+                pieces.append(chunk)
+                continue
+            pieces.append(chunk[:cut])
+            segment = "".join(pieces).lstrip(_JSON_SPACE)
+            pieces = [chunk[cut:]]
+            if segment[:1] != opener:
+                raise ValueError(f"a segment does not start with {opener!r}")
+            yield json.loads(f"[{segment[1:]}]")
+            opener = ","
+        if opener == "[" or "".join(pieces).strip(_JSON_SPACE) != "]":
+            raise ValueError("no object, or text after the last one")
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> PathError:

@@ -151,21 +151,30 @@ def generate(
     temp = profile.confusion_temperature
     rows = np.arange(m)
 
+    # the (M, N) steps below write into the noise buffers, so that no
+    # whole-table temporary is made; each gives the bits of its plain form
+    gathered = base_logits[labels0]
+
     # winners: the true class when correct, else a Gumbel-max draw from the
     # softmax of the true class's confusion logits over the other classes
-    winner_logits = (base_logits[labels0] + winner_noise) / temp
+    winner_logits = np.add(gathered, winner_noise, out=winner_noise)
+    winner_logits /= temp
     winner_logits[rows, labels0] = -np.inf
-    sampled = np.argmax(winner_logits + gumbel, axis=1)
+    winner_logits += gumbel
+    del gumbel
+    sampled = np.argmax(winner_logits, axis=1)
     winners = np.where(correct, labels0, sampled)
 
     # losers split the leftover mass by a softmax of the same preferences
-    share_logits = (base_logits[labels0] + share_noise) / temp
+    share_logits = np.add(gathered, share_noise, out=share_noise)
+    del gathered
+    share_logits /= temp
     share_logits[rows, winners] = -np.inf
     share_logits -= np.max(share_logits, axis=1, keepdims=True)
-    shares = np.exp(share_logits)
+    shares = np.exp(share_logits, out=share_logits)
     shares /= shares.sum(axis=1, keepdims=True)
 
-    probs = shares * (1.0 - winner_mass)[:, None]
+    probs = np.multiply(shares, (1.0 - winner_mass)[:, None], out=shares)
     probs[rows, winners] = winner_mass
 
     return LabeledDataset(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from dcs import (
     save_dataset,
 )
 import dcs.data
+import dcs.records
 from dcs.corrections import validate_selection
 from dcs.data import _ROW_BATCH, save_predictions, split_dataset
 from dcs.objective import per_class_accuracy
+from dcs.synth import benchmark_suite, generate
 from dcs.cli import main
 from conftest import MUTATIONS, fresh_file, make_dataset, mutated
 
@@ -339,13 +342,13 @@ ODD_IDS = ("a,b", 'say "hi"', "\r", "\n", "\x00", "\u2028", "\x85", "\ufeff",
 
 
 @st.composite
-def datasets(draw):
-    """Small datasets whose ids come from ``st.text()``, which draws commas,
-    quotes, line breaks, NUL, U+2028, U+0085, a BOM and other non-ASCII
-    text."""
+def datasets(draw, ids=st.text(min_size=1)):
+    """Small datasets whose ids come from ``ids``, by default ``st.text()``,
+    which draws commas, quotes, braces, line breaks, NUL, U+2028, U+0085, a
+    BOM and other non-ASCII text."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(2, 4))
-    ids = draw(st.lists(st.text(min_size=1), min_size=m, max_size=m, unique=True))
+    ids = draw(st.lists(ids, min_size=m, max_size=m, unique=True))
     probs = draw(
         st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=m, max_size=m)
     )
@@ -1017,6 +1020,234 @@ class TestCsvReaders:
             writer.writerow(["id", "label", "p_1", "p_2"])
             writer.writerows(rows)
         assert outcome(path) == reference_outcome(path)
+
+
+# characters per chunk that cut small files at many places
+CHUNK_SIZES = (1, 7, 64, 4096)
+
+
+@contextlib.contextmanager
+def json_chunks(size):
+    """``read_json_chunks`` reading ``size`` characters at a time, or its
+    own ``_JSON_CHUNK_CHARS`` when ``size`` is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(dcs.records, "_JSON_CHUNK_CHARS", size)
+        yield mp
+
+
+@contextlib.contextmanager
+def whole_file():
+    """The chunked reader declining every JSON file, so that ``read_json``
+    parses it whole."""
+
+    def decline(path):
+        raise ValueError("declined")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dcs.data, "read_json_chunks", decline)
+        yield
+
+
+def no_fallback(path):
+    """A ``read_json`` for loads that must not read the file whole."""
+    raise AssertionError(f"{path} was read whole")
+
+
+def read_chunked(path):
+    """The elements ``read_json_chunks`` yields, or ``"declined"``."""
+    try:
+        lists = list(dcs.records.read_json_chunks(path))
+    except (ValueError, RecursionError):
+        return "declined"
+    assert all(lists)
+    return [element for elements in lists for element in elements]
+
+
+JSON_FORMATS = st.fixed_dictionaries(
+    {
+        "indent": st.sampled_from([None, 0, 1, "\t"]),
+        "separators": st.sampled_from([(", ", ": "), (",", ":"), (" ,\r\n", "\t:")]),
+        "ensure_ascii": st.booleans(),
+    }
+)
+# any JSON value: a NaN would not equal itself
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+RECORD = '{"id": "%s", "label": %s, "probs": [0.5, 0.5]}'
+# (content, message): files the chunked reader declines or takes, each
+# with the message of the whole-file path
+JSON_CHUNK_CASES = [
+    # a bad record in the first chunk does not pre-empt the syntax error in
+    # the last line, which is placed in the whole file
+    pytest.param(
+        (
+            "[\n" + ",\n".join(
+                [RECORD % ("a", '"x"')]
+                + [RECORD % (f"r{i}", 1 + i % 2) for i in range(40)]
+            )
+            + ',\n{"id": "z", "label": 1 "probs": [0.5, 0.5]}\n]\n'
+        ).encode(),
+        "{path}: invalid JSON: Expecting ',' delimiter: "
+        "line 43 column 24 (char 1983)",
+        id="bad-record-first-syntax-error-last",
+    ),
+    pytest.param(
+        ("[" + RECORD % ("a", 1) + ", ]").encode(),
+        "{path}: invalid JSON: Expecting value: line 1 column 48 (char 47)",
+        id="comma-before-end",
+    ),
+    pytest.param(
+        ("[" + RECORD % ("a", 1) + "]\n[" + RECORD % ("b", 2) + "]\n").encode(),
+        "{path}: invalid JSON: Extra data: line 2 column 1 (char 47)",
+        id="data-after-the-array",
+    ),
+    pytest.param(
+        (
+            "[" + ", ".join(
+                [RECORD % ("a}b", 1), RECORD % ("c}}", 2), RECORD % ("a}b", 2)]
+            ) + "]"
+        ).encode(),
+        "{path}: duplicate instance id 'a}b' at rows 1 and 3",
+        id="brace-in-an-id-at-a-cut",
+    ),
+    pytest.param(b" \n[]\n", "{path}: expected a non-empty JSON array", id="empty"),
+]
+
+
+class TestJsonChunks:
+    """``load_dataset`` reads a JSON dataset one chunk of text at a time, and
+    reads it whole with ``read_json`` when anything in that fails, so every
+    dataset and every message is the whole-file path's."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(ds=datasets(), fmt=JSON_FORMATS)
+    def test_loads_as_the_whole_file(self, fuzz_dir, ds, fmt):
+        rows = zip(ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist())
+        dumped = fresh_file(fuzz_dir, "json")
+        dumped.write_text(
+            json.dumps([{"id": i, "label": a, "probs": p} for i, a, p in rows], **fmt),
+            encoding="utf-8",
+        )
+        saved = fresh_file(fuzz_dir, "json")
+        save_dataset(ds, saved)
+        expected = ds.fingerprint()  # ids, labels and probability bits
+        for path in (dumped, saved):
+            with whole_file():
+                assert outcome(path) == expected
+            for size in CHUNK_SIZES:
+                with json_chunks(size):
+                    assert outcome(path) == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        ds=datasets(
+            ids=st.text(
+                st.characters(exclude_categories=["Cs"], exclude_characters="}"),
+                min_size=1,
+            )
+        )
+    )
+    def test_saved_files_never_fall_back(self, fuzz_dir, ds):
+        # a cut can split an id only at a "}" inside it
+        path = fresh_file(fuzz_dir, "json")
+        save_dataset(ds, path)
+        expected = ds.fingerprint()
+        for size in (*CHUNK_SIZES, None):
+            with json_chunks(size) as mp:
+                mp.setattr(dcs.data, "read_json", no_fallback)
+                assert outcome(path) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        value=st.lists(JSON_VALUES, max_size=4), fmt=JSON_FORMATS,
+        size=st.sampled_from(CHUNK_SIZES),
+    )
+    def test_reader_gives_the_parse_or_declines(self, fuzz_dir, value, fmt, size):
+        path = fresh_file(fuzz_dir, "json")
+        path.write_text(json.dumps(value, **fmt), encoding="utf-8")
+        with json_chunks(size):
+            assert read_chunked(path) in ("declined", value)
+
+    @settings(deadline=None, max_examples=150)
+    @given(mutations=MUTATIONS, size=st.sampled_from(CHUNK_SIZES))
+    def test_mutated_file_as_the_whole_file_reads_it(
+        self, fuzz_dir, mutations, size
+    ):
+        path = fresh_file(fuzz_dir, "json")
+        path.write_bytes(mutated(GOLDEN_JSON, mutations))
+        with json_chunks(size):
+            chunked = read_chunked(path)
+            assert chunked == "declined" or chunked == dcs.records.read_json(path)
+            loaded = outcome(path)
+        with whole_file():
+            assert loaded == outcome(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("", id="empty-file"),
+            pytest.param(" [ ] ", id="empty-array"),
+            pytest.param('{"a": 1}', id="object"),
+            pytest.param('\ufeff[{"a": 1}]', id="bom"),
+            pytest.param('[{"a": 1}, 2]', id="element-after-the-last-object"),
+            pytest.param('[{"a": 1}] {"b": 2}', id="object-after-the-array"),
+            pytest.param('[{"a": 1}]]', id="bracket-after-the-array"),
+            pytest.param('({"a": 1}]', id="not-a-bracket"),
+            pytest.param('[{"a": 1}; {"b": 2}]', id="not-a-comma"),
+            # whitespace to str.strip() but not to JSON
+            pytest.param('\xa0[{"a": 1}]', id="space-before"),
+            pytest.param('[{"a": 1}\u2028, {"b": 2}]', id="space-between"),
+            pytest.param('[{"a": 1}]\x1c', id="space-after"),
+            pytest.param('[{"a": 1},, {"b": 2}]', id="two-commas"),
+            pytest.param('[{"a": 1} {"b": 2}]', id="no-comma"),
+            pytest.param('[{"a": "}bcdefghij"}]', id="cut-in-a-string"),
+            pytest.param('[{"a": {"b": 1}, "cdefghij": 2}]', id="cut-in-an-object"),
+        ],
+    )
+    def test_reader_declines(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        with json_chunks(7):
+            assert read_chunked(path) == "declined"
+
+    @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
+    @pytest.mark.parametrize("content, message", JSON_CHUNK_CASES)
+    def test_message_at_every_chunk_size(
+        self, tmp_path, capsys, content, message, size
+    ):
+        path = tmp_path / "ds.json"
+        path.write_bytes(content)
+        with json_chunks(size):
+            rc = main(["oracle", "--input", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        # replace, not format: an id in the message holds a brace
+        assert capsys.readouterr().err == f"error: {message.replace('{path}', str(path))}\n"
+
+    def test_peak_memory_is_under_half_the_whole_file(self, tmp_path):
+        path = tmp_path / "p5.json"
+        save_dataset(generate(benchmark_suite()[4].profile, 20_000), path)
+
+        def traced(read):
+            tracemalloc.start()
+            try:
+                ds = read(path)
+                return tracemalloc.get_traced_memory()[1], ds.fingerprint()
+            finally:
+                tracemalloc.stop()
+
+        with json_chunks(1 << 16) as mp:
+            mp.setattr(dcs.data, "read_json", no_fallback)
+            chunked_peak, chunked = traced(load_dataset)
+        with whole_file():
+            whole_peak, whole = traced(load_dataset)
+        assert chunked == whole
+        assert chunked_peak < whole_peak / 2
 
 
 class TestSplit:

@@ -87,6 +87,14 @@ class TestGenerate:
         b = generate(profile(), 200)
         assert a.fingerprint() == b.fingerprint()
 
+    def test_p5_replica_bits_are_pinned(self):
+        # recorded when every (M, N) step still made a new table; writing
+        # into the noise buffers must give the same bits
+        ds = generate(benchmark_suite()[4].profile, 10_000, replica=3)
+        assert ds.fingerprint() == (
+            "b83b1a91d478c6715a7fbcf39d6641491c5a1634b9a1489b9855a7867a6b7532"
+        )
+
     def test_replicas_differ_in_instances(self):
         a = generate(profile(), 200, replica=0)
         b = generate(profile(), 200, replica=1)
