@@ -21,7 +21,6 @@ import csv
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,7 +333,9 @@ def run_compare_grid(
     train set itself when no held-out data exists. ``config_kw`` is the
     AnnealConfig fields minus seed. Concurrency is capped by DCS_THREADS
     (default 1, sequential); each cell is an independent chain, so every
-    field except wall_time is identical at any thread count. A repeated
+    field except wall_time is identical at any thread count. The process
+    pool is imported only when DCS_THREADS > 1, so a run without it loads
+    neither ``concurrent.futures`` nor ``multiprocessing``. A repeated
     dataset name, mode or seed raises ValidationError: its rows would merge
     into one summary row.
     """
@@ -351,6 +352,8 @@ def run_compare_grid(
     ]
     threads = _thread_budget()
     if threads > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:

@@ -69,12 +69,10 @@ def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
     a, b, c = f.a, f.b, f.c
     out = np.zeros_like(p)
     if b > a:
-        m = (p >= a) & (p <= b)
-        out[m] = (p[m] - a) / (b - a)
+        np.divide(p - a, b - a, out=out, where=(p >= a) & (p <= b))
     if c > b:
         # rewrites p = b with the same 1.0
-        m = (p >= b) & (p <= c)
-        out[m] = (c - p[m]) / (c - b)
+        np.divide(c - p, c - b, out=out, where=(p >= b) & (p <= c))
     return out
 
 

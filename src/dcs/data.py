@@ -30,7 +30,7 @@ take.
 
 A JSON file has one set of record checks and two readers. ``_load_json``
 first runs the checks over ``records.read_json_chunks``, which parses the
-top-level array about a MiB of text at a time, so each chunk's records are
+top-level array about 64 KiB of text at a time, so each chunk's records are
 freed before the next is read. If that fails, on text the chunked reader
 declines or a record that fails its checks, it runs the checks again over
 ``read_json``'s whole-file parse, which then decides every message and

@@ -51,9 +51,9 @@ from .errors import PreconditionError, ValidationError
 from .records import Record
 
 PMI_EPSILON = 1e-12
-# instances the ObjectiveEvaluator build ranks at a time: its float scratch
-# holds _CHUNK x N x D values, never the whole N x D x M table
-_CHUNK = 256
+# float values per scratch array of the ObjectiveEvaluator build: a chunk
+# holds max(1, _CHUNK_VALUES // (N * D)) instances, never the whole table
+_CHUNK_VALUES = 1 << 15
 # the objective ablations ``ObjectiveWeights.from_mode`` builds
 OBJECTIVES = ("full", "err", "err+pmi")
 
@@ -334,9 +334,10 @@ class ObjectiveEvaluator:
     cell. The smallest key of an instance is therefore its largest value,
     and among equal values the lowest class index, as ``np.argmax`` breaks
     ties; its low S bits are the cell of (label, top class). The ranks come
-    from a ``np.sort`` and a ``!=`` compare of neighbours, scattered back
-    through an ``np.argsort``, so equal values (``-0.0`` and ``0.0``
-    included) share a rank and strict order is kept. That is exact because
+    from an ``np.argsort`` of each instance's values, a gather of the values
+    in that order and a ``!=`` compare of neighbours: the argsort puts equal
+    values (``-0.0`` and ``0.0`` included) side by side, in any order, so
+    they share a rank and strict order is kept. That is exact because
     every value is finite: ``LabeledDataset`` rejects non-finite
     probabilities and every kernel maps [0, 1] into [0, 1]. Ranks within a
     subset keep the subset's order and ties, so every comparison of two keys
@@ -347,8 +348,12 @@ class ObjectiveEvaluator:
     smallest unsigned type that holds them, uint16 for the stock catalog up
     to 10 classes.
 
-    The build ranks ``_CHUNK`` instances at a time, so it never holds the
-    float N*D*M table, only the (N, D, M) keys.
+    The build ranks max(1, ``_CHUNK_VALUES`` // (N*D)) instances at a
+    time, in scratch arrays that every chunk reuses and that hold at most
+    max(``_CHUNK_VALUES``, N*D) entries each, so what it holds beyond the
+    (N, D, M) keys does not grow with M. Ranks go back to their candidates
+    through flat indices, the argsort's column plus the instance's offset
+    in the chunk, and each chunk's keys are copied into the table once.
 
     Scores come from one C-contiguous (N, M) key buffer of the current
     selection, where row j holds class j's keys: ``value(xi)`` writes all N
@@ -393,25 +398,39 @@ class ObjectiveEvaluator:
         table = self._keys.reshape(nd, m)
         label_cells = ((ds.labels - 1) * n).astype(key_type)[:, None]
         classes = np.repeat(np.arange(n, dtype=key_type), d)
-        values = np.empty((min(m, _CHUNK), n, d), dtype=np.float64)
-        for start in range(0, m, _CHUNK):
-            stop = min(start + _CHUNK, m)
+        rows = max(1, _CHUNK_VALUES // nd)
+        # one chunk's scratch, a row per instance: its candidate values,
+        # f_k(p_ij) at column j * D + a (the key's row in ``table``), those
+        # values in rank order, their ranks and their keys
+        values = np.empty((min(m, rows), nd))
+        ordered = np.empty_like(values)
+        ranks = np.empty(values.shape, dtype=key_type)
+        keys = np.empty_like(ranks)
+        offsets = np.arange(0, values.size, nd)[:, None]
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            r = stop - start
+            chunk = values[:r].reshape(r, n, d)
             p = ds.probabilities[start:stop]
             for a, k in enumerate(allowed):
-                values[: stop - start, :, a] = _apply_column(fs, k, p)
-            # instance i's candidates, f_k(p_ij) at column j * D + a
-            chunk = values[: stop - start].reshape(stop - start, nd)
-            order = np.argsort(chunk, axis=1)
-            # equal values may sit in either order here and in ``order``;
-            # they share a rank, so the ranks by position are the same
-            ordered = np.sort(chunk, axis=1)
-            rank = np.zeros(chunk.shape, dtype=key_type)
-            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rank[:, 1:])
-            np.cumsum(rank, axis=1, out=rank)
-            keys = table[:, start:stop].T
-            np.put_along_axis(keys, order, nd - 1 - rank, axis=1)
-            keys <<= shift
-            keys |= label_cells[start:stop] + classes
+                chunk[:, :, a] = _apply_column(fs, k, p)
+            # flat positions of each instance's candidates, smallest first
+            order = np.argsort(values[:r], axis=1)
+            order += offsets[:r]
+            # every index is in range, and "clip" gathers with no temp copy
+            np.take(values, order, out=ordered[:r], mode="clip")
+            # equal values sit side by side, so they share a rank
+            ranks[:r, 0] = 0
+            np.not_equal(ordered[:r, 1:], ordered[:r, :-1], out=ranks[:r, 1:])
+            np.cumsum(ranks[:r], axis=1, out=ranks[:r])
+            np.subtract(nd - 1, ranks[:r], out=ranks[:r])
+            keys.reshape(-1)[order] = ranks[:r]
+            chunk_keys = keys[:r]
+            chunk_keys <<= shift
+            # the low ``shift`` bits are 0, so adding the cell sets them
+            chunk_keys += label_cells[start:stop]
+            chunk_keys += classes
+            table[:, start:stop] = chunk_keys.T
         # class j's key row of each searchable function, by catalog index
         self._rows = [dict(zip(allowed, self._keys[j])) for j in range(n)]
         self._scorer = _Scorer(np.bincount(ds.labels - 1, minlength=n).tolist())

@@ -55,7 +55,7 @@ _type_hints = functools.cache(typing.get_type_hints)
 # characters that make ``csv.writer``'s default dialect quote a field
 _CSV_QUOTED = ',"\r\n'
 # characters of a JSON file ``read_json_chunks`` reads at a time
-_JSON_CHUNK_CHARS = 1 << 20
+_JSON_CHUNK_CHARS = 1 << 16
 # the whitespace JSON allows between tokens
 _JSON_SPACE = " \t\n\r"
 

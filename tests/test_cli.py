@@ -2,11 +2,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcs
 from dcs import ValidationError, load_dataset, load_scheme, predict, save_dataset
 from dcs.cli import main, mode_indices
 from dcs.corrections import default_function_set, save_catalog
@@ -495,6 +499,20 @@ class TestCompare:
             ]
 
         assert strip_wall(out1 / "runs.csv") == strip_wall(out2 / "runs.csv")
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # only ``compare`` with DCS_THREADS > 1 needs the pool, so a fresh
+        # interpreter that imports the package and its CLI loads neither
+        code = (
+            "import sys, dcs, dcs.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(dcs.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "[]\n"
 
     def test_invalid_thread_env_exit_2(self, tmp_path, train_csv, monkeypatch):
         monkeypatch.setenv("DCS_THREADS", "zero")

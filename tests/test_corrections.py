@@ -202,6 +202,21 @@ SIGNED_GRID = np.concatenate(
     + [np.array(v) for v in VERTEX_CASES]
 )
 
+# the smallest subnormal, one mid-range subnormal and the smallest normal
+SUBNORMALS = (5e-324, 1e-310, 2.2250738585072014e-308)
+
+
+def _masked_membership(f, p):
+    """The membership formula as masked writes, each side over its span."""
+    out = np.zeros_like(p)
+    if f.b > f.a:
+        m = (p >= f.a) & (p <= f.b)
+        out[m] = (p[m] - f.a) / (f.b - f.a)
+    if f.c > f.b:
+        m = (p >= f.b) & (p <= f.c)
+        out[m] = (f.c - p[m]) / (f.c - f.b)
+    return out
+
 
 class TestMembershipVertices:
     @pytest.mark.parametrize("abc", VERTEX_CASES, ids=str)
@@ -224,6 +239,35 @@ class TestMembershipVertices:
         assert eval_membership(f, f.b) == 1.0
         assert f.a == f.b or eval_membership(f, f.a) == 0.0
         assert f.c == f.b or eval_membership(f, f.c) == 0.0
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_mask_formula_bit_for_bit(self, data):
+        # the stock catalog brings the shoulders, a = b = 0 and b = c = 1
+        f = data.draw(
+            st.one_of(
+                st.sampled_from(VERTEX_CASES).map(
+                    lambda abc: TriangularMembership(*abc)
+                ),
+                memberships(),
+            ),
+            label="f",
+        )
+        special = st.sampled_from((f.a, f.b, f.c, 0.0, -0.0, 1.0) + SUBNORMALS)
+        p = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(special, st.floats(0.0, 1.0)),
+                    min_size=1,
+                    max_size=40,
+                ),
+                label="p",
+            )
+        )
+        expected = _masked_membership(f, p)
+        assert eval_membership(f, p).tobytes() == expected.tobytes()
+        scalar = eval_membership(f, float(p[0]))
+        assert np.float64(scalar).tobytes() == expected[0].tobytes()
 
     def test_dont_change_is_bitwise_identity(self):
         f = TriangularMembership(0.0, 1.0, 1.0)

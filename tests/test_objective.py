@@ -1,6 +1,7 @@
 """Objective terms against hand-worked values and an independent oracle."""
 import itertools
 import math
+import tracemalloc
 from operator import truediv
 
 import numpy as np
@@ -24,8 +25,9 @@ from dcs import (
     z_err,
     z_pmi,
 )
+import dcs.objective
 from dcs.objective import (
-    _CHUNK,
+    _CHUNK_VALUES,
     EvalReport,
     ObjectiveEvaluator,
     _pairwise_sum,
@@ -33,7 +35,7 @@ from dcs.objective import (
     per_class_accuracy,
     score_predictions,
 )
-from dcs.corrections import mode_indices
+from dcs.corrections import MODES, mode_indices
 from dcs.synth import BiasProfile, benchmark_suite, generate
 from conftest import make_dataset
 
@@ -49,6 +51,12 @@ TIE_CATALOGS = (
         num_weights=30,
     ),
 )
+
+
+def _chunk_rows(n: int, d: int) -> int:
+    """Instances per chunk of the ObjectiveEvaluator build, for N classes
+    and D searchable functions."""
+    return max(1, _CHUNK_VALUES // (n * d))
 
 
 class TestPredict:
@@ -653,8 +661,8 @@ class TestEvaluatorEquivalence:
             assert np.array_equal(ev._walk_codes() % n + 1, expected)
 
     def test_walk_across_chunk_boundary(self):
-        # the keys are built _CHUNK instances at a time; instances on both
-        # sides of each boundary must score as one table
+        # the keys are built a chunk of instances at a time; instances on
+        # both sides of each boundary must score as one table
         profile = BiasProfile(
             num_classes=5,
             class_priors=(0.3, 0.2, 0.2, 0.2, 0.1),
@@ -662,8 +670,8 @@ class TestEvaluatorEquivalence:
             confusion_temperature=1.0,
             seed=17,
         )
-        ds = generate(profile, 2 * _CHUNK + 1)
         fs = default_function_set()
+        ds = generate(profile, 2 * _chunk_rows(5, fs.size) + 1)
         w = ObjectiveWeights()
         ev = ObjectiveEvaluator(ds, fs, w)
         rng = np.random.default_rng(5)
@@ -680,6 +688,61 @@ class TestEvaluatorEquivalence:
                 ev._walk_put(j, xi[j])
         assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_keys_do_not_depend_on_chunk_size(self, data):
+        # chunks of 1, 7 and 64 instances build the keys of one chunk, on
+        # values full of ties: signed zeros, a subnormal, equal levels
+        n = data.draw(st.sampled_from((2, 3, 5, 8)), label="N")
+        m = data.draw(st.integers(1, 80), label="M")
+        mode = data.draw(st.sampled_from(MODES), label="mode")
+        values = data.draw(
+            st.lists(
+                st.sampled_from(TIE_VALUES + (0.1, 0.5, 5e-324)),
+                min_size=m * n,
+                max_size=m * n,
+            ),
+            label="values",
+        )
+        labels = data.draw(
+            st.lists(st.integers(1, n), min_size=m, max_size=m), label="labels"
+        )
+        ds = make_dataset(np.reshape(values, (m, n)), labels)
+        fs = default_function_set()
+        allowed = mode_indices(fs, mode)
+        w = ObjectiveWeights()
+        nd = n * len(allowed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dcs.objective, "_CHUNK_VALUES", m * nd)
+            whole = ObjectiveEvaluator(ds, fs, w, allowed)._keys
+            for rows in (1, 7, 64):
+                mp.setattr(dcs.objective, "_CHUNK_VALUES", rows * nd)
+                keys = ObjectiveEvaluator(ds, fs, w, allowed)._keys
+                assert keys.dtype == whole.dtype
+                assert np.array_equal(keys, whole)
+
+    def test_build_scratch_is_bounded(self):
+        # beyond its keys, the build holds a fixed scratch, not one that
+        # grows with M * N * D: the whole 6,000 x 8 x 49 float table would
+        # take 18.8 MB, and 256-instance chunks held 3.4 MB
+        profile = BiasProfile(
+            num_classes=8,
+            class_priors=(0.2, 0.15, 0.15, 0.1, 0.1, 0.1, 0.1, 0.1),
+            target_accuracy=(0.9, 0.5, 0.7, 0.4, 0.8, 0.6, 0.45, 0.75),
+            confusion_temperature=1.0,
+            seed=29,
+        )
+        ds = generate(profile, 6000)
+        fs = default_function_set()
+        w = ObjectiveWeights()
+        tracemalloc.start()
+        try:
+            ev = ObjectiveEvaluator(ds, fs, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - ev._keys.nbytes < 2_000_000
+
     @pytest.mark.parametrize("mode", ["dnip", "furud"])
     def test_walk_over_searchable_subset(self, mode):
         # keys ranked among one mode's functions only must score every
@@ -691,10 +754,10 @@ class TestEvaluatorEquivalence:
             confusion_temperature=1.0,
             seed=23,
         )
-        ds = generate(profile, 2 * _CHUNK + 1)
         fs = default_function_set()
-        w = ObjectiveWeights()
         allowed = mode_indices(fs, mode)
+        ds = generate(profile, 2 * _chunk_rows(3, len(allowed)) + 1)
+        w = ObjectiveWeights()
         ev = ObjectiveEvaluator(ds, fs, w, allowed)
         rng = np.random.default_rng(13)
         xi = [int(k) for k in rng.choice(allowed, size=3)]
