@@ -122,8 +122,14 @@ def _out_dir(args) -> Path:
 
 
 def _baseline(ds, catalog, weights) -> EvalReport:
-    """The report of the identity selection: every class left unchanged."""
-    return evaluate(ds, catalog, initial_solution(catalog, ds.num_classes), weights)
+    """The report of the identity selection: every class left unchanged.
+
+    Don't Change maps every probability to itself bit for bit, so its
+    predictions are the argmax of the raw rows."""
+    return _report_from_predictions(
+        ds, catalog, initial_solution(catalog, ds.num_classes),
+        np.argmax(ds.probabilities, axis=1) + 1, weights,
+    )
 
 
 def _fit(train, held_out, catalog, weights, config, mode):
@@ -529,7 +535,22 @@ def cmd_oracle(args) -> int:
 # ----------------------------------------------------------------- generate
 
 
+# rows of each set that ``generate --profile`` writes by default
+_PROFILE_ROWS = 2000
+
+
 def cmd_generate(args) -> int:
+    if args.profile is None:
+        for flag, value in (
+            ("--name", args.name),
+            ("--train-size", args.train_size),
+            ("--eval-size", args.eval_size),
+        ):
+            if value is not None:
+                raise ValidationError(
+                    f"{flag} applies only with --profile; without it, "
+                    "generate writes the built-in suite"
+                )
     out = _out_dir(args)
     fmt = args.dataset_format
     suffix = "json" if fmt == "json" else "csv"
@@ -537,7 +558,11 @@ def cmd_generate(args) -> int:
     if args.profile is not None:
         name = args.name or Path(args.profile).stem
         profile = load_profile(args.profile)
-        tasks = [SuiteTask(name, profile, args.train_size, args.eval_size)]
+        train_size, eval_size = (
+            _PROFILE_ROWS if size is None else size
+            for size in (args.train_size, args.eval_size)
+        )
+        tasks = [SuiteTask(name, profile, train_size, eval_size)]
     else:
         tasks = benchmark_suite()
 
@@ -715,8 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", default=None, help="generate one profile instead of the suite"
     )
     p.add_argument("--name", default=None, help="task name for --profile")
-    p.add_argument("--train-size", type=int, default=2000)
-    p.add_argument("--eval-size", type=int, default=2000)
+    # None: not given, so a run without --profile can refuse them
+    p.add_argument("--train-size", type=int, default=None)
+    p.add_argument("--eval-size", type=int, default=None)
     p.add_argument(
         "--dataset-format",
         choices=("csv", "json"),

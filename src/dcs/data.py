@@ -28,17 +28,26 @@ readers call ``PyOS_string_to_double`` on the same ASCII text, and numpy
 refuses the underscores and non-ASCII digits that ``int()`` and ``float()``
 take.
 
-A JSON file has one set of record checks and two readers. ``_load_json``
-first runs the checks over ``records.read_json_chunks``, which parses the
-top-level array about 64 KiB of text at a time, so each chunk's records are
-freed before the next is read. If that fails, on text the chunked reader
-declines or a record that fails its checks, it runs the checks again over
-``read_json``'s whole-file parse, which then decides every message and
-which error comes first. So a file that fails is parsed twice.
+A JSON file has two readers and two sets of record checks.
+``_load_json`` first runs ``records.read_json_chunks``, which parses the
+top-level array about 64 KiB of text at a time, and checks each chunk's
+records by column (``_json_chunk_columns``): the fields through
+``itemgetter``, one ``set(map(type, ...))`` per column against the rules
+below, every probs length against the first record's, and one
+``fromlist`` per record, so no Python code runs per record. Each chunk's
+records are freed before the next is read. If anything in that fails, on
+text the chunked reader declines or a record outside the rules, it runs
+``read_json``'s whole-file parse and the per-record loop,
+``_json_columns``, which is the reference: it decides every message and
+which error comes first. So a file that fails is parsed twice. The rules:
+a record is an object with ``id``, ``label`` and ``probs``; a label is an
+int (not a bool); probs is an array of N numbers (ints or floats, not
+bools) with N set by the first record; an id is a string or a number,
+taken as its ``str``.
 
-The row loop and the JSON parser stream every row into flat columns (ids,
+The row loop and the JSON readers stream every row into flat columns (ids,
 int labels, and all probabilities, reshaped to (M, N) once at the end) and
-keep nothing per row. The JSON parser stores the probabilities in an
+keep nothing per row. The JSON readers store the probabilities in an
 ``array("d")`` and the row loop in a list of floats. ``load_dataset`` runs
 either format's parser with CPython's cyclic garbage collector paused, and
 restores the caller's setting whether the load returns or raises. The
@@ -48,21 +57,27 @@ load rescans the record dicts and probability lists that ``json`` has
 built.
 
 ``save_dataset`` and ``save_predictions`` write through
-``records.write_rows``: one ``%`` format per row, with ``%.12g`` cells in
-CSV and ``%r`` ones in JSON, and the ids quoted as ``csv.writer`` or
-``json.dumps`` quote them, so the files keep those writers' bytes. Rows go
-from numpy to Python ``_ROW_BATCH`` at a time through ``tolist()`` and are
-zipped in C, so no Python code runs per row and neither the rows nor the
-file's text is held at once. A JSON save costs about twice a CSV one,
-because shortest-``repr`` float formatting sets its pace.
+``records.write_rows``, which takes rendered rows. A dataset row is one
+``%`` format, with ``%.12g`` cells in CSV and ``%r`` ones in JSON. A
+prediction row is the quoted id plus the text of its (label, prediction)
+cell, ``",{label},{prediction}\\r\\n"``, made once for each cell that occurs
+and looked up by ``(label - 1) * N + prediction - 1``. Ids are quoted as
+``csv.writer`` or ``json.dumps`` quote them, so the files keep those
+writers' bytes. Rows go from numpy to Python ``_ROW_BATCH`` at a time
+through ``tolist()`` and are zipped and joined in C, so no Python code runs
+per row and neither the rows nor the file's text is held at once. A JSON
+save costs about twice a CSV one, because shortest-``repr`` float
+formatting sets its pace.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import gc
 import hashlib
 import itertools
 import math
+import operator
 import struct
 import warnings
 from array import array
@@ -92,6 +107,10 @@ _CSV_BATCH_CHARS = 1 << 16
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # the types of a JSON number as ``json.load`` returns it
 _JSON_NUMBERS = frozenset({float, int})
+# the types of a JSON id that ``str`` turns into its text
+_JSON_IDS = _JSON_NUMBERS | {str}
+# a dataset record's fields
+_ID, _LABEL, _PROBS = map(operator.itemgetter, ("id", "label", "probs"))
 
 
 def _require_integers(values, name: str, at: str | None = None) -> None:
@@ -418,14 +437,14 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
 
 def _load_json(path: Path) -> tuple[list[str], list[int], array, int]:
     """The ids, labels, flat probabilities and class count of a JSON file,
-    read one chunk at a time, or as a whole when anything in that fails."""
+    read and checked one chunk at a time, or as a whole when anything in
+    that fails."""
     try:
-        return _json_columns(
-            itertools.chain.from_iterable(read_json_chunks(path))
-        )
-    except (ValueError, RecursionError):
-        # a text the chunked reader declines, a parse error or a failed
-        # record: the whole-file path decides what is wrong, and what first
+        return _json_chunk_columns(read_json_chunks(path))
+    except (ValueError, RecursionError, KeyError, TypeError, OverflowError):
+        # a text the chunked reader declines, a parse error or a record
+        # outside the column rules: the whole-file path and the record loop
+        # decide what is wrong, and what first
         pass
     records = read_json(path)
     if not isinstance(records, list) or not records:
@@ -433,9 +452,44 @@ def _load_json(path: Path) -> tuple[list[str], list[int], array, int]:
     return _json_columns(records)
 
 
+def _json_chunk_columns(chunks) -> tuple[list[str], list[int], array, int]:
+    """What ``_json_columns`` returns for the records of ``chunks``, lists of
+    records, checked by column. Where the record loop would raise, this
+    raises KeyError, TypeError, OverflowError or ValueError instead, and
+    leaves the message to the loop."""
+    n: int | None = None
+    ids: list = []
+    labels: list[int] = []
+    flat = array("d")
+    for records in chunks:
+        # KeyError: a missing field; TypeError: a record that is not an object
+        probs = list(map(_PROBS, records))
+        labels += map(_LABEL, records)
+        ids += map(_ID, records)
+        if n is None:
+            n = len(probs[0])
+        if not (
+            set(map(type, probs)) == {list}
+            and set(map(len, probs)) == {n}
+            and _JSON_NUMBERS.issuperset(
+                map(type, itertools.chain.from_iterable(probs))
+            )
+        ):
+            raise ValueError("a record the loop decides")
+        # one fromlist per record, run out in C; OverflowError: an integer
+        # past float range
+        collections.deque(map(flat.fromlist, probs), 0)
+    id_types = set(map(type, ids))
+    if set(map(type, labels)) != {int} or not _JSON_IDS.issuperset(id_types):
+        raise ValueError("a record the loop decides")
+    return ids if id_types == {str} else list(map(str, ids)), labels, flat, n
+
+
 def _json_columns(records) -> tuple[list[str], list[int], array, int]:
     """The ids, labels, flat probabilities and class count of the dataset
-    records that ``records`` yields."""
+    records that ``records`` yields, checked record by record: the
+    reference for ``_json_chunk_columns``, and the one that words every
+    message."""
     n: int | None = None
     ids: list[str] = []
     labels: list[int] = []
@@ -473,7 +527,7 @@ def _json_columns(records) -> tuple[list[str], list[int], array, int]:
             ) from None
         # a number is read as its text; null, booleans, arrays and objects
         # would turn into 'None', 'True', '[1, 2]' or "{'a': 1}"
-        if type(ident) is not str and type(ident) not in _JSON_NUMBERS:
+        if type(ident) not in _JSON_IDS:
             raise ValidationError(
                 f"record {row_no} has an id that is not a string or a number"
             )
@@ -482,16 +536,18 @@ def _json_columns(records) -> tuple[list[str], list[int], array, int]:
     return ids, labels, flat, n
 
 
-def _batches(ds: LabeledDataset, quote, columns: np.ndarray):
-    """The rows ``(id, label, *columns[r])`` of ``ds``, the ids through
-    ``quote``, in batches of ``_ROW_BATCH``: each converted to Python values
-    with one ``tolist()`` per column and zipped in C."""
+def _rendered(ds: LabeledDataset, quote, row_format: str):
+    """The rows ``row_format % (id, label, *probabilities[r])`` of ``ds``,
+    the ids through ``quote``, in batches of ``_ROW_BATCH``: each converted
+    to Python values with one ``tolist()`` per column, zipped and formatted
+    in C."""
     for s in range(0, ds.num_instances, _ROW_BATCH):
-        yield zip(
-            quote(ds.instance_ids[s:s + _ROW_BATCH]),
-            ds.labels[s:s + _ROW_BATCH].tolist(),
-            *columns[s:s + _ROW_BATCH].T.tolist(),
-        )
+        rows = slice(s, s + _ROW_BATCH)
+        yield map(row_format.__mod__, zip(
+            quote(ds.instance_ids[rows]),
+            ds.labels[rows].tolist(),
+            *ds.probabilities[rows].T.tolist(),
+        ))
 
 
 def save_dataset(
@@ -504,14 +560,17 @@ def save_dataset(
         names = ",".join(f"p_{j}" for j in range(1, n + 1))
         cells = ",".join([f"%.{CSV_PROB_DIGITS}g"] * n)
         write_rows(
-            path, f"id,label,{names}\r\n", f"%s,%d,{cells}\r\n",
-            _batches(ds, csv_fields, ds.probabilities),
+            path, f"id,label,{names}\r\n",
+            _rendered(ds, csv_fields, f"%s,%d,{cells}\r\n"),
         )
     else:
         probs = ", ".join(["%r"] * n)
         write_rows(
-            path, "[", f'{{"id": %s, "label": %d, "probs": [{probs}]}}',
-            _batches(ds, lambda ids: map(json_string, ids), ds.probabilities),
+            path, "[",
+            _rendered(
+                ds, lambda ids: map(json_string, ids),
+                f'{{"id": %s, "label": %d, "probs": [{probs}]}}',
+            ),
             "]\n", ", ",
         )
 
@@ -519,15 +578,31 @@ def save_dataset(
 def save_predictions(
     ds: LabeledDataset, predictions: np.ndarray, path: str | Path
 ) -> None:
-    """Write a CSV with header ``id,label,prediction``, one row per instance."""
+    """Write a CSV with header ``id,label,prediction``, one row per instance.
+
+    Each row is its quoted id and the text of its (label, prediction) cell,
+    made once per cell that occurs."""
     preds = _index_vector(predictions, ds.num_classes, "prediction")
     if preds.shape != (ds.num_instances,):
         raise ValidationError(
             f"expected {ds.num_instances} predictions, got {preds.shape}"
         )
+    n = ds.num_classes
+    cells = (ds.labels - 1) * n + (preds - 1)
+    suffix = {
+        c: f",{c // n + 1},{c % n + 1}\r\n"
+        for c in np.flatnonzero(np.bincount(cells)).tolist()
+    }.__getitem__
     write_rows(
-        path, "id,label,prediction\r\n", "%s,%d,%d\r\n",
-        _batches(ds, csv_fields, preds[:, None]),
+        path, "id,label,prediction\r\n",
+        (
+            map(
+                operator.add,
+                csv_fields(ds.instance_ids[s:s + _ROW_BATCH]),
+                map(suffix, cells[s:s + _ROW_BATCH].tolist()),
+            )
+            for s in range(0, ds.num_instances, _ROW_BATCH)
+        ),
     )
 
 

@@ -17,9 +17,9 @@ decides what is wrong.
 writers. JSON floats go out as ``repr``, so a write followed by a read
 returns every value bit for bit; CSV cells go through ``csv.writer`` as they
 are (floats as ``repr``, None as an empty cell). ``write_rows`` writes the
-large files, datasets and predictions, with one ``%`` format per row; the
-callers' formats spell out the bytes ``csv.writer`` or ``json.dump`` would
-give the same row, with ids quoted by ``csv_fields`` or ``json_string``.
+large files, datasets and predictions, from rows its callers render; they
+spell out the bytes ``csv.writer`` or ``json.dump`` would give the same
+row, with ids quoted by ``csv_fields`` or ``json_string``.
 Each writes a sibling temp file, ``.<name>.<pid>.tmp``, and ``os.replace``s
 it over the target, so a reader sees the earlier file or the new one, never
 a half-written one, and an interrupted write leaves the earlier file and no
@@ -58,6 +58,9 @@ _CSV_QUOTED = ',"\r\n'
 _JSON_CHUNK_CHARS = 1 << 16
 # the whitespace JSON allows between tokens
 _JSON_SPACE = " \t\n\r"
+# characters of text that ``read_json_chunks`` carries over cuts that do
+# not parse before it declines a file
+_JSON_CARRY_CHARS = 4 * _JSON_CHUNK_CHARS
 
 
 class FieldError(ValidationError):
@@ -97,27 +100,86 @@ def read_json_chunks(path: str | Path):
     The file is opened as ``read_json`` opens it, so both parse the same
     characters. Each segment runs to the last ``}`` read so far and, after
     its leading ``[`` or ``,``, parses as the body of one array, which it
-    can only when the cut ends an element. Only JSON whitespace may come
-    before that ``[`` or ``,``, and only ``]`` and whitespace after the last
-    segment.
+    can only when the cut ends an element. A cut that does not parse moves
+    back to the last ``}`` outside a JSON string (``_outside_strings``), so
+    that a ``}`` inside an id does not stop the chunking, and from then on
+    every cut of the file is moved so before its parse. When there is no
+    such ``}`` or that cut does not parse either, as at a nested object's
+    ``}``, the text is kept and cut again with the next chunk that holds a
+    ``}``, up to ``_JSON_CARRY_CHARS`` characters of it: past that, the file
+    is declined. So a file that keeps failing costs a few parses of at most
+    that much text more than one that fails at its first cut. Only JSON
+    whitespace may come before the first ``[`` or a later ``,``, and only
+    ``]`` and whitespace after the last segment.
     """
     with Path(path).open(encoding="utf-8") as fh:
         pieces: list[str] = []  # the text since the last cut
         opener = "["
+        careful = False  # whether to cut only outside strings
         while chunk := fh.read(_JSON_CHUNK_CHARS):
-            cut = chunk.rfind("}") + 1
-            if not cut:
-                pieces.append(chunk)
+            pieces.append(chunk)
+            if "}" not in chunk:
                 continue
-            pieces.append(chunk[:cut])
-            segment = "".join(pieces).lstrip(_JSON_SPACE)
-            pieces = [chunk[cut:]]
-            if segment[:1] != opener:
-                raise ValueError(f"a segment does not start with {opener!r}")
-            yield json.loads(f"[{segment[1:]}]")
+            text = "".join(pieces)
+            last = text.rfind("}") + 1
+            cut = _outside_strings(text, last) if careful else last
+            elements = _parse_segment(text, cut, opener)
+            if elements is None and not careful:
+                careful = True
+                cut = _outside_strings(text, last)
+                if cut < last:
+                    elements = _parse_segment(text, cut, opener)
+            if elements is None:
+                if len(text) > _JSON_CARRY_CHARS:
+                    raise ValueError("no cut parses in the carried text")
+                pieces = [text]
+                continue
+            yield elements
+            pieces = [text[cut:]]
             opener = ","
         if opener == "[" or "".join(pieces).strip(_JSON_SPACE) != "]":
             raise ValueError("no object, or text after the last one")
+
+
+def _parse_segment(text: str, cut: int, opener: str) -> list | None:
+    """The elements in ``text[:cut]``, which runs from an element's leading
+    ``opener`` (after JSON whitespace) to a ``}``, or None if ``cut`` is 0
+    or the text does not parse, as when the cut falls inside an element."""
+    start = len(text) - len(text.lstrip(_JSON_SPACE))
+    if text[start:start + 1] != opener:
+        raise ValueError(f"a segment does not start with {opener!r}")
+    try:
+        return json.loads(f"[{text[start + 1:cut]}]") if cut else None
+    except json.JSONDecodeError:
+        return None
+
+
+def _outside_strings(text: str, cut: int) -> int:
+    """Just past the last ``}`` of ``text[:cut]`` that no JSON string holds,
+    or 0 if there is none; ``text`` starts outside any string and ``cut``
+    just past a ``}``.
+
+    A ``}`` lies inside a string when an odd number of unescaped quotes
+    precede it. Each slice counted here starts and ends just past a ``}``,
+    so it splits no escape, and each step back skips at least one quote.
+    """
+    inside = _quotes(text[:cut]) % 2
+    while inside:
+        # to the last "}" before the last quote, which may open the string
+        start = text.rfind("}", 0, text.rfind('"', 0, cut)) + 1
+        inside ^= _quotes(text[start:cut]) % 2
+        cut = start
+    return cut
+
+
+def _quotes(text: str) -> int:
+    """The unescaped ``"`` in ``text``, which splits no escape: with each
+    escaped backslash taken out, every backslash left escapes the next
+    character."""
+    if "\\" not in text:
+        return text.count('"')
+    text = text.replace("\\\\", "")
+    return text.count('"') - text.count('\\"')
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> PathError:
@@ -156,13 +218,12 @@ def write_json(path: str | Path, payload) -> None:
 
 
 def write_rows(
-    path: str | Path, head: str, row_format: str, batches, tail: str = "",
-    separator: str = "",
+    path: str | Path, head: str, batches, tail: str = "", separator: str = ""
 ) -> None:
-    """``head``, then ``row_format % row`` for each row (a tuple) of each of
-    ``batches``, joined by ``separator``, then ``tail``.
+    """``head``, then the rows (texts) of each of ``batches``, joined by
+    ``separator``, then ``tail``.
 
-    Each batch is formatted and written at once, so the caller's batch size
+    Each batch is joined and written at once, so the caller's batch size
     bounds the rows and the text held; no batch may be empty.
     """
 
@@ -170,7 +231,7 @@ def write_rows(
         fh.write(head)
         joint = ""
         for batch in batches:
-            fh.write(joint + separator.join(map(row_format.__mod__, batch)))
+            fh.write(joint + separator.join(batch))
             joint = separator
         fh.write(tail)
 

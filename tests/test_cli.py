@@ -9,12 +9,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dcs
-from dcs import ValidationError, load_dataset, load_scheme, predict, save_dataset
-from dcs.cli import main, mode_indices
-from dcs.corrections import default_function_set, save_catalog
-from dcs.synth import BiasProfile, generate as synth_generate, save_profile
+from dcs import PreconditionError, ValidationError, load_dataset, load_scheme, predict, save_dataset
+from dcs.annealing import initial_solution
+from dcs.cli import _baseline, main, mode_indices
+from dcs.corrections import (
+    FunctionSet,
+    TriangularMembership,
+    default_function_set,
+    save_catalog,
+)
+from dcs.objective import OBJECTIVES, ObjectiveWeights, evaluate
+from dcs.synth import (
+    BiasProfile,
+    benchmark_suite,
+    generate as synth_generate,
+    save_profile,
+)
+from conftest import make_dataset
 
 FAST = [
     "--init-temp", "100.0",
@@ -200,6 +215,47 @@ class TestOptimize:
         rc_inf, err_inf = run("inf")
         assert rc_inf == rc and field in err_inf
         assert not (tmp_path / "inf").exists()
+
+
+# a catalog whose Don't Change is not its first entry
+SHOULDER_FIRST = FunctionSet(
+    memberships=(
+        TriangularMembership(0.0, 0.0, 0.6),
+        TriangularMembership(0.0, 1.0, 1.0),
+    ),
+    num_weights=2,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    probs=st.integers(1, 30).flatmap(
+        lambda m: hnp.arrays(
+            np.float64, (m, 3),
+            elements=st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 0.25]),
+        )
+    ),
+    data=st.data(),
+)
+def test_baseline_is_the_identity_selection(probs, data):
+    # ties everywhere, between 0.0 and -0.0 too: the raw argmax must pick
+    # the class the all-Don't-Change selection's predictions pick
+    m, n = probs.shape
+    labels = data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
+    ds = make_dataset(probs, labels)
+
+    def report(score):
+        try:
+            return json.dumps(score().to_dict())
+        except PreconditionError as exc:  # one class present, under "full"
+            return str(exc)
+
+    for fs in (default_function_set(), SHOULDER_FIRST):
+        for mode in OBJECTIVES:
+            w = ObjectiveWeights.from_mode(mode)
+            assert report(lambda: _baseline(ds, fs, w)) == report(
+                lambda: evaluate(ds, fs, initial_solution(fs, n), w)
+            )
 
 
 class TestApply:
@@ -653,6 +709,31 @@ class TestGenerate:
         eval_ds = load_dataset(out / "tiny_eval.csv")
         assert train.num_instances == 40
         assert eval_ds.num_instances == 30
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--name", "x"], ["--train-size", "500"], ["--eval-size", "0"],
+         ["--name", "", "--eval-size", "9"]],
+    )
+    def test_profile_flags_without_profile_exit_2(self, tmp_path, capsys, flags):
+        # the suite's sizes are fixed: a size would be dropped unread
+        out = tmp_path / "suite"
+        assert main(["generate", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flags[0]} applies only with --profile; without it, "
+            "generate writes the built-in suite\n"
+        )
+        assert not out.exists()
+
+    def test_profile_sizes_default_to_2000(self, tmp_path):
+        ppath = tmp_path / "p.json"
+        save_profile(benchmark_suite()[0].profile, ppath)
+        out = tmp_path / "one"
+        assert main(["generate", "--out", str(out), "--profile", str(ppath),
+                     "--eval-size", "7"]) == 0
+        task, = json.loads((out / "suite.json").read_text())["tasks"]
+        assert (task["name"], task["train_size"], task["eval_size"]) == ("p", 2000, 7)
+        assert load_dataset(out / "p_train.csv").num_instances == 2000
 
     @pytest.mark.parametrize(
         "field, value",

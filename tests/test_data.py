@@ -3,6 +3,7 @@ import contextlib
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import sys
@@ -406,6 +407,31 @@ class TestRowWriter:
             data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
         )
         assert saved_files(ds, preds, fuzz_dir) == stdlib_files(ds, preds)
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_prediction_rows_equal_csv_writer(self, fuzz_dir, n, data):
+        # every (label, prediction) cell of N up to 12, with ids csv.writer
+        # quotes
+        m = data.draw(st.integers(1, 60))
+        ids = data.draw(
+            st.lists(
+                st.text(st.sampled_from('ab,"\r\n é'), min_size=1, max_size=4),
+                min_size=m, max_size=m, unique=True,
+            )
+        )
+        labels, preds = (
+            data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m))
+            for _ in range(2)
+        )
+        ds = make_dataset(np.full((m, n), 1 / n), labels, ids)
+        path = fresh_file(fuzz_dir, "csv")
+        save_predictions(ds, np.array(preds), path)
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["id", "label", "prediction"])
+        writer.writerows(zip(ids, labels, preds))
+        assert path.read_bytes() == text.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize(
         "count",
@@ -1147,14 +1173,11 @@ class TestJsonChunks:
     @settings(deadline=None, max_examples=100)
     @given(
         ds=datasets(
-            ids=st.text(
-                st.characters(exclude_categories=["Cs"], exclude_characters="}"),
-                min_size=1,
-            )
+            ids=st.text(st.characters(exclude_categories=["Cs"]), min_size=1)
         )
     )
     def test_saved_files_never_fall_back(self, fuzz_dir, ds):
-        # a cut can split an id only at a "}" inside it
+        # a cut at a "}" inside an id moves back to the record before it
         path = fresh_file(fuzz_dir, "json")
         save_dataset(ds, path)
         expected = ds.fingerprint()
@@ -1206,8 +1229,6 @@ class TestJsonChunks:
             pytest.param('[{"a": 1}]\x1c', id="space-after"),
             pytest.param('[{"a": 1},, {"b": 2}]', id="two-commas"),
             pytest.param('[{"a": 1} {"b": 2}]', id="no-comma"),
-            pytest.param('[{"a": "}bcdefghij"}]', id="cut-in-a-string"),
-            pytest.param('[{"a": {"b": 1}, "cdefghij": 2}]', id="cut-in-an-object"),
         ],
     )
     def test_reader_declines(self, tmp_path, text):
@@ -1215,6 +1236,56 @@ class TestJsonChunks:
         path.write_text(text, encoding="utf-8")
         with json_chunks(7):
             assert read_chunked(path) == "declined"
+
+    @pytest.mark.parametrize("carry, declined", [(34, True), (35, False)])
+    def test_reader_declines_past_the_carried_text(
+        self, tmp_path, carry, declined
+    ):
+        # every 7-character chunk ends in a nested object, so no cut parses
+        # before the last chunk; the text held at the miss before it is 35
+        # characters
+        text = '[{"a": [' + "{}, " * 7 + "{}]}]"
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        with json_chunks(7) as mp:
+            mp.setattr(dcs.records, "_JSON_CARRY_CHARS", carry)
+            assert read_chunked(path) == ("declined" if declined else json.loads(text))
+
+    @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('[{"a": "}bcdefghij"}]', id="cut-in-a-string"),
+            pytest.param('[{"a": {"b": 1}, "cdefghij": 2}]', id="cut-in-an-object"),
+            pytest.param(
+                r'[{"a": "\\}"}, {"b\"}": "}\\\"}"}, {"c": [{"d": "}"}]}]',
+                id="escapes-around-cuts",
+            ),
+            pytest.param('[{"a": "}}}}}}}}}}}}}}}}}}"}, {"b": 1}]', id="braces-in-a-row"),
+        ],
+    )
+    def test_reader_cuts_again(self, tmp_path, text, size):
+        # a cut inside a string moves back before it, and one inside an
+        # object is carried to the next chunk
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        with json_chunks(size):
+            assert read_chunked(path) == dcs.records.read_json(path)
+
+    @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
+    def test_braces_in_ids_stay_chunked(self, tmp_path, size):
+        base = generate(benchmark_suite()[4].profile, 1_500)
+        odd = ("r}", "}}", 'q"}', "\\}", "{}", "é}", "}\\")
+        ids = [f"{odd[i % len(odd)]}{i}" for i in range(base.num_instances)]
+        ds = make_dataset(base.probabilities, base.labels, ids)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        with json_chunks(size) as mp:
+            mp.setattr(dcs.data, "read_json", no_fallback)
+            # about two records: a cut in an id moves back, it does not wait
+            # for a chunk that ends after a record
+            mp.setattr(dcs.records, "_JSON_CARRY_CHARS", 300)
+            assert outcome(path) == ds.fingerprint()
 
     @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
     @pytest.mark.parametrize("content, message", JSON_CHUNK_CASES)
@@ -1229,9 +1300,14 @@ class TestJsonChunks:
         # replace, not format: an id in the message holds a brace
         assert capsys.readouterr().err == f"error: {message.replace('{path}', str(path))}\n"
 
-    def test_peak_memory_is_under_half_the_whole_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "brace", [pytest.param("", id="plain-ids"), pytest.param("}", id="brace-ids")]
+    )
+    def test_peak_memory_is_under_half_the_whole_file(self, tmp_path, brace):
         path = tmp_path / "p5.json"
-        save_dataset(generate(benchmark_suite()[4].profile, 20_000), path)
+        ds = generate(benchmark_suite()[4].profile, 20_000)
+        ids = [f"r{i}{brace}" for i in range(ds.num_instances)]
+        save_dataset(make_dataset(ds.probabilities, ds.labels, ids), path)
 
         def traced(read):
             tracemalloc.start()
@@ -1248,6 +1324,100 @@ class TestJsonChunks:
             whole_peak, whole = traced(load_dataset)
         assert chunked == whole
         assert chunked_peak < whole_peak / 2
+
+
+GOOD_RECORD = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.text(max_size=3), st.integers(), st.floats(allow_nan=False)),
+        "label": st.integers(-1, 4),
+        "probs": st.lists(
+            st.one_of(CELLS, st.integers(0, 1)), min_size=3, max_size=3
+        ),
+    }
+)
+# for each part of a record, values of a type the loop rejects there
+ODD_JSON = {
+    "id": st.one_of(st.booleans(), st.none(), st.lists(st.integers(), max_size=1)),
+    "label": st.one_of(
+        st.booleans(), st.floats(allow_nan=False), st.text(max_size=1), st.none()
+    ),
+    "probs": st.one_of(
+        st.text(max_size=2), st.none(), st.integers(), st.just({"a": 1})
+    ),
+    "cell": st.one_of(
+        st.booleans(), st.text(max_size=1), st.none(), st.just(10**400),
+        st.lists(st.floats(0, 1), max_size=1),
+    ),
+    "record": st.one_of(
+        st.lists(st.integers(), max_size=3), st.text(max_size=2), st.integers(),
+        st.none(),
+    ),
+}
+
+
+@st.composite
+def mutated_records(draw):
+    """Chunks of dataset records, some of them mutated: a missing field, a
+    field, a cell or the record swapped for a value of the wrong type, or a
+    ragged probs list."""
+    records = draw(st.lists(GOOD_RECORD, min_size=1, max_size=8))
+    for r in draw(st.sets(st.integers(0, len(records) - 1), max_size=3)):
+        kind = draw(st.sampled_from(["drop", "ragged", *ODD_JSON]))
+        if kind == "drop":
+            del records[r][draw(st.sampled_from(["id", "label", "probs"]))]
+        elif kind == "ragged":
+            del records[r]["probs"][draw(st.integers(0, 2)):]
+        elif kind == "cell":
+            records[r]["probs"][-1] = draw(ODD_JSON["cell"])
+        elif kind == "record":
+            records[r] = draw(ODD_JSON["record"])
+        else:
+            records[r][kind] = draw(ODD_JSON[kind])
+    cuts = sorted(draw(st.sets(st.integers(1, len(records)), max_size=3)) | {0})
+    return [records[a:b] for a, b in zip(cuts, [*cuts[1:], len(records)]) if a < b]
+
+
+def columns(read, records):
+    """``read``'s ids, labels, probability bits and N for ``records``, or
+    the message of its ValidationError."""
+    try:
+        ids, labels, flat, n = read(records)
+    except ValidationError as exc:
+        return str(exc)
+    return ids, labels, [type(a) for a in labels], flat.tobytes(), n
+
+
+class TestJsonColumns:
+    """``_load_json`` checks each chunk of records by column, and hands any
+    chunk outside the rules to the per-record loop, which decides the
+    message."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(chunks=mutated_records())
+    def test_column_checks_take_what_the_loop_takes(self, chunks):
+        expected = columns(
+            lambda c: dcs.data._json_columns(itertools.chain.from_iterable(c)),
+            chunks,
+        )
+        try:
+            got = columns(dcs.data._json_chunk_columns, chunks)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            # declined: the loop must reject the records too
+            assert isinstance(expected, str)
+        else:
+            assert got == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(chunks=mutated_records())
+    def test_load_gives_the_loop_outcome(self, fuzz_dir, chunks):
+        records = [r for chunk in chunks for r in chunk]
+        path = fresh_file(fuzz_dir, "json")
+        path.write_text(json.dumps(records), encoding="utf-8")
+        with whole_file():
+            expected = outcome(path)
+        for size in (7, None):
+            with json_chunks(size):
+                assert outcome(path) == expected
 
 
 class TestSplit:

@@ -140,10 +140,11 @@ def test_json_rows_bytes_equal_one_dump(tmp_path, count):
     ]
     path = tmp_path / "rows.json"
     write_rows(
-        path, "[", '{"id": %s, "label": %d, "probs": [%r, %r, %r]}',
+        path, "[",
         (
             [
-                (json_string(r["id"]), r["label"], *r["probs"])
+                '{"id": %s, "label": %d, "probs": [%r, %r, %r]}'
+                % (json_string(r["id"]), r["label"], *r["probs"])
                 for r in rows[s:s + _ROW_BATCH]
             ]
             for s in range(0, count, _ROW_BATCH)

@@ -51,7 +51,7 @@ def _rows_then_disk_full():
 
 
 def _batches_then_disk_full():
-    yield [("r0", 0.5)]
+    yield ["['r0', 0.5]"]
     raise OSError("disk full")
 
 
@@ -72,10 +72,8 @@ WRITES = {
         lambda ds, path: write_csv(path, ["id", "p"], _rows_then_disk_full()),
     ),
     "write_rows": (
-        lambda ds, path: write_rows(path, "[", "[%r, %r]", [[("r0", 0.25)]], "]\n"),
-        lambda ds, path: write_rows(
-            path, "[", "[%r, %r]", _batches_then_disk_full(), "]\n"
-        ),
+        lambda ds, path: write_rows(path, "[", [["['r0', 0.25]"]], "]\n"),
+        lambda ds, path: write_rows(path, "[", _batches_then_disk_full(), "]\n"),
     ),
 }
 
