@@ -33,8 +33,9 @@ A JSON file has two readers and two sets of record checks.
 top-level array about 64 KiB of text at a time, and checks each chunk's
 records by column (``_json_chunk_columns``): the fields through
 ``itemgetter``, one ``set(map(type, ...))`` per column against the rules
-below, every probs length against the first record's, and one
-``fromlist`` per record, so no Python code runs per record. Each chunk's
+below, every probs length against the first record's, one ``fromlist``
+per record, and the labels into an ``array("q")`` handed on as int64, so
+no Python code runs per record. Each chunk's
 records are freed before the next is read. If anything in that fails, on
 text the chunked reader declines or a record outside the rules, it runs
 ``read_json``'s whole-file parse and the per-record loop,
@@ -435,7 +436,7 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
     return ids, labels, flat, n
 
 
-def _load_json(path: Path) -> tuple[list[str], list[int], array, int]:
+def _load_json(path: Path) -> tuple[list[str], list[int] | np.ndarray, array, int]:
     """The ids, labels, flat probabilities and class count of a JSON file,
     read and checked one chunk at a time, or as a whole when anything in
     that fails."""
@@ -452,37 +453,41 @@ def _load_json(path: Path) -> tuple[list[str], list[int], array, int]:
     return _json_columns(records)
 
 
-def _json_chunk_columns(chunks) -> tuple[list[str], list[int], array, int]:
+def _json_chunk_columns(chunks) -> tuple[list[str], np.ndarray, array, int]:
     """What ``_json_columns`` returns for the records of ``chunks``, lists of
-    records, checked by column. Where the record loop would raise, this
-    raises KeyError, TypeError, OverflowError or ValueError instead, and
-    leaves the message to the loop."""
+    records, checked by column, with the labels as an int64 array. Where the
+    record loop would raise, this raises KeyError, TypeError, OverflowError
+    or ValueError instead, and leaves the message to the loop."""
     n: int | None = None
     ids: list = []
-    labels: list[int] = []
+    labels = array("q")
     flat = array("d")
     for records in chunks:
         # KeyError: a missing field; TypeError: a record that is not an object
         probs = list(map(_PROBS, records))
-        labels += map(_LABEL, records)
+        chunk_labels = list(map(_LABEL, records))
         ids += map(_ID, records)
         if n is None:
             n = len(probs[0])
         if not (
-            set(map(type, probs)) == {list}
+            set(map(type, chunk_labels)) == {int}
+            and set(map(type, probs)) == {list}
             and set(map(len, probs)) == {n}
             and _JSON_NUMBERS.issuperset(
                 map(type, itertools.chain.from_iterable(probs))
             )
         ):
             raise ValueError("a record the loop decides")
-        # one fromlist per record, run out in C; OverflowError: an integer
-        # past float range
+        # OverflowError: a label past int64, or a probability past float
+        # range; one fromlist per record, run out in C
+        labels.fromlist(chunk_labels)
         collections.deque(map(flat.fromlist, probs), 0)
     id_types = set(map(type, ids))
-    if set(map(type, labels)) != {int} or not _JSON_IDS.issuperset(id_types):
+    if not _JSON_IDS.issuperset(id_types):
         raise ValueError("a record the loop decides")
-    return ids if id_types == {str} else list(map(str, ids)), labels, flat, n
+    ids = ids if id_types == {str} else list(map(str, ids))
+    # int64 labels skip the object-array check of Python ints
+    return ids, np.frombuffer(labels, dtype=np.int64), flat, n
 
 
 def _json_columns(records) -> tuple[list[str], list[int], array, int]:
@@ -575,13 +580,29 @@ def save_dataset(
         )
 
 
+class _CellText(dict):
+    """The text ``",{label},{prediction}\\r\\n"`` of each prediction cell
+    ``(label - 1) * N + prediction - 1``, made when the cell is first looked
+    up, so the table holds only the cells that occur, at most one per row,
+    and never N² entries."""
+
+    def __init__(self, num_classes: int):
+        super().__init__()
+        self.num_classes = num_classes
+
+    def __missing__(self, cell: int) -> str:
+        label, prediction = divmod(cell, self.num_classes)
+        text = self[cell] = f",{label + 1},{prediction + 1}\r\n"
+        return text
+
+
 def save_predictions(
     ds: LabeledDataset, predictions: np.ndarray, path: str | Path
 ) -> None:
     """Write a CSV with header ``id,label,prediction``, one row per instance.
 
     Each row is its quoted id and the text of its (label, prediction) cell,
-    made once per cell that occurs."""
+    made once per cell that occurs (``_CellText``)."""
     preds = _index_vector(predictions, ds.num_classes, "prediction")
     if preds.shape != (ds.num_instances,):
         raise ValidationError(
@@ -589,10 +610,7 @@ def save_predictions(
         )
     n = ds.num_classes
     cells = (ds.labels - 1) * n + (preds - 1)
-    suffix = {
-        c: f",{c // n + 1},{c % n + 1}\r\n"
-        for c in np.flatnonzero(np.bincount(cells)).tolist()
-    }.__getitem__
+    suffix = _CellText(n).__getitem__
     write_rows(
         path, "id,label,prediction\r\n",
         (

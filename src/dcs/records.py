@@ -98,37 +98,28 @@ def read_json_chunks(path: str | Path):
     deep to parse.
 
     The file is opened as ``read_json`` opens it, so both parse the same
-    characters. Each segment runs to the last ``}`` read so far and, after
-    its leading ``[`` or ``,``, parses as the body of one array, which it
-    can only when the cut ends an element. A cut that does not parse moves
-    back to the last ``}`` outside a JSON string (``_outside_strings``), so
-    that a ``}`` inside an id does not stop the chunking, and from then on
-    every cut of the file is moved so before its parse. When there is no
-    such ``}`` or that cut does not parse either, as at a nested object's
-    ``}``, the text is kept and cut again with the next chunk that holds a
-    ``}``, up to ``_JSON_CARRY_CHARS`` characters of it: past that, the file
-    is declined. So a file that keeps failing costs a few parses of at most
-    that much text more than one that fails at its first cut. Only JSON
-    whitespace may come before the first ``[`` or a later ``,``, and only
-    ``]`` and whitespace after the last segment.
+    characters. Each segment runs to the last ``}`` read so far that no
+    JSON string holds (``_outside_strings``), so that a ``}`` inside an id
+    does not stop the chunking, and, after its leading ``[`` or ``,``,
+    parses as the body of one array, which it can only when the cut ends
+    an element. When there is no such ``}`` or the segment does not parse,
+    as at a nested object's ``}``, the text is kept and cut again with the
+    next chunk that holds a ``}``, up to ``_JSON_CARRY_CHARS`` characters
+    of it: past that, the file is declined. So a file that keeps failing
+    costs a few parses of at most that much text more than one that fails
+    at its first cut. Only JSON whitespace may come before the first ``[``
+    or a later ``,``, and only ``]`` and whitespace after the last segment.
     """
     with Path(path).open(encoding="utf-8") as fh:
         pieces: list[str] = []  # the text since the last cut
         opener = "["
-        careful = False  # whether to cut only outside strings
         while chunk := fh.read(_JSON_CHUNK_CHARS):
             pieces.append(chunk)
             if "}" not in chunk:
                 continue
             text = "".join(pieces)
-            last = text.rfind("}") + 1
-            cut = _outside_strings(text, last) if careful else last
+            cut = _outside_strings(text, text.rfind("}") + 1)
             elements = _parse_segment(text, cut, opener)
-            if elements is None and not careful:
-                careful = True
-                cut = _outside_strings(text, last)
-                if cut < last:
-                    elements = _parse_segment(text, cut, opener)
             if elements is None:
                 if len(text) > _JSON_CARRY_CHARS:
                     raise ValueError("no cut parses in the carried text")

@@ -433,6 +433,24 @@ class TestRowWriter:
         writer.writerows(zip(ids, labels, preds))
         assert path.read_bytes() == text.getvalue().encode("utf-8")
 
+    def test_prediction_cells_of_many_classes_stay_small(self, tmp_path):
+        # a table of all N² cells would be 72 MB of int64 at N = 3,000
+        n = 3_000
+        labels, preds = [n, n - 1, 1, n], [n - 1, n, n, n]
+        ds = make_dataset(np.full((4, n), 1 / n), labels, list("abcd"))
+        path = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            save_predictions(ds, np.array(preds), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "id,label,prediction",
+            *(f"{i},{t},{p}" for i, t, p in zip("abcd", labels, preds)),
+        ]
+
     @pytest.mark.parametrize(
         "count",
         [1, _ROW_BATCH - 1, _ROW_BATCH, _ROW_BATCH + 1, 2 * _ROW_BATCH + 1],
@@ -1142,6 +1160,15 @@ JSON_CHUNK_CASES = [
         "{path}: duplicate instance id 'a}b' at rows 1 and 3",
         id="brace-in-an-id-at-a-cut",
     ),
+    pytest.param(
+        (
+            "[" + ", ".join(
+                [RECORD % ("a", 1), RECORD % ("b", 2**63), RECORD % ("c", 0)]
+            ) + "]"
+        ).encode(),
+        "{path}: label out of range 1..2 at row 2: 9223372036854775808",
+        id="label-past-int64",
+    ),
     pytest.param(b" \n[]\n", "{path}: expected a non-empty JSON array", id="empty"),
 ]
 
@@ -1335,11 +1362,13 @@ GOOD_RECORD = st.fixed_dictionaries(
         ),
     }
 )
-# for each part of a record, values of a type the loop rejects there
+# for each part of a record, values of a type the loop rejects there, and
+# labels past int64, which the loop leaves to the dataset's range check
 ODD_JSON = {
     "id": st.one_of(st.booleans(), st.none(), st.lists(st.integers(), max_size=1)),
     "label": st.one_of(
-        st.booleans(), st.floats(allow_nan=False), st.text(max_size=1), st.none()
+        st.booleans(), st.floats(allow_nan=False), st.text(max_size=1), st.none(),
+        st.sampled_from([2**63, -(2**63) - 1, 10**30]),
     ),
     "probs": st.one_of(
         st.text(max_size=2), st.none(), st.integers(), st.just({"a": 1})
@@ -1384,6 +1413,9 @@ def columns(read, records):
         ids, labels, flat, n = read(records)
     except ValidationError as exc:
         return str(exc)
+    if isinstance(labels, np.ndarray):
+        assert labels.dtype == np.int64
+        labels = labels.tolist()
     return ids, labels, [type(a) for a in labels], flat.tobytes(), n
 
 
@@ -1402,8 +1434,11 @@ class TestJsonColumns:
         try:
             got = columns(dcs.data._json_chunk_columns, chunks)
         except (ValueError, KeyError, TypeError, OverflowError):
-            # declined: the loop must reject the records too
-            assert isinstance(expected, str)
+            # declined: the loop must reject the records too, or pass on a
+            # label that int64 cannot hold
+            assert isinstance(expected, str) or not all(
+                -(2**63) <= label < 2**63 for label in expected[1]
+            )
         else:
             assert got == expected
 
