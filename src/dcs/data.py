@@ -436,7 +436,9 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
     return ids, labels, flat, n
 
 
-def _load_json(path: Path) -> tuple[list[str], list[int] | np.ndarray, array, int]:
+def _load_json(
+    path: Path,
+) -> tuple[list[str], list[int] | np.ndarray, array, int]:
     """The ids, labels, flat probabilities and class count of a JSON file,
     read and checked one chunk at a time, or as a whole when anything in
     that fails."""
