@@ -23,32 +23,36 @@ loop reads the whole file, unless the header is the exact literal,
 row or blank (no quoted line break), no line is longer than
 ``csv.field_size_limit()`` and no line holds one of the ASCII separators
 that numpy strips around a number and ``int()`` and ``float()`` refuse. So
-every message, row number and error precedence is the row loop's. A file the C reader takes loads to the same bits: both
-readers call ``PyOS_string_to_double`` on the same ASCII text, and numpy
-refuses the underscores and non-ASCII digits that ``int()`` and ``float()``
-take.
+every message, row number and error precedence is the row loop's. A file
+the C reader takes loads to the same bits: both readers call
+``PyOS_string_to_double`` on the same ASCII text, and numpy refuses the
+underscores and non-ASCII digits that ``int()`` and ``float()`` take.
 
-A JSON file has two readers and two sets of record checks.
-``_load_json`` first runs ``records.read_json_chunks``, which parses the
-top-level array about 64 KiB of text at a time, and checks each chunk's
-records by column (``_json_chunk_columns``): the fields through
-``itemgetter``, one ``set(map(type, ...))`` per column against the rules
-below, every probs length against the first record's, one ``fromlist``
-per record, and the labels into an ``array("q")`` handed on as int64, so
-no Python code runs per record. Each chunk's
-records are freed before the next is read. If anything in that fails, on
-text the chunked reader declines or a record outside the rules, it runs
-``read_json``'s whole-file parse and the per-record loop,
-``_json_columns``, which is the reference: it decides every message and
-which error comes first. So a file that fails is parsed twice. The rules:
-a record is an object with ``id``, ``label`` and ``probs``; a label is an
-int (not a bool); probs is an array of N numbers (ints or floats, not
-bools) with N set by the first record; an id is a string or a number,
-taken as its ``str``.
+A JSON file has one record reader, ``_json_columns``, and one message
+finder, ``_json_record_error``. ``_load_json`` first runs
+``records.read_json_chunks``, which parses the top-level array about 64 KiB
+of text at a time, and the reader checks each chunk's records by column:
+the fields through ``itemgetter``, one ``set(map(type, ...))`` per column
+against the rules below, every probs length against the first record's and
+one ``fromlist`` per record, so no Python code runs per record. Each
+chunk's records are freed before the next is read. The labels are
+collected as Python ints and converted to int64 once; a label past int64
+is handed on as the list, and ``LabeledDataset``'s range check words it.
+At a chunk outside the rules the message finder walks its records and
+raises the first bad one, numbered as in the file; it builds nothing. If
+the chunked pass fails, on text the chunked reader declines or on a bad
+record, the file is parsed whole by ``read_json`` and read again by the
+same reader as one chunk, so a syntax error after a bad record still
+wins. So a file the chunked pass fails on, bad JSON or a bad record, is
+parsed twice, the first time up to where that pass stopped. The rules: a
+record is an object with ``id``, ``label`` and ``probs``; a label is an int
+(not a bool); probs is an array of N numbers (ints or floats, not bools)
+with N set by the first record; an id is a string or a number, taken as
+its ``str``.
 
-The row loop and the JSON readers stream every row into flat columns (ids,
+The row loop and the JSON reader stream every row into flat columns (ids,
 int labels, and all probabilities, reshaped to (M, N) once at the end) and
-keep nothing per row. The JSON readers store the probabilities in an
+keep nothing per row. The JSON reader stores the probabilities in an
 ``array("d")`` and the row loop in a list of floats. ``load_dataset`` runs
 either format's parser with CPython's cyclic garbage collector paused, and
 restores the caller's setting whether the load returns or raises. The
@@ -436,74 +440,77 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
     return ids, labels, flat, n
 
 
-def _load_json(
-    path: Path,
-) -> tuple[list[str], list[int] | np.ndarray, array, int]:
+def _load_json(path: Path) -> tuple[list[str], np.ndarray | list[int], array, int]:
     """The ids, labels, flat probabilities and class count of a JSON file,
     read and checked one chunk at a time, or as a whole when anything in
     that fails."""
     try:
-        return _json_chunk_columns(read_json_chunks(path))
-    except (ValueError, RecursionError, KeyError, TypeError, OverflowError):
-        # a text the chunked reader declines, a parse error or a record
-        # outside the column rules: the whole-file path and the record loop
-        # decide what is wrong, and what first
+        return _json_columns(read_json_chunks(path))
+    except (ValueError, RecursionError):
+        # a text the chunked reader declines, a parse error or a bad record:
+        # the whole-file parse decides what is wrong, and what first
         pass
     records = read_json(path)
     if not isinstance(records, list) or not records:
         raise ValidationError("expected a non-empty JSON array")
-    return _json_columns(records)
+    return _json_columns([records])
 
 
-def _json_chunk_columns(chunks) -> tuple[list[str], np.ndarray, array, int]:
-    """What ``_json_columns`` returns for the records of ``chunks``, lists of
-    records, checked by column, with the labels as an int64 array. Where the
-    record loop would raise, this raises KeyError, TypeError, OverflowError
-    or ValueError instead, and leaves the message to the loop."""
+def _json_columns(chunks) -> tuple[list[str], np.ndarray | list[int], array, int]:
+    """The ids, labels, flat probabilities and class count of the dataset
+    records in ``chunks``, non-empty lists of records, checked by column.
+    The labels come as int64, or as the list of ints when one is past int64,
+    for ``LabeledDataset``'s range check to word. At a chunk outside the
+    rules, ``_json_record_error`` raises its first bad record."""
     n: int | None = None
     ids: list = []
-    labels = array("q")
-    flat = array("d")
-    for records in chunks:
-        # KeyError: a missing field; TypeError: a record that is not an object
-        probs = list(map(_PROBS, records))
-        chunk_labels = list(map(_LABEL, records))
-        ids += map(_ID, records)
-        if n is None:
-            n = len(probs[0])
-        if not (
-            set(map(type, chunk_labels)) == {int}
-            and set(map(type, probs)) == {list}
-            and set(map(len, probs)) == {n}
-            and _JSON_NUMBERS.issuperset(
-                map(type, itertools.chain.from_iterable(probs))
-            )
-        ):
-            raise ValueError("a record the loop decides")
-        # OverflowError: a label past int64, or a probability past float
-        # range; one fromlist per record, run out in C
-        labels.fromlist(chunk_labels)
-        collections.deque(map(flat.fromlist, probs), 0)
-    id_types = set(map(type, ids))
-    if not _JSON_IDS.issuperset(id_types):
-        raise ValueError("a record the loop decides")
-    ids = ids if id_types == {str} else list(map(str, ids))
-    # int64 labels skip the object-array check of Python ints
-    return ids, np.frombuffer(labels, dtype=np.int64), flat, n
-
-
-def _json_columns(records) -> tuple[list[str], list[int], array, int]:
-    """The ids, labels, flat probabilities and class count of the dataset
-    records that ``records`` yields, checked record by record: the
-    reference for ``_json_chunk_columns``, and the one that words every
-    message."""
-    n: int | None = None
-    ids: list[str] = []
     labels: list[int] = []
     flat = array("d")
+    id_types: set[type] = set()
+    for records in chunks:
+        before = len(ids)  # the records in the chunks before
+        try:
+            # KeyError: a missing field; TypeError: a record that is not an
+            # object, or a first probs without a length
+            ids += map(_ID, records)
+            labels += map(_LABEL, records)
+            probs = list(map(_PROBS, records))
+            id_types |= set(map(type, ids[before:]))
+            if n is None:
+                n = len(probs[0])
+            if not (
+                set(map(type, labels[before:])) == {int}
+                and set(map(type, probs)) == {list}
+                and set(map(len, probs)) == {n}
+                and _JSON_NUMBERS.issuperset(
+                    map(type, itertools.chain.from_iterable(probs))
+                )
+                and _JSON_IDS.issuperset(id_types)
+            ):
+                raise ValueError("a record outside the rules")
+            # OverflowError: a probability past float range; one fromlist
+            # per record, run out in C
+            collections.deque(map(flat.fromlist, probs), 0)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _json_record_error(records, before, n)
+            raise  # not reached: the loop finds what the checks reject
+    if id_types != {str}:
+        ids = list(map(str, ids))
+    try:
+        # int64 labels skip the object-array check of Python ints
+        return ids, np.array(labels, dtype=np.int64), flat, n
+    except OverflowError:
+        return ids, labels, flat, n
+
+
+def _json_record_error(records, before: int, n: int | None) -> None:
+    """Raise the ValidationError of the first record of ``records`` outside
+    the rules, with the records numbered from ``before + 1`` and ``n`` the
+    class count, or None to take it from the first record. Builds no
+    column: it words the message of a chunk ``_json_columns`` rejects."""
     # json.load builds plain dicts, lists and ints, so ``type(x) is`` tests
     # stand in for isinstance, and a boolean label is not an int
-    for row_no, rec in enumerate(records, start=1):
+    for row_no, rec in enumerate(records, start=before + 1):
         try:
             ident, label, probs = rec["id"], rec["label"], rec["probs"]
         except (KeyError, TypeError):
@@ -525,8 +532,8 @@ def _json_columns(records) -> tuple[list[str], list[int], array, int]:
         if not _JSON_NUMBERS.issuperset(map(type, probs)):
             raise ValidationError(f"record {row_no} has a non-numeric probability")
         try:
-            # the doubles float() gives, with no float object per cell
-            flat.fromlist(probs)
+            # float() of every cell, kept nowhere
+            collections.deque(map(float, probs), 0)
         except OverflowError:
             # an integer too large for a float
             raise ValidationError(
@@ -538,9 +545,6 @@ def _json_columns(records) -> tuple[list[str], list[int], array, int]:
             raise ValidationError(
                 f"record {row_no} has an id that is not a string or a number"
             )
-        ids.append(str(ident))
-        labels.append(label)
-    return ids, labels, flat, n
 
 
 def _rendered(ds: LabeledDataset, quote, row_format: str):

@@ -501,8 +501,8 @@ class EvalReport(Record):
     beta: float
     tau: float
     enabled_terms: tuple[str, ...]
-    correction_kinds: tuple[str, ...] | None = None
-    correction_params: tuple[dict, ...] | None = None
+    correction_kinds: tuple[str, ...]
+    correction_params: tuple[dict, ...]
 
 
 def evaluate(
@@ -547,7 +547,7 @@ def _report_from_predictions(
         per_class_accuracy=tuple(
             float(a) if not np.isnan(a) else None for a in t.accuracy
         ),
-        class_counts=tuple(int(c) for c in t.true_counts),
+        class_counts=tuple(t.true_counts),
         cobias=t.cobias,
         pmi_sum=t.pmi,
         z_value=combine_terms(t.err, t.cobias, t.pmi, w),

@@ -45,7 +45,7 @@ def exhaustive_search(
     n = ds.num_classes
     allowed = normalize_allowed(fs, allowed_indices)
     space = len(allowed) ** n
-    if space > limit:
+    if not space <= limit:  # a NaN limit refuses too
         raise PreconditionError(
             f"search space {len(allowed)}^{n} = {space} exceeds limit {limit}"
         )
@@ -53,15 +53,12 @@ def exhaustive_search(
     best_xi: tuple[int, ...] | None = None
     best_z = float("inf")
     ties = 0
-    count = 0
     for xi in itertools.product(allowed, repeat=n):
         z = evaluator.value(xi)
-        count += 1
         if z < best_z:
             best_xi, best_z, ties = xi, z, 1
         elif z == best_z:
             ties += 1
-    assert best_xi is not None
     return OracleResult(
-        best_xi=best_xi, best_z=best_z, num_evaluated=count, ties=ties
+        best_xi=best_xi, best_z=best_z, num_evaluated=space, ties=ties
     )

@@ -3,9 +3,9 @@ import contextlib
 import csv
 import gc
 import io
-import itertools
 import json
 import math
+import struct
 import sys
 import tracemalloc
 
@@ -1169,6 +1169,15 @@ JSON_CHUNK_CASES = [
         "{path}: label out of range 1..2 at row 2: 9223372036854775808",
         id="label-past-int64",
     ),
+    pytest.param(
+        (
+            "[" + ", ".join(
+                [RECORD % ("a", 2**63), '{"id": "b", "label": 1, "probs": [1.5, 0.5]}']
+            ) + "]"
+        ).encode(),
+        "{path}: probability out of [0, 1] at row 2, class 1: 1.5",
+        id="label-past-int64-then-probability-out-of-range",
+    ),
     pytest.param(b" \n[]\n", "{path}: expected a non-empty JSON array", id="empty"),
 ]
 
@@ -1406,41 +1415,56 @@ def mutated_records(draw):
     return [records[a:b] for a, b in zip(cuts, [*cuts[1:], len(records)]) if a < b]
 
 
-def columns(read, records):
-    """``read``'s ids, labels, probability bits and N for ``records``, or
-    the message of its ValidationError."""
+def plain_columns(chunks):
+    """The ids, labels, probability bits and N of the records in ``chunks``
+    read in plain Python, or the message ``_json_record_error`` gives for
+    them as one list, numbered from 1."""
+    records = [r for chunk in chunks for r in chunk]
     try:
-        ids, labels, flat, n = read(records)
+        dcs.data._json_record_error(records, 0, None)
     except ValidationError as exc:
         return str(exc)
-    if isinstance(labels, np.ndarray):
+    labels = [r["label"] for r in records]
+    cells = [float(p) for r in records for p in r["probs"]]
+    return (
+        [str(r["id"]) for r in records], labels, [int] * len(labels),
+        struct.pack(f"{len(cells)}d", *cells), len(records[0]["probs"]),
+    )
+
+
+def columns(chunks):
+    """``_json_columns``'s ids, labels, probability bits and N for
+    ``chunks``, or the message of its ValidationError."""
+    try:
+        ids, labels, flat, n = dcs.data._json_columns(chunks)
+    except ValidationError as exc:
+        return str(exc)
+    # int64, unless a label is past it
+    in_int64 = isinstance(labels, np.ndarray)
+    if in_int64:
         assert labels.dtype == np.int64
         labels = labels.tolist()
+    assert in_int64 == all(-(2**63) <= label < 2**63 for label in labels)
     return ids, labels, [type(a) for a in labels], flat.tobytes(), n
 
 
 class TestJsonColumns:
-    """``_load_json`` checks each chunk of records by column, and hands any
-    chunk outside the rules to the per-record loop, which decides the
-    message."""
+    """``_json_columns`` checks each chunk of records by column, and at a
+    chunk outside the rules ``_json_record_error`` words the message of its
+    first bad record."""
 
     @settings(deadline=None, max_examples=300)
     @given(chunks=mutated_records())
-    def test_column_checks_take_what_the_loop_takes(self, chunks):
-        expected = columns(
-            lambda c: dcs.data._json_columns(itertools.chain.from_iterable(c)),
-            chunks,
-        )
-        try:
-            got = columns(dcs.data._json_chunk_columns, chunks)
-        except (ValueError, KeyError, TypeError, OverflowError):
-            # declined: the loop must reject the records too, or pass on a
-            # label that int64 cannot hold
-            assert isinstance(expected, str) or not all(
-                -(2**63) <= label < 2**63 for label in expected[1]
-            )
-        else:
-            assert got == expected
+    def test_column_reader_rejects_where_the_loop_raises(self, chunks):
+        # a chunk the reader rejects and the loop passes escapes as the
+        # reader's own KeyError, TypeError, ValueError or OverflowError
+        assert columns(chunks) == plain_columns(chunks)
+
+    def test_a_rejected_chunk_never_loads(self, monkeypatch):
+        # should the loop pass a chunk the checks reject, their error stands
+        monkeypatch.setattr(dcs.data, "_json_record_error", lambda *args: None)
+        with pytest.raises(ValueError, match="a record outside the rules"):
+            dcs.data._json_columns([[{"id": "a", "label": True, "probs": [0.5, 0.5]}]])
 
     @settings(deadline=None, max_examples=100)
     @given(chunks=mutated_records())

@@ -118,13 +118,15 @@ def test_empty_allowed_set_rejected(four_row_dataset, tiny_catalog):
         exhaustive_search(four_row_dataset, tiny_catalog, w, allowed_indices=())
 
 
-def test_limit_guard(four_row_dataset):
+# space > nan is False, so a NaN limit refuses only through the negated test
+@pytest.mark.parametrize("limit", [100, float("nan")], ids=["below", "nan"])
+def test_limit_guard(four_row_dataset, limit):
     from dcs import default_function_set
 
     fs = default_function_set()
     w = ObjectiveWeights(beta=1.0, tau=1.0)
-    with pytest.raises(PreconditionError):
-        exhaustive_search(four_row_dataset, fs, w, limit=100)
+    with pytest.raises(PreconditionError, match=f"exceeds limit {limit}"):
+        exhaustive_search(four_row_dataset, fs, w, limit=limit)
 
 
 def test_annealer_reaches_oracle_optimum_on_small_space(tiny_catalog):
