@@ -26,15 +26,22 @@ every candidate; the public term functions, ``score_predictions``,
 row sums. So the Z that the annealer minimizes, the Z a saved scheme
 records and the Z a report prints are the same number by construction.
 
-The imbalance term's mean of pair gaps is summed in pure Python in the
-exact order numpy's ``add.reduce`` uses, so Z keeps the bits it had when
-the sum ran through numpy (see ``_pairwise_sum``).
+The imbalance term's mean of pair gaps is summed with the bits numpy's
+``add.reduce`` gives: up to 128 gaps (16 present classes) in Python, in
+numpy's own order, and past that by numpy itself. So Z keeps the bits it
+had when the whole sum ran through numpy (see ``_pairwise_sum``).
+
+The exact PMI tail stays in Python, one ``math.log`` per present class, and
+is not to be vectorized: ``np.log`` and ``math.log`` differ in the last bit
+on some inputs (about 0.1% of uniform draws in (0, 10] on numpy 2.4.6,
+x86_64), which would change Z's bits. A numpy screen is fine where every
+candidate it keeps is re-scored by this tail.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -98,62 +105,49 @@ def predict(ds: LabeledDataset, fs: FunctionSet, xi) -> np.ndarray:
 
 class _Terms(NamedTuple):
     err: float
-    accuracy: list[float]
+    accuracy: list[float | None]
     true_counts: list[int]
     cobias: float | None
     pmi: float
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(k: int) -> tuple[tuple[int, int], ...]:
-    """Index pairs (i, j), i < j, in ``np.triu_indices(k, 1)`` order."""
-    iu, ju = np.triu_indices(k, 1)
-    return tuple(zip(iu.tolist(), ju.tolist()))
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum of ``values`` with the bits ``np.add.reduce`` gives a contiguous
+    float64 array of them.
 
-
-def _pairwise_sum(
-    values: list[float], start: int = 0, size: int | None = None
-) -> float:
-    """Sum of ``values[start:start + size]`` (all of ``values`` by default)
-    in the order ``np.add.reduce`` adds a contiguous float64 array.
-
-    numpy sums fewer than 8 terms one by one from 0.0, up to 128 terms in 8
-    interleaved accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    with the remainder added in order, and more terms by splitting at half
-    the length, rounded down to a multiple of 8 (pairwise summation, Higham,
-    SIAM J. Sci. Comput. 14, 1993). Python's ``sum`` compensates from 3.12
-    on and ``math.fsum`` rounds once, so neither gives numpy's bits.
+    numpy sums fewer than 8 terms one by one from 0.0, and up to 128 terms
+    in 8 interleaved accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) with the remainder added in order;
+    those two branches are copied here, as they beat a call into numpy at
+    the pair counts a class count gives in practice. More terms go to
+    numpy's own sum, which splits them pairwise (Higham, SIAM J. Sci.
+    Comput. 14, 1993). Python's ``sum`` compensates from 3.12 on and
+    ``math.fsum`` rounds once, so neither gives numpy's bits.
     """
-    if size is None:
-        size = len(values) - start
-    stop = start + size
+    size = len(values)
     if size < 8:
         total = 0.0
-        for v in values[start:stop]:
+        for v in values:
             total += v
         return total
-    if size <= 128:
-        tail = stop - size % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[start : start + 8]
-        for i in range(start + 8, tail, 8):
-            v0, v1, v2, v3, v4, v5, v6, v7 = values[i : i + 8]
-            r0 += v0
-            r1 += v1
-            r2 += v2
-            r3 += v3
-            r4 += v4
-            r5 += v5
-            r6 += v6
-            r7 += v7
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for v in values[tail:stop]:
-            total += v
-        return total
-    half = size // 2
-    half -= half % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(
-        values, start + half, size - half
-    )
+    if size > 128:
+        return float(np.add.reduce(np.array(values)))
+    tail = size - size % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    for i in range(8, tail, 8):
+        v0, v1, v2, v3, v4, v5, v6, v7 = values[i : i + 8]
+        r0 += v0
+        r1 += v1
+        r2 += v2
+        r3 += v3
+        r4 += v4
+        r5 += v5
+        r6 += v6
+        r7 += v7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[tail:]:
+        total += v
+    return total
 
 
 _LOG_EPSILON = math.log(PMI_EPSILON)
@@ -175,13 +169,14 @@ class _Scorer:
         self._n = len(true_counts)
         self._m = m = sum(true_counts)
         self._present = [(j, t, t / m) for j, t in enumerate(true_counts) if t]
-        self._pairs = _pairs(len(self._present))
+        self._pairs = list(combinations(range(len(self._present)), 2))
 
     def terms(self, flat: list[int], need_cobias: bool = False) -> _Terms:
-        """``cobias`` is None when fewer than two classes are present, and
-        that raises PreconditionError when ``need_cobias`` is set."""
+        """An absent class's accuracy is None. ``cobias`` is None when
+        fewer than two classes are present, and that raises
+        PreconditionError when ``need_cobias`` is set."""
         err, present_accuracy, cobias, pmi = self._score(flat, need_cobias)
-        accuracy = [math.nan] * self._n
+        accuracy = [None] * self._n
         for (j, _, _), a in zip(self._present, present_accuracy):
             accuracy[j] = a
         return _Terms(err, accuracy, self._true_counts, cobias, pmi)
@@ -263,7 +258,7 @@ def per_class_accuracy(
     predictions: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Accuracy per class over its true instances; NaN for absent classes."""
-    return np.array(_terms(predictions, labels, num_classes).accuracy)
+    return np.array(_terms(predictions, labels, num_classes).accuracy, dtype=float)
 
 
 def z_cobias(
@@ -287,7 +282,7 @@ def z_pmi(
 
 
 def combine_terms(
-    err: float, cobias: float | None, pmi: float | None, w: ObjectiveWeights
+    err: float, cobias: float | None, pmi: float, w: ObjectiveWeights
 ) -> float:
     """Weighted sum of the enabled terms, in a fixed order."""
     z = 0.0
@@ -544,9 +539,7 @@ def _report_from_predictions(
     return EvalReport(
         overall_accuracy=1.0 - t.err,
         err=t.err,
-        per_class_accuracy=tuple(
-            float(a) if not np.isnan(a) else None for a in t.accuracy
-        ),
+        per_class_accuracy=tuple(t.accuracy),
         class_counts=tuple(t.true_counts),
         cobias=t.cobias,
         pmi_sum=t.pmi,

@@ -359,12 +359,13 @@ _GAP_LISTS = st.builds(
 class TestPairwiseSum:
     """The imbalance term's sum of pair gaps, pinned to ``np.add.reduce``.
 
-    The scorer adds the gaps in pure Python in numpy's pairwise order, so
-    that Z matches the bits numpy's sum gave it before. Z's
+    The scorer adds up to 128 gaps in Python in numpy's order, and hands
+    more to numpy, so that Z matches the bits numpy's sum gave it before. Z's
     bit-reproducibility (golden traces, a saved scheme's ``best_z``) now
     rests on this property of the installed numpy, as it already does for
     the RNG block draws. Lengths run over 0..300, which covers the
-    sequential (< 8), 8-accumulator (8..128) and recursive (> 128) branches.
+    sequential (< 8) and 8-accumulator (8..128) branches and the hand-off
+    to numpy's own sum (> 128).
     """
 
     @settings(max_examples=250, deadline=None)
@@ -377,6 +378,40 @@ class TestPairwiseSum:
     def test_matches_numpy_add_reduce(self, values):
         expected = float(np.add.reduce(np.array(values, dtype=np.float64)))
         assert _pairwise_sum(values).hex() == expected.hex()
+
+
+class TestManyClasses:
+    """The scorer past the goldens' 8 classes, where nothing else pins its
+    pair order or reaches ``_pairwise_sum``'s numpy branch (past 128 gaps,
+    from 17 present classes)."""
+
+    def test_cobias_sums_triu_pairs_as_numpy_does(self):
+        rng = np.random.default_rng(27)
+        for k in range(2, 41):
+            # every class present, at uneven counts
+            labels = np.concatenate(
+                [np.arange(1, k + 1), rng.integers(1, k + 1, size=6 * k)]
+            )
+            preds = rng.integers(1, k + 1, size=labels.size)
+            acc = per_class_accuracy(preds, labels, k)
+            iu, ju = np.triu_indices(k, 1)
+            expected = np.add.reduce(np.abs(acc[iu] - acc[ju])) / len(iu)
+            got = z_cobias(preds, labels, k)
+            assert got.hex() == float(expected).hex(), k
+
+    def test_evaluator_matches_objective_value_at_17_classes(self):
+        k = 17
+        rng = np.random.default_rng(17)
+        labels = np.concatenate(
+            [np.arange(1, k + 1), rng.integers(1, k + 1, size=10 * k)]
+        )
+        ds = make_dataset(rng.dirichlet(np.ones(k), size=labels.size), labels)
+        fs = default_function_set()
+        w = ObjectiveWeights()
+        ev = ObjectiveEvaluator(ds, fs, w)
+        for _ in range(5):
+            xi = [int(j) for j in rng.integers(1, fs.size + 1, size=k)]
+            assert ev.value(xi) == objective_value(ds, fs, xi, w)
 
 
 class TestPmi:
