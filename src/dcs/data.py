@@ -39,12 +39,15 @@ chunk's records are freed before the next is read. The labels are
 collected as Python ints and converted to int64 once; a label past int64
 is handed on as the list, and ``LabeledDataset``'s range check words it.
 At a chunk outside the rules the message finder walks its records and
-raises the first bad one, numbered as in the file; it builds nothing. If
-the chunked pass fails, on text the chunked reader declines or on a bad
-record, the file is parsed whole by ``read_json`` and read again by the
-same reader as one chunk, so a syntax error after a bad record still
-wins. So a file the chunked pass fails on, bad JSON or a bad record, is
-parsed twice, the first time up to where that pass stopped. The rules: a
+words the first bad one, numbered as in the file; it builds nothing. The
+reader raises that message after it has run the chunked pass to the end
+of the file, parsing and dropping the chunks after it, so a file whose
+only fault is a bad record is parsed once. If the chunked reader fails,
+on a text it declines or on bad JSON, before or after a bad record, the
+file is parsed whole by ``read_json`` and read again by the same reader as
+one chunk, so a syntax error after a bad record still wins. Only such a
+file is parsed twice, the first time up to where the chunked pass
+stopped. The rules: a
 record is an object with ``id``, ``label`` and ``probs``; a label is an int
 (not a bool); probs is an array of N numbers (ints or floats, not bools)
 with N set by the first record; an id is a string or a number, taken as
@@ -442,13 +445,15 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
 
 def _load_json(path: Path) -> tuple[list[str], np.ndarray | list[int], array, int]:
     """The ids, labels, flat probabilities and class count of a JSON file,
-    read and checked one chunk at a time, or as a whole when anything in
-    that fails."""
+    read and checked one chunk at a time, or as a whole when the chunked
+    reader fails."""
     try:
         return _json_columns(read_json_chunks(path))
+    except ValidationError:
+        raise  # a bad record, in a file the chunked pass read to its end
     except (ValueError, RecursionError):
-        # a text the chunked reader declines, a parse error or a bad record:
-        # the whole-file parse decides what is wrong, and what first
+        # a text the chunked reader declines or a parse error: the
+        # whole-file parse decides what is wrong, and what first
         pass
     records = read_json(path)
     if not isinstance(records, list) or not records:
@@ -461,7 +466,9 @@ def _json_columns(chunks) -> tuple[list[str], np.ndarray | list[int], array, int
     records in ``chunks``, non-empty lists of records, checked by column.
     The labels come as int64, or as the list of ints when one is past int64,
     for ``LabeledDataset``'s range check to word. At a chunk outside the
-    rules, ``_json_record_error`` raises its first bad record."""
+    rules, ``_json_record_error`` words its first bad record, which is
+    raised after the rest of ``chunks`` is read, so that their reader's
+    error, as on bad JSON later in the file, comes first."""
     n: int | None = None
     ids: list = []
     labels: list[int] = []
@@ -492,7 +499,11 @@ def _json_columns(chunks) -> tuple[list[str], np.ndarray | list[int], array, int
             # per record, run out in C
             collections.deque(map(flat.fromlist, probs), 0)
         except (KeyError, TypeError, ValueError, OverflowError):
-            _json_record_error(records, before, n)
+            try:
+                _json_record_error(records, before, n)
+            finally:
+                # the rest of the pass, whose reader errors come first
+                collections.deque(chunks, 0)
             raise  # not reached: the loop finds what the checks reject
     if id_types != {str}:
         ids = list(map(str, ids))

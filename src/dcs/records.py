@@ -9,9 +9,12 @@ Python's digit limit for string conversion, and arrays or objects nested
 too deeply to parse. A missing or unreadable file raises ``OSError``.
 ``read_json_chunks`` parses a top-level array of objects one chunk of text
 at a time, so that a dataset's records need not all be held at once. It
+cuts each chunk after a ``}`` that JSON whitespace and then ``,``, ``]`` or
+the end of the text read so far follow, and keeps only cuts that parse. It
 gives ``read_json``'s elements or raises, without a message of its own: a
-caller that gets an error reads the file again with ``read_json``, which
-decides what is wrong.
+caller that gets an error, which bad JSON or a text the reader declines
+gives, reads the file again with ``read_json``, which decides what is
+wrong. A file that parses is read once.
 
 ``write_json``, ``write_csv`` and ``write_rows`` are the package's only
 writers. JSON floats go out as ``repr``, so a write followed by a read
@@ -42,6 +45,7 @@ import functools
 import json
 import numbers
 import os
+import re
 import sys
 import typing
 from dataclasses import fields
@@ -58,6 +62,9 @@ _CSV_QUOTED = ',"\r\n'
 _JSON_CHUNK_CHARS = 1 << 16
 # the whitespace JSON allows between tokens
 _JSON_SPACE = " \t\n\r"
+# a "}" that can end an array element: JSON whitespace, then "," or "]" or
+# the end of the text read so far
+_JSON_ELEMENT_END = re.compile(r"\}[ \t\n\r]*(?:[,\]]|\Z)")
 # characters of text that ``read_json_chunks`` carries over cuts that do
 # not parse before it declines a file
 _JSON_CARRY_CHARS = 4 * _JSON_CHUNK_CHARS
@@ -98,17 +105,21 @@ def read_json_chunks(path: str | Path):
     deep to parse.
 
     The file is opened as ``read_json`` opens it, so both parse the same
-    characters. Each segment runs to the last ``}`` read so far that no
-    JSON string holds (``_outside_strings``), so that a ``}`` inside an id
-    does not stop the chunking, and, after its leading ``[`` or ``,``,
-    parses as the body of one array, which it can only when the cut ends
-    an element. When there is no such ``}`` or the segment does not parse,
-    as at a nested object's ``}``, the text is kept and cut again with the
-    next chunk that holds a ``}``, up to ``_JSON_CARRY_CHARS`` characters
-    of it: past that, the file is declined. So a file that keeps failing
-    costs a few parses of at most that much text more than one that fails
-    at its first cut. Only JSON whitespace may come before the first ``[``
-    or a later ``,``, and only ``]`` and whitespace after the last segment.
+    characters. Each segment runs to the last ``}`` read so far that can end
+    an element (``_JSON_ELEMENT_END``): only JSON whitespace and then ``,``,
+    ``]`` or the end of the text read so far follow it. After its leading
+    ``[`` or ``,``, the segment parses as the body of one array, which it
+    can only when the cut ends an element, not inside a string or a nested
+    object. When there is no such ``}`` or the segment does not parse, the
+    text is kept and cut again with the next chunk that holds a ``}``, up to
+    ``_JSON_CARRY_CHARS`` characters of it: past that, the file is declined.
+    So a ``}`` inside an id costs nothing unless ``,`` or ``]`` follows it
+    there or a chunk ends at it: then the cut costs one carried chunk, and
+    ids that mostly hold ``},`` or ``}]`` get the file declined. A file that
+    keeps failing costs a few parses of at most that much text more than
+    one that fails at its first cut. Only JSON whitespace may come before
+    the first ``[`` or a later ``,``, and only ``]`` and whitespace after
+    the last segment.
     """
     with Path(path).open(encoding="utf-8") as fh:
         pieces: list[str] = []  # the text since the last cut
@@ -118,7 +129,10 @@ def read_json_chunks(path: str | Path):
             if "}" not in chunk:
                 continue
             text = "".join(pieces)
-            cut = _outside_strings(text, text.rfind("}") + 1)
+            cut = text.rfind("}")
+            while cut >= 0 and not _JSON_ELEMENT_END.match(text, cut):
+                cut = text.rfind("}", 0, cut)
+            cut += 1
             elements = _parse_segment(text, cut, opener)
             if elements is None:
                 if len(text) > _JSON_CARRY_CHARS:
@@ -143,34 +157,6 @@ def _parse_segment(text: str, cut: int, opener: str) -> list | None:
         return json.loads(f"[{text[start + 1:cut]}]") if cut else None
     except json.JSONDecodeError:
         return None
-
-
-def _outside_strings(text: str, cut: int) -> int:
-    """Just past the last ``}`` of ``text[:cut]`` that no JSON string holds,
-    or 0 if there is none; ``text`` starts outside any string and ``cut``
-    just past a ``}``.
-
-    A ``}`` lies inside a string when an odd number of unescaped quotes
-    precede it. Each slice counted here starts and ends just past a ``}``,
-    so it splits no escape, and each step back skips at least one quote.
-    """
-    inside = _quotes(text[:cut]) % 2
-    while inside:
-        # to the last "}" before the last quote, which may open the string
-        start = text.rfind("}", 0, text.rfind('"', 0, cut)) + 1
-        inside ^= _quotes(text[start:cut]) % 2
-        cut = start
-    return cut
-
-
-def _quotes(text: str) -> int:
-    """The unescaped ``"`` in ``text``, which splits no escape: with each
-    escaped backslash taken out, every backslash left escapes the next
-    character."""
-    if "\\" not in text:
-        return text.count('"')
-    text = text.replace("\\\\", "")
-    return text.count('"') - text.count('\\"')
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> PathError:

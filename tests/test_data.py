@@ -1184,8 +1184,8 @@ JSON_CHUNK_CASES = [
 
 class TestJsonChunks:
     """``load_dataset`` reads a JSON dataset one chunk of text at a time, and
-    reads it whole with ``read_json`` when anything in that fails, so every
-    dataset and every message is the whole-file path's."""
+    reads it whole with ``read_json`` when the chunked reader fails, so
+    every dataset and every message is the whole-file path's."""
 
     @settings(deadline=None, max_examples=100)
     @given(ds=datasets(), fmt=JSON_FORMATS)
@@ -1322,6 +1322,54 @@ class TestJsonChunks:
             # for a chunk that ends after a record
             mp.setattr(dcs.records, "_JSON_CARRY_CHARS", 300)
             assert outcome(path) == ds.fingerprint()
+
+    @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
+    def test_cuts_inside_ids_load_as_the_whole_file(self, tmp_path, size):
+        # "}" then "," or "]" in an id looks like the end of a record: the
+        # cut there does not parse and is carried, or the file is declined;
+        # a newline in an id is written as the escape "\n", so "}\n," is
+        # never such a cut
+        base = generate(benchmark_suite()[4].profile, 1_500)
+        odd = ("},", "}]", "} ,", "}\n,")
+        ids = [f"{odd[i % len(odd)]}{i}" for i in range(base.num_instances)]
+        ds = make_dataset(base.probabilities, base.labels, ids)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        with whole_file():
+            expected = outcome(path)
+        assert expected == ds.fingerprint()
+        with json_chunks(size):
+            assert outcome(path) == expected
+
+    @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("label", "x", "has non-integer label", id="string-label"),
+            pytest.param(
+                "probs", [0.25] * 4, "has 4 probabilities, expected 5",
+                id="short-probs",
+            ),
+        ],
+    )
+    def test_bad_last_record_is_worded_without_a_whole_file_read(
+        self, tmp_path, field, value, message, size
+    ):
+        # the chunked pass reads on to the end of the file, where no bad
+        # JSON comes after the record, and raises the whole-file message
+        ds = generate(benchmark_suite()[4].profile, 1_500)
+        assert ds.num_classes == 5
+        rows = zip(ds.instance_ids, ds.labels.tolist(), ds.probabilities.tolist())
+        records = [{"id": i, "label": a, "probs": p} for i, a, p in rows]
+        records[-1][field] = value
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        expected = f"{path}: record 1500 {message}"
+        with whole_file():
+            assert outcome(path) == expected
+        with json_chunks(size) as mp:
+            mp.setattr(dcs.data, "read_json", no_fallback)
+            assert outcome(path) == expected
 
     @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
     @pytest.mark.parametrize("content, message", JSON_CHUNK_CASES)
