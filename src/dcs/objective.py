@@ -356,8 +356,9 @@ class ObjectiveEvaluator:
     on the same buffer: ``_walk_try(j, k)`` overwrites row j in place with
     function k's keys and scores it, and ``_walk_put(j, k)`` writes a row
     unscored, which puts the old one back after a rejection. A step costs
-    one contiguous row copy, one ``minimum`` reduction, one mask and one
-    confusion count, with no range check: the labels were validated when the
+    one contiguous row copy, one ``minimum`` reduction into the top keys,
+    one mask of them in place and one confusion count of those cells in the
+    key dtype, with no range check: the labels were validated when the
     dataset was built, so every cell lies in 0..N*N - 1.
 
     The scorer of the dataset's labels is built once, here; a step counts
@@ -432,7 +433,6 @@ class ObjectiveEvaluator:
         self._cells = n * n
         self._buffer = np.empty((n, m), dtype=key_type)
         self._top = np.empty(m, dtype=key_type)
-        self._codes = np.empty(m, dtype=np.intp)
 
     def predictions(self, xi) -> np.ndarray:
         """1-based top classes of a selection, as ``predict`` gives them."""
@@ -473,9 +473,10 @@ class ObjectiveEvaluator:
         self._buffer[j] = self._rows[j][k]
 
     def _walk_codes(self) -> np.ndarray:
-        """Confusion-count cell of (label, top class) per instance."""
+        """Confusion-count cell of (label, top class) per instance, in the
+        key dtype: the top keys are masked in place."""
         np.minimum.reduce(self._buffer, axis=0, out=self._top)
-        return np.bitwise_and(self._top, self._mask, out=self._codes)
+        return np.bitwise_and(self._top, self._mask, out=self._top)
 
     def _walk_value(self) -> float:
         flat = np.bincount(self._walk_codes(), minlength=self._cells).tolist()

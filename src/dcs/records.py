@@ -29,7 +29,11 @@ a half-written one, and an interrupted write leaves the earlier file and no
 temp file. The new file gets the umask's permissions, not the earlier
 file's. A symlink or device at the target is not written through: the
 rename replaces it with a regular file, or the write fails with an
-``OSError`` (exit 4 from the CLI).
+``OSError`` (exit 4 from the CLI). No write calls ``fsync``. On ext4,
+whose default ``auto_da_alloc`` writes the new data out before a rename
+replaces a file, that makes replacing a file written moments before slow;
+unlinking the target first would avoid the stall, but after a crash it can
+leave no file, and after a power loss an empty one.
 
 ``Record`` gives a frozen dataclass its JSON form from its fields.
 ``to_dict`` lists them in declaration order, tuples as lists and nested
@@ -110,16 +114,19 @@ def read_json_chunks(path: str | Path):
     ``]`` or the end of the text read so far follow it. After its leading
     ``[`` or ``,``, the segment parses as the body of one array, which it
     can only when the cut ends an element, not inside a string or a nested
-    object. When there is no such ``}`` or the segment does not parse, the
-    text is kept and cut again with the next chunk that holds a ``}``, up to
-    ``_JSON_CARRY_CHARS`` characters of it: past that, the file is declined.
-    So a ``}`` inside an id costs nothing unless ``,`` or ``]`` follows it
-    there or a chunk ends at it: then the cut costs one carried chunk, and
-    ids that mostly hold ``},`` or ``}]`` get the file declined. A file that
-    keeps failing costs a few parses of at most that much text more than
-    one that fails at its first cut. Only JSON whitespace may come before
-    the first ``[`` or a later ``,``, and only ``]`` and whitespace after
-    the last segment.
+    object. When the cut's ``}`` ends the text read so far, as where a
+    chunk ends inside an id, and the segment does not parse, the ``}``
+    before it that can end an element is tried once. When there is no such
+    ``}`` or the segment does not parse, the text is kept and cut again
+    with the next chunk that holds a ``}``, up to ``_JSON_CARRY_CHARS``
+    characters of it: past that, the file is declined. So a ``}`` inside an
+    id costs one more parse where a chunk ends at it, and nothing else
+    unless ``,`` or ``]`` follows it there: then the cut costs one carried
+    chunk, and ids that mostly hold ``},`` or ``}]`` get the file declined.
+    A file that keeps failing costs a few parses of at most that much text
+    more than one that fails at its first cut. Only JSON whitespace may
+    come before the first ``[`` or a later ``,``, and only ``]`` and
+    whitespace after the last segment.
     """
     with Path(path).open(encoding="utf-8") as fh:
         pieces: list[str] = []  # the text since the last cut
@@ -129,11 +136,12 @@ def read_json_chunks(path: str | Path):
             if "}" not in chunk:
                 continue
             text = "".join(pieces)
-            cut = text.rfind("}")
-            while cut >= 0 and not _JSON_ELEMENT_END.match(text, cut):
-                cut = text.rfind("}", 0, cut)
-            cut += 1
+            cut = _element_end(text, len(text))
             elements = _parse_segment(text, cut, opener)
+            if elements is None and not text[cut:].strip(_JSON_SPACE):
+                # the text ends at this "}", which may lie inside an id
+                cut = _element_end(text, cut - 1)
+                elements = _parse_segment(text, cut, opener)
             if elements is None:
                 if len(text) > _JSON_CARRY_CHARS:
                     raise ValueError("no cut parses in the carried text")
@@ -144,6 +152,15 @@ def read_json_chunks(path: str | Path):
             opener = ","
         if opener == "[" or "".join(pieces).strip(_JSON_SPACE) != "]":
             raise ValueError("no object, or text after the last one")
+
+
+def _element_end(text: str, end: int) -> int:
+    """One past the last ``}`` before ``end`` in ``text`` that can end an
+    element (``_JSON_ELEMENT_END``), or 0 if there is none."""
+    cut = text.rfind("}", 0, end)
+    while cut >= 0 and not _JSON_ELEMENT_END.match(text, cut):
+        cut = text.rfind("}", 0, cut)
+    return cut + 1
 
 
 def _parse_segment(text: str, cut: int, opener: str) -> list | None:

@@ -1318,10 +1318,34 @@ class TestJsonChunks:
         save_dataset(ds, path)
         with json_chunks(size) as mp:
             mp.setattr(dcs.data, "read_json", no_fallback)
-            # about two records: a cut in an id moves back, it does not wait
-            # for a chunk that ends after a record
+            # about two records: a "}" in these ids is never followed by ","
+            # or "]", so it is a cut only where a chunk ends at it, and that
+            # cut steps back to the "}" before it instead of waiting for a
+            # chunk that ends after a record
             mp.setattr(dcs.records, "_JSON_CARRY_CHARS", 300)
             assert outcome(path) == ds.fingerprint()
+
+    @pytest.mark.parametrize("size", [64, 4096])
+    def test_chunk_ending_inside_an_id_steps_back(self, tmp_path, size):
+        # the first chunk ends at the "}" inside the second id; the cut
+        # there does not parse, the one at the first record's end does, so
+        # the file loads chunked under a carry cap of half a chunk
+        head = "[" + RECORD % ("a", 1) + ", " + '{"id": "'
+        padded = "x" * (size - 1 - len(head)) + "}b"
+        text = "[" + ", ".join(
+            [RECORD % ("a", 1), RECORD % (padded, 2), RECORD % ("c", 1)]
+        ) + "]"
+        assert text[size - 1] == "}" and text[size - 2] == "x"
+        path = tmp_path / "ds.json"
+        path.write_text(text, encoding="utf-8")
+        with whole_file():
+            expected = outcome(path)
+        ds = make_dataset(np.full((3, 2), 0.5), [1, 2, 1], ["a", padded, "c"])
+        assert expected == ds.fingerprint()
+        with json_chunks(size) as mp:
+            mp.setattr(dcs.data, "read_json", no_fallback)
+            mp.setattr(dcs.records, "_JSON_CARRY_CHARS", size // 2)
+            assert outcome(path) == expected
 
     @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
     def test_cuts_inside_ids_load_as_the_whole_file(self, tmp_path, size):

@@ -829,12 +829,24 @@ class TestEvaluatorEquivalence:
                 ev.predictions(xi)
 
     @pytest.mark.parametrize(
-        "num_classes, key_type", [(8, np.uint16), (300, np.uint32)]
+        "num_classes, key_type",
+        [(8, np.uint16), (300, np.uint32), (1024, np.uint64)],
     )
     def test_smallest_key_type(self, num_classes, key_type):
-        ds = make_dataset(np.eye(num_classes)[:2], [1, 2])
-        ev = ObjectiveEvaluator(ds, default_function_set(), ObjectiveWeights())
+        # the walk masks and counts its cells in the key dtype, so each
+        # dtype scores as objective_value does
+        rng = np.random.default_rng(num_classes)
+        probs = rng.dirichlet(np.ones(num_classes), size=6)
+        probs[:2] = np.eye(num_classes)[:2]
+        ds = make_dataset(probs, [1, 2, 1, 2, 3, 1])
+        fs, w = default_function_set(), ObjectiveWeights()
+        ev = ObjectiveEvaluator(ds, fs, w)
         assert ev._keys.dtype == key_type
+        xi = tuple(rng.integers(1, fs.size + 1, size=num_classes).tolist())
+        assert ev.value(xi) == objective_value(ds, fs, xi, w)
+        assert ev._walk_codes().dtype == key_type
+        moved = (xi[0], fs.dont_change_index, *xi[2:])
+        assert ev._walk_try(1, moved[1]) == objective_value(ds, fs, moved, w)
 
     def test_empty_allowed_set_rejected(self, four_row_dataset):
         with pytest.raises(PreconditionError, match="allowed index set is empty"):
