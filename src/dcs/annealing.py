@@ -22,7 +22,10 @@ tuple, r picks ``allowed[r]`` below the current index's place and
 likely. Block draws equal scalar draws because numpy's
 ``Generator.integers(n, size=B)`` and ``random(B)`` return what B scalar
 ``integers(n)``/``random()`` calls would, so bit-reproducibility rests on
-that property of the installed numpy; ``tests/test_annealing.py`` pins it.
+that property of the installed numpy. ``tests/test_annealing.py`` pins it,
+and pins the draws themselves to PCG64's raw 64-bit outputs: Lemire's
+multiply-and-reject on their low and then high 32-bit halves for
+``integers``, the top 53 bits for ``random``.
 ``neighbor`` makes the same proposal from scalar draws; ``anneal`` does not
 call it.
 """

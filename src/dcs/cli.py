@@ -728,8 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=SPACE_LIMIT,
-        help="refuse search spaces larger than this (default "
-        f"{SPACE_LIMIT:.0e})".replace("e+0", "e"),
+        help="refuse search spaces larger than this (default %(default)s)",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)

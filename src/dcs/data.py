@@ -96,7 +96,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .records import (
-    PathError,
     _not_utf8,
     csv_fields,
     json_string,
@@ -325,14 +324,13 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> LabeledDataset:
             instance_ids=tuple(ids),
         )
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-    except PathError:
-        raise
+        problem = _not_utf8(path, exc)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        problem = exc
     finally:
         if collecting:
             gc.enable()
+    raise ValidationError(f"{path}: {problem}")
 
 
 def _load_csv(path: Path):

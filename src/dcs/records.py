@@ -2,11 +2,12 @@
 
 ``read_json`` and ``read_json_chunks`` are the package's JSON readers.
 ``read_json`` reads a file whole. Whatever bytes a file holds, it returns
-the parsed value or raises ``ValidationError`` with a one-line message that
-starts with the file's path: bytes that are not UTF-8 (with the offset of
-the first bad byte), malformed or truncated JSON, an integer longer than
-Python's digit limit for string conversion, and arrays or objects nested
-too deeply to parse. A missing or unreadable file raises ``OSError``.
+the parsed value or raises ``ValidationError`` with a one-line message,
+without the file's path, which the caller that owns the file puts in front:
+bytes that are not UTF-8 (with the offset of the first bad byte), malformed
+or truncated JSON, an integer longer than Python's digit limit for string
+conversion, and arrays or objects nested too deeply to parse. A missing or
+unreadable file raises ``OSError``.
 ``read_json_chunks`` parses a top-level array of objects one chunk of text
 at a time, so that a dataset's records need not all be held at once. It
 cuts each chunk after a ``}`` that JSON whitespace and then ``,``, ``]`` or
@@ -78,11 +79,6 @@ class FieldError(ValidationError):
     """A record payload lacks a field or holds a value of the wrong type."""
 
 
-class PathError(ValidationError):
-    """A ValidationError whose message already starts with the file's path,
-    so a loader that prefixes its errors with the path passes it on as is."""
-
-
 def read_json(path: str | Path):
     """The parsed content of the JSON file at ``path``."""
     path = Path(path)
@@ -98,7 +94,7 @@ def read_json(path: str | Path):
         detail = f"a number has more than {sys.get_int_max_str_digits()} digits"
     except RecursionError:
         detail = "nested too deeply"
-    raise PathError(f"{path}: invalid JSON: {detail}")
+    raise ValidationError(f"invalid JSON: {detail}")
 
 
 def read_json_chunks(path: str | Path):
@@ -176,16 +172,15 @@ def _parse_segment(text: str, cut: int, opener: str) -> list | None:
         return None
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> PathError:
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
     # a decode error from a text stream counts from the start of the chunk it
     # was decoding; decode the whole file once more to get the file offset
     try:
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as whole:
         exc = whole
-    return PathError(
-        f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) "
-        "is not valid UTF-8"
+    return ValidationError(
+        f"byte {exc.start} (0x{exc.object[exc.start]:02x}) is not valid UTF-8"
     )
 
 
@@ -256,18 +251,22 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 
 def read_record(path: str | Path, cls, what: str):
-    """``cls.from_dict`` of the JSON file at ``path``; a missing or mistyped
-    field is reported as ``<path>: malformed <what>: <field problem>``, and
-    a value that fails ``cls``'s own checks as ``<path>: invalid <what>:
-    <problem>``, a ``PreconditionError`` too (a bad schedule in a file is
+    """``cls.from_dict`` of the JSON file at ``path``. A missing or
+    unreadable file raises ``OSError``; any other error is a
+    ``ValidationError`` that reads ``<path>: `` and then ``read_json``'s
+    message, ``malformed <what>: <field problem>`` for a missing or mistyped
+    field, or ``invalid <what>: <problem>`` for a value that fails ``cls``'s
+    own checks, a ``PreconditionError`` too (a bad schedule in a file is
     bad input, not a solver precondition)."""
-    payload = read_json(path)
     try:
-        return cls.from_dict(payload)
-    except FieldError as exc:
-        raise ValidationError(f"{path}: malformed {what}: {exc}") from None
-    except (ValidationError, PreconditionError) as exc:
-        raise ValidationError(f"{path}: invalid {what}: {exc}") from None
+        payload = read_json(path)
+        try:
+            return cls.from_dict(payload)
+        except (ValidationError, PreconditionError) as exc:
+            kind = "malformed" if isinstance(exc, FieldError) else "invalid"
+            raise ValidationError(f"{kind} {what}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 class Record:

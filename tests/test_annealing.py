@@ -158,6 +158,64 @@ class TestBlockDraws:
         ]
 
 
+def _raw_draws(child):
+    """The 64-bit outputs of ``PCG64(child)``, one at a time."""
+    bit_generator = np.random.PCG64(child)
+    while True:
+        yield from bit_generator.random_raw(BLOCK).tolist()
+
+
+def _reference_integers(child, n):
+    """What ``Generator(PCG64(child)).integers(n)`` draws, in pure Python:
+    32-bit draws, the low half of each 64-bit output and then its high half,
+    mapped into 0..n-1 by Lemire's multiply-and-reject."""
+    threshold = (2**32 - n) % n
+    for raw in _raw_draws(child):
+        for draw in (raw & 0xFFFFFFFF, raw >> 32):
+            product = draw * n
+            if product & 0xFFFFFFFF >= threshold:
+                yield product >> 32
+
+
+def _reference_random(child):
+    """What ``Generator(PCG64(child)).random()`` draws, in pure Python."""
+    for raw in _raw_draws(child):
+        yield (raw >> 11) * 2.0**-53
+
+
+class TestRawStream:
+    """The walk's draws, taken from PCG64's raw outputs by the rules of the
+    installed numpy's ``Generator``. The golden traces rest on these rules;
+    if a numpy release changes them, this test names the change."""
+
+    BLOCKS = 4
+
+    # (stream, bound): class counts on the coordinate stream, A - 1 for the
+    # furud, dnip and dcs catalogs on the value stream, and a bound that
+    # rejects about half of all 32-bit draws
+    @pytest.mark.parametrize(
+        "stream, n",
+        [(0, 2), (0, 5), (0, 8), (1, 18), (1, 30), (1, 48), (0, 2**31 + 11)],
+    )
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_integers_follow_raw_stream(self, seed, stream, n):
+        child = np.random.SeedSequence(seed).spawn(3)[stream]
+        blocks = _blocks(functools.partial(make_streams(seed)[stream].integers, n))
+        reference = _reference_integers(child, n)
+        for _ in range(self.BLOCKS):
+            drawn = [next(blocks) for _ in range(BLOCK)]
+            assert drawn == [next(reference) for _ in range(BLOCK)]
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_random_follows_raw_stream(self, seed):
+        child = np.random.SeedSequence(seed).spawn(3)[2]
+        blocks = _blocks(make_streams(seed)[2].random)
+        reference = _reference_random(child)
+        for _ in range(3):
+            drawn = [next(blocks) for _ in range(BLOCK)]
+            assert drawn == [next(reference) for _ in range(BLOCK)]
+
+
 class TestInitialSolution:
     def test_all_dont_change(self):
         fs = default_function_set()

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,17 @@ class TestReport:
         bad.write_text(json.dumps(payload))
         rc = main(["report", str(bad)])
         assert rc == 2
+
+    # runpy warns that it runs dcs.cli anew, as the tests imported it already
+    @pytest.mark.filterwarnings("ignore:'dcs.cli' found in sys.modules:RuntimeWarning")
+    def test_module_run_exits_with_main_code(self, tmp_path, monkeypatch):
+        """``python -m dcs.cli`` exits with the code ``main`` returns: 4
+        for a solve file that is not there."""
+        missing = tmp_path / "missing.json"
+        monkeypatch.setattr(sys, "argv", ["dcs", "report", str(missing)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("dcs.cli", run_name="__main__")
+        assert exited.value.code == 4
 
 
 class TestOracleCommand:
