@@ -185,6 +185,9 @@ def anneal(
     ``objective_value(ds, fs, best_xi, weights)``.
     """
     n = ds.num_classes
+    # lambda1 <= lambda2, so this bounds both loop caps
+    if not math.isfinite(config.lambda2 * n):
+        raise PreconditionError(f"lambda2 * {n} classes overflows the loop cap")
     present = np.unique(ds.labels).shape[0]
     if present < 2:
         raise PreconditionError(
@@ -230,7 +233,8 @@ def anneal(
             r = next(picks)
             old = current[j]
             k = allowed[r + (r >= position[old])]
-            candidate_z = evaluator._walk_try(j, k)
+            evaluator._walk_put(j, k)
+            candidate_z = evaluator._walk_value()
             generated += 1
             if candidate_z < best_z:
                 best = (*current[:j], k, *current[j + 1 :])

@@ -356,13 +356,13 @@ class ObjectiveEvaluator:
     Scores come from one C-contiguous (N, M) key buffer of the current
     selection, where row j holds class j's keys: ``value(xi)`` writes all N
     rows and scores the buffer. The annealer walks one coordinate at a time
-    on the same buffer: ``_walk_try(j, k)`` overwrites row j in place with
-    function k's keys and scores it, and ``_walk_put(j, k)`` writes a row
-    unscored, which puts the old one back after a rejection. A step costs
-    one contiguous row copy, one ``minimum`` reduction into the top keys,
-    one mask of them in place and one confusion count of those cells in the
-    key dtype, with no range check: the labels were validated when the
-    dataset was built, so every cell lies in 0..N*N - 1.
+    on the same buffer. A step puts a row, scores, and after a rejection
+    puts the old row back: ``_walk_put(j, k)`` overwrites row j in place
+    with function k's keys, and ``_walk_value()`` scores the buffer. A step
+    costs one contiguous row copy, one ``minimum`` reduction into the top
+    keys, one mask of them in place and one confusion count of those cells
+    in the key dtype, with no range check: the labels were validated when
+    the dataset was built, so every cell lies in 0..N*N - 1.
 
     The scorer of the dataset's labels is built once, here; a step counts
     the cells into a flat list and hands it to that scorer, the same
@@ -467,22 +467,16 @@ class ObjectiveEvaluator:
                 f"{len(self._rows[0])} functions this evaluator searches"
             ) from None
 
-    def _walk_try(self, j: int, k: int) -> float:
-        """Put function k on class j and score the buffer."""
-        self._walk_put(j, k)
-        return self._walk_value()
-
     def _walk_put(self, j: int, k: int) -> None:
+        """Put function k's keys on class j's row of the buffer, unscored."""
         self._buffer[j] = self._rows[j][k]
 
-    def _walk_codes(self) -> np.ndarray:
-        """Confusion-count cell of (label, top class) per instance, in the
-        key dtype: the top keys are masked in place."""
-        np.minimum.reduce(self._buffer, axis=0, out=self._top)
-        return np.bitwise_and(self._top, self._mask, out=self._top)
-
     def _walk_value(self) -> float:
-        flat = np.bincount(self._walk_codes(), minlength=self._cells).tolist()
+        """Score the buffer. ``_top`` then holds each instance's
+        confusion-count cell of (label, top class), in the key dtype."""
+        top = np.minimum.reduce(self._buffer, axis=0, out=self._top)
+        top &= self._mask
+        flat = np.bincount(top, minlength=self._cells).tolist()
         return self._scorer.value(flat, self._weights)
 
 

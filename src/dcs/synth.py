@@ -130,6 +130,8 @@ def generate(
         raise ValidationError(
             f"need at least num_classes={n} instances, got {m}"
         )
+    if m > np.iinfo(np.intp).max:
+        raise ValidationError(f"{m} instances exceed numpy's index limit")
     if replica < 0:
         raise ValidationError("replica must be a non-negative integer")
     base_logits = confusion_logits(profile)

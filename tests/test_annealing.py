@@ -24,6 +24,8 @@ from dcs.annealing import (
     make_streams,
     neighbor,
 )
+from dcs.corrections import MODES, mode_indices
+from dcs.objective import OBJECTIVES
 from dcs.synth import BiasProfile, generate
 from conftest import make_dataset
 
@@ -313,6 +315,14 @@ class TestAnnealRun:
                 allowed_indices=(fs.dont_change_index,),
             )
 
+    def test_overflowing_loop_cap_rejected(self):
+        # a finite lambda2 whose cap lambda2 * N is not: ceil() would raise
+        # OverflowError
+        config = AnnealConfig(seed=0, lambda2=1e308)
+        fs, w = default_function_set(), ObjectiveWeights()
+        with pytest.raises(PreconditionError, match=r"lambda2 \* 2 classes"):
+            anneal(small_dataset(), fs, w, config)
+
     def test_single_present_class_rejected(self):
         ds = make_dataset([[0.9, 0.1], [0.8, 0.2]], [1, 1])
         fs = default_function_set()
@@ -362,6 +372,90 @@ class TestAnnealRun:
         assert str(info.value) == (
             "field 'acceptance_counts[0]' must be an array of 2, got [3, 1, 0]"
         )
+
+
+def _reference_walk(ds, fs, w, config, allowed):
+    """``anneal``'s walk from its rules alone: scalar draws, and every
+    candidate scored from scratch by ``objective_value``.
+
+    Returns best_xi, best_z, z_trace, temperatures and acceptance_counts.
+    """
+    n = ds.num_classes
+    coord_rng, value_rng, accept_rng = make_streams(config.seed)
+    current = [fs.dont_change_index] * n
+    current_z = objective_value(ds, fs, current, w)
+    best, best_z = tuple(current), current_z
+    accepted_cap = math.ceil(config.lambda1 * n)
+    generated_cap = math.ceil(config.lambda2 * n)
+    z_trace, temperatures, counts = [], [], []
+    for t in range(config.max_outer_loops):
+        temperature = config.initial_temperature * config.cooling_rate**t
+        if temperature < config.min_temperature:
+            break
+        generated = accepted = 0
+        while accepted < accepted_cap and generated < generated_cap:
+            j = int(coord_rng.integers(n))
+            others = [k for k in allowed if k != current[j]]
+            candidate = list(current)
+            candidate[j] = others[int(value_rng.integers(len(allowed) - 1))]
+            z = objective_value(ds, fs, candidate, w)
+            generated += 1
+            # strict: the first of equal scores stays the best
+            if z < best_z:
+                best, best_z = tuple(candidate), z
+            # draws a uniform only on a non-improving move
+            if accept(z - current_z, temperature, accept_rng):
+                current, current_z = candidate, z
+                accepted += 1
+        z_trace.append(best_z)
+        temperatures.append(temperature)
+        counts.append((generated, accepted))
+    return best, best_z, tuple(z_trace), tuple(temperatures), tuple(counts)
+
+
+class TestReferenceWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_anneal_equals_reference_walk(self, data):
+        # probabilities on a 0.1 grid make equal scores common, so the
+        # strict best and the put-back after a rejection both show
+        n = data.draw(st.integers(2, 4), label="N")
+        m = data.draw(st.integers(8, 40), label="M")
+        grid = data.draw(
+            st.lists(st.integers(0, 10), min_size=m * n, max_size=m * n),
+            label="probabilities x 10",
+        )
+        labels = data.draw(
+            st.lists(st.integers(1, n), min_size=m, max_size=m), label="labels"
+        )
+        labels[:2] = [1, 2]  # anneal needs two classes present
+        ds = make_dataset(np.reshape(grid, (m, n)) / 10, labels)
+        fs = default_function_set()
+        allowed = mode_indices(fs, data.draw(st.sampled_from(MODES), label="mode"))
+        w = ObjectiveWeights.from_mode(
+            data.draw(st.sampled_from(OBJECTIVES), label="objective")
+        )
+        lambda1 = data.draw(st.sampled_from((0.5, 1.0, 3.0)), label="lambda1")
+        config = AnnealConfig(
+            seed=data.draw(st.integers(0, 2**32), label="seed"),
+            initial_temperature=data.draw(
+                st.sampled_from((0.05, 1.0, 2e5)), label="T0"
+            ),
+            cooling_rate=data.draw(
+                st.sampled_from((0.1, 0.5, 0.95)), label="cooling"
+            ),
+            lambda1=lambda1,
+            lambda2=lambda1 * data.draw(st.sampled_from((1, 2, 5)), label="x"),
+            max_outer_loops=data.draw(st.integers(1, 4), label="loops"),
+        )
+        result = anneal(ds, fs, w, config, allowed_indices=allowed)
+        assert (
+            result.best_xi,
+            result.best_z,
+            result.z_trace,
+            result.temperatures,
+            result.acceptance_counts,
+        ) == _reference_walk(ds, fs, w, config, sorted(allowed))
 
 
 class TestAnnealConfig:

@@ -187,6 +187,17 @@ class TestOptimize:
                    "--alpha", "1.5", "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    def test_overflowing_loop_cap_exit_3(self, tmp_path, capsys, train_csv):
+        # a finite lambda2 whose cap lambda2 * N is not ended in a traceback
+        out = tmp_path / "x"
+        rc = main(["optimize", "--input", str(train_csv), "--seed", "0",
+                   "--lambda2", "1e308", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: lambda2 * 3 classes overflows the loop cap\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, field",
         [
@@ -746,6 +757,17 @@ class TestGenerate:
         task, = json.loads((out / "suite.json").read_text())["tasks"]
         assert (task["name"], task["train_size"], task["eval_size"]) == ("p", 2000, 7)
         assert load_dataset(out / "p_train.csv").num_instances == 2000
+
+    def test_row_count_past_numpy_index_exit_2(self, tmp_path, capsys):
+        # numpy cannot index 10**20 rows: refused before any array is made
+        ppath = tmp_path / "p.json"
+        save_profile(benchmark_suite()[1].profile, ppath)
+        rc = main(["generate", "--out", str(tmp_path / "d"), "--profile",
+                   str(ppath), "--train-size", str(10**20)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: 100000000000000000000 instances exceed numpy's index limit\n"
+        )
 
     @pytest.mark.parametrize(
         "field, value",

@@ -594,12 +594,14 @@ class TestEvaluatorEquivalence:
             j = int(rng.integers(4))
             k = int(rng.integers(1, fs.size + 1))
             moved = xi[:j] + [k] + xi[j + 1 :]
-            assert ev._walk_try(j, k) == objective_value(ds, fs, moved, w)
+            ev._walk_put(j, k)
+            assert ev._walk_value() == objective_value(ds, fs, moved, w)
             if rng.random() < 0.5:
                 xi = moved
             else:
                 ev._walk_put(j, xi[j])
-        assert ev._walk_try(0, xi[0]) == objective_value(ds, fs, xi, w)
+        ev._walk_put(0, xi[0])
+        assert ev._walk_value() == objective_value(ds, fs, xi, w)
         # value reloads every column, whatever the walk left in the buffer
         fresh = [int(k) for k in rng.integers(1, fs.size + 1, size=4)]
         assert ev.value(fresh) == objective_value(ds, fs, fresh, w)
@@ -633,12 +635,14 @@ class TestEvaluatorEquivalence:
         )
         ds = make_dataset(values, labels)
         fs = default_function_set()
-        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights())
+        # the error term alone, so that one present class still scores
+        ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights.from_mode("err"))
         # Don't Change passes every value through, signed zeros included
         for j in range(n):
             ev._walk_put(j, fs.dont_change_index)
         expected = (ds.labels - 1) * n + np.argmax(values, axis=1)
-        assert np.array_equal(ev._walk_codes(), expected)
+        ev._walk_value()
+        assert np.array_equal(ev._top, expected)
 
     def test_walk_top_class_past_one_byte_ranks(self):
         # 300 classes: class indices and confusion cells past one byte
@@ -651,7 +655,8 @@ class TestEvaluatorEquivalence:
         ev = ObjectiveEvaluator(ds, fs, ObjectiveWeights())
         for j in range(n):
             ev._walk_put(j, fs.dont_change_index)
-        top = ev._walk_codes() - (ds.labels - 1) * n
+        ev._walk_value()
+        top = ev._top - (ds.labels - 1) * n
         assert top.tolist() == [280, 0, n - 1]
         assert np.array_equal(top, np.argmax(values, axis=1))
 
@@ -693,7 +698,7 @@ class TestEvaluatorEquivalence:
             assert np.array_equal(ev.predictions(xi), expected)
             # the path ``anneal`` runs: load the selection, read the cells
             ev.value(xi)
-            assert np.array_equal(ev._walk_codes() % n + 1, expected)
+            assert np.array_equal(ev._top % n + 1, expected)
 
     def test_walk_across_chunk_boundary(self):
         # the keys are built a chunk of instances at a time; instances on
@@ -716,7 +721,8 @@ class TestEvaluatorEquivalence:
             j = int(rng.integers(5))
             k = int(rng.integers(1, fs.size + 1))
             moved = xi[:j] + [k] + xi[j + 1 :]
-            assert ev._walk_try(j, k) == objective_value(ds, fs, moved, w)
+            ev._walk_put(j, k)
+            assert ev._walk_value() == objective_value(ds, fs, moved, w)
             if rng.random() < 0.3:
                 xi = moved
             else:
@@ -801,12 +807,14 @@ class TestEvaluatorEquivalence:
             j = int(rng.integers(3))
             k = int(rng.choice(allowed))
             moved = xi[:j] + [k] + xi[j + 1 :]
-            assert ev._walk_try(j, k) == objective_value(ds, fs, moved, w)
+            ev._walk_put(j, k)
+            assert ev._walk_value() == objective_value(ds, fs, moved, w)
             if rng.random() < 0.5:
                 xi = moved
             else:
                 ev._walk_put(j, xi[j])
-        assert ev._walk_try(0, xi[0]) == objective_value(ds, fs, xi, w)
+        ev._walk_put(0, xi[0])
+        assert ev._walk_value() == objective_value(ds, fs, xi, w)
         assert np.array_equal(ev.predictions(xi), predict(ds, fs, xi))
 
     def test_selection_outside_evaluator_rejected(
@@ -844,9 +852,10 @@ class TestEvaluatorEquivalence:
         assert ev._keys.dtype == key_type
         xi = tuple(rng.integers(1, fs.size + 1, size=num_classes).tolist())
         assert ev.value(xi) == objective_value(ds, fs, xi, w)
-        assert ev._walk_codes().dtype == key_type
+        assert ev._top.dtype == key_type
         moved = (xi[0], fs.dont_change_index, *xi[2:])
-        assert ev._walk_try(1, moved[1]) == objective_value(ds, fs, moved, w)
+        ev._walk_put(1, moved[1])
+        assert ev._walk_value() == objective_value(ds, fs, moved, w)
 
     def test_empty_allowed_set_rejected(self, four_row_dataset):
         with pytest.raises(PreconditionError, match="allowed index set is empty"):

@@ -139,6 +139,14 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             generate(profile(), 2)
 
+    def test_rejects_more_instances_than_numpy_indexes(self):
+        # Generator.choice raised OverflowError past a C long
+        with pytest.raises(ValidationError) as info:
+            generate(profile(), 10**20)
+        assert str(info.value) == (
+            "100000000000000000000 instances exceed numpy's index limit"
+        )
+
     def test_rejects_negative_replica(self):
         with pytest.raises(ValidationError):
             generate(profile(), 100, replica=-1)
