@@ -316,8 +316,8 @@ class TestAnnealRun:
             )
 
     def test_overflowing_loop_cap_rejected(self):
-        # a finite lambda2 whose cap lambda2 * N is not: ceil() would raise
-        # OverflowError
+        # lambda2 = 1e308 is finite, but its cap lambda2 * N is not, and
+        # ceil() raised OverflowError on it
         config = AnnealConfig(seed=0, lambda2=1e308)
         fs, w = default_function_set(), ObjectiveWeights()
         with pytest.raises(PreconditionError, match=r"lambda2 \* 2 classes"):
@@ -431,7 +431,8 @@ class TestReferenceWalk:
         labels[:2] = [1, 2]  # anneal needs two classes present
         ds = make_dataset(np.reshape(grid, (m, n)) / 10, labels)
         fs = default_function_set()
-        allowed = mode_indices(fs, data.draw(st.sampled_from(MODES), label="mode"))
+        mode = data.draw(st.sampled_from(MODES), label="mode")
+        allowed = mode_indices(fs, mode)
         w = ObjectiveWeights.from_mode(
             data.draw(st.sampled_from(OBJECTIVES), label="objective")
         )

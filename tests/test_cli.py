@@ -188,7 +188,8 @@ class TestOptimize:
         assert rc == 3
 
     def test_overflowing_loop_cap_exit_3(self, tmp_path, capsys, train_csv):
-        # a finite lambda2 whose cap lambda2 * N is not ended in a traceback
+        # lambda2 = 1e308 is finite, but its cap lambda2 * N is not: this
+        # ended in a traceback
         out = tmp_path / "x"
         rc = main(["optimize", "--input", str(train_csv), "--seed", "0",
                    "--lambda2", "1e308", "--out", str(out)])
