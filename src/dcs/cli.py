@@ -551,28 +551,30 @@ def cmd_generate(args) -> int:
                     f"{flag} applies only with --profile; without it, "
                     "generate writes the built-in suite"
                 )
-    out = _out_dir(args)
-    fmt = args.dataset_format
-    suffix = "json" if fmt == "json" else "csv"
-
-    if args.profile is not None:
+        tasks = benchmark_suite()
+    else:
         name = args.name or Path(args.profile).stem
+        # the files go inside --out, where suite.json names them
+        if name in (".", "..") or Path(name).name != name:
+            raise ValidationError(f"--name must be a file name, got {name!r}")
         profile = load_profile(args.profile)
         train_size, eval_size = (
             _PROFILE_ROWS if size is None else size
             for size in (args.train_size, args.eval_size)
         )
         tasks = [SuiteTask(name, profile, train_size, eval_size)]
-    else:
-        tasks = benchmark_suite()
+    # every set is drawn, so every size checked, before --out is made
+    drawn = [(task, task.train_dataset(), task.eval_dataset()) for task in tasks]
 
+    out = _out_dir(args)
     manifest = []
-    for task in tasks:
-        train_path = out / f"{task.name}_train.{suffix}"
-        eval_path = out / f"{task.name}_eval.{suffix}"
+    for task, train, eval_ds in drawn:
+        # --dataset-format's choices are the file suffixes
+        train_path = out / f"{task.name}_train.{args.dataset_format}"
+        eval_path = out / f"{task.name}_eval.{args.dataset_format}"
         profile_path = out / f"{task.name}_profile.json"
-        save_dataset(task.train_dataset(), train_path, fmt)
-        save_dataset(task.eval_dataset(), eval_path, fmt)
+        save_dataset(train, train_path, args.dataset_format)
+        save_dataset(eval_ds, eval_path, args.dataset_format)
         save_profile(task.profile, profile_path)
         n = task.profile.num_classes
         manifest.append(

@@ -792,6 +792,55 @@ class TestGenerate:
         assert rc == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/x", ".", ".."])
+    def test_name_must_be_a_file_name(self, tmp_path, capsys, name):
+        # a path part would put the files outside --out, where suite.json
+        # names them: refused before anything is drawn or written
+        ppath = tmp_path / "p.json"
+        save_profile(benchmark_suite()[1].profile, ppath)
+        before = _tree(tmp_path)
+        rc = main(["generate", "--out", str(tmp_path / "d" / "o"),
+                   "--profile", str(ppath), "--name", name,
+                   "--train-size", "10", "--eval-size", "10"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --name must be a file name, got {name!r}\n"
+        )
+        assert _tree(tmp_path) == before
+
+    def test_empty_name_is_the_profile_stem(self, tmp_path):
+        ppath = tmp_path / "p2_profile.json"
+        save_profile(benchmark_suite()[1].profile, ppath)
+        out = tmp_path / "one"
+        assert main(["generate", "--out", str(out), "--profile", str(ppath),
+                     "--name", "", "--train-size", "10",
+                     "--eval-size", "10"]) == 0
+        task, = json.loads((out / "suite.json").read_text())["tasks"]
+        assert task["name"] == "p2_profile"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "p2_profile_eval.csv", "p2_profile_profile.json",
+            "p2_profile_train.csv", "suite.json",
+        ]
+
+    def test_dataset_format_json(self, tmp_path):
+        # the sets take --dataset-format as suffix and hold generate's draws
+        profile = benchmark_suite()[1].profile
+        ppath = tmp_path / "p.json"
+        save_profile(profile, ppath)
+        out = tmp_path / "one"
+        assert main(["generate", "--out", str(out), "--profile", str(ppath),
+                     "--train-size", "50", "--eval-size", "40",
+                     "--dataset-format", "json"]) == 0
+        task, = json.loads((out / "suite.json").read_text())["tasks"]
+        assert (task["train"], task["eval"]) == ("p_train.json", "p_eval.json")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "p_eval.json", "p_profile.json", "p_train.json", "suite.json",
+        ]
+        for name, rows, replica in (("train", 50, 0), ("eval", 40, 1)):
+            got = load_dataset(out / f"p_{name}.json")
+            want = synth_generate(profile, rows, replica=replica)
+            assert got.fingerprint() == want.fingerprint()
+
 
 # one bad file per case, each read through one JSON reader
 BAD_JSON = {
@@ -941,6 +990,120 @@ class TestErrorsNameTheFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert err.count(str(bad)) == 1
+
+
+def _tree(root: Path) -> list[Path]:
+    """Every directory and file under ``root``."""
+    return sorted(root.rglob("*"))
+
+
+def _refused_run(case, tmp_path, train_csv, out):
+    """The exit code and CLI arguments of a run that ``main`` refuses."""
+    profile = str(tmp_path / "p2.json")
+    return {
+        "optimize-alpha": (3, ["optimize", "--input", train_csv, "--seed", "0",
+                               "--alpha", "2", "--out", out]),
+        "apply-class-count": (2, ["apply", "--scheme",
+                                  str(GOLDEN_DIR / "scheme.json"), "--input",
+                                  str(tmp_path / "two.csv"), "--out", out]),
+        "compare-eval-input": (2, ["compare", "--input", train_csv,
+                                   "--eval-input", train_csv, "--eval-input",
+                                   train_csv, "--seed", "0", "--out", out]),
+        "oracle-limit": (3, ["oracle", "--input", train_csv, "--limit", "1",
+                             "--out", out]),
+        "report-missing-solve": (4, ["report", str(tmp_path / "missing.json"),
+                                     "--out", str(Path(out) / "r.csv")]),
+        "generate-missing-profile": (4, ["generate", "--profile",
+                                         str(tmp_path / "missing.json"),
+                                         "--out", out]),
+        "generate-malformed-profile": (2, ["generate", "--profile",
+                                           str(tmp_path / "bad.json"),
+                                           "--out", out]),
+        "generate-eval-size": (2, ["generate", "--profile", profile,
+                                   "--train-size", "50", "--eval-size", "1",
+                                   "--out", out]),
+        "generate-train-size": (2, ["generate", "--profile", profile,
+                                    "--train-size", str(10**20),
+                                    "--out", out]),
+    }[case]
+
+
+class TestRefusedRunWritesNothing:
+    """A run refused for its input exits with its code and one ``error:``
+    line, and leaves no ``--out`` and no file behind."""
+
+    @pytest.mark.parametrize("case", [
+        "optimize-alpha", "apply-class-count", "compare-eval-input",
+        "oracle-limit", "report-missing-solve", "generate-missing-profile",
+        "generate-malformed-profile", "generate-eval-size",
+        "generate-train-size",
+    ])
+    def test_no_out_after_refusal(self, tmp_path, capsys, train_csv, case):
+        (tmp_path / "two.csv").write_text(
+            "id,label,p_1,p_2\na,1,0.9,0.1\nb,2,0.2,0.8\n"
+        )
+        (tmp_path / "bad.json").write_text("{")
+        save_profile(benchmark_suite()[1].profile, tmp_path / "p2.json")
+        out = tmp_path / "sub"
+        code, argv = _refused_run(case, tmp_path, str(train_csv), str(out))
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert _tree(tmp_path) == before
+
+
+class TestFormatFlag:
+    """``--format`` reads a dataset whose suffix names the other format,
+    as the same dataset under its own suffix is read."""
+
+    @pytest.mark.parametrize(
+        "fmt, suffix, refusal",
+        [
+            ("json", "txt", "header must be id,label,p_1,...,p_N"),
+            ("csv", "json",
+             "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["json-as-txt", "csv-as-json"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "apply", "compare", "oracle"])
+    def test_format_overrides_the_suffix(
+        self, tmp_path, capsys, train_csv, tiny_catalog, command, fmt, suffix,
+        refusal,
+    ):
+        catalog = tmp_path / "cat.json"
+        save_catalog(tiny_catalog, catalog)
+        # the flags besides --input and --format, and an output file that
+        # holds neither a time nor the input's path
+        extra, output = {
+            "optimize": (["--seed", "0", *FAST], "scheme.json"),
+            "apply": (["--scheme", str(GOLDEN_DIR / "scheme.json")],
+                      "predictions.csv"),
+            "compare": (["--seed", "0", "--mode", "dcs", *FAST], "summary.csv"),
+            "oracle": (["--catalog", str(catalog)], "oracle.json"),
+        }[command]
+        ds = load_dataset(train_csv)
+        named = tmp_path / "named" / f"p.{fmt}"
+        misnamed = tmp_path / "misnamed" / f"p.{suffix}"
+        for path in (named, misnamed):
+            path.parent.mkdir()
+            save_dataset(ds, path, fmt)
+
+        def run(path, *flags, out):
+            return main([command, "--input", str(path), *flags, *extra,
+                         "--out", str(tmp_path / out)])
+
+        assert run(named, out="named_run") == 0
+        assert run(misnamed, "--format", fmt, out="flag_run") == 0
+        assert (tmp_path / "flag_run" / output).read_bytes() == (
+            tmp_path / "named_run" / output
+        ).read_bytes()
+        capsys.readouterr()
+        assert run(misnamed, out="no_flag_run") == 2
+        assert capsys.readouterr().err == f"error: {misnamed}: {refusal}\n"
+        assert not (tmp_path / "no_flag_run").exists()
 
 
 class TestModeIndices:
