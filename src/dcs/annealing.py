@@ -9,8 +9,11 @@ the chain and returned.
 
 Randomness comes from three independent PCG64 streams spawned from the one
 seed, consumed in a fixed role order: coordinate choice, replacement value
-choice, acceptance draw. This keeps runs bit-reproducible for a given seed
-on any platform.
+choice, acceptance draw. A run is bit-reproducible for a given seed on the
+pinned numpy and with the same libm: numpy's ``Generator`` algorithms may
+change between releases (NEP 19), and Z's PMI term goes through libm's
+``log``, whose last bit can differ between C library builds and CPU
+variants.
 
 ``anneal`` draws each stream in blocks of ``BLOCK`` values and draws a new
 block when one is used up. Every proposal takes one coordinate draw j in

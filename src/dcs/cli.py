@@ -134,11 +134,15 @@ def _baseline(ds, catalog, weights) -> EvalReport:
 
 def _fit(train, held_out, catalog, weights, config, mode):
     """Anneal on ``train`` over ``mode``'s functions; return the result and
-    the reports of its best selection and of the baseline on ``held_out``."""
+    the reports of its best selection and of the baseline on ``held_out``.
+
+    The baseline is scored first, so a ``held_out`` that the objective
+    cannot score is refused before the walk."""
+    baseline = _baseline(held_out, catalog, weights)
     allowed = mode_indices(catalog, mode)
     result = anneal(train, catalog, weights, config, allowed_indices=allowed)
     corrected = evaluate(held_out, catalog, result.best_xi, weights)
-    return result, corrected, _baseline(held_out, catalog, weights)
+    return result, corrected, baseline
 
 
 def _print_before_after(baseline, corrected, accuracy, cobias) -> None:
@@ -154,7 +158,7 @@ def _print_before_after(baseline, corrected, accuracy, cobias) -> None:
 # ----------------------------------------------------------------- optimize
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> None:
     ds = load_dataset(args.input, args.format)
     catalog = _catalog_from_args(args)
     weights = _weights_from_args(args)
@@ -212,13 +216,12 @@ def cmd_optimize(args) -> int:
         "wrote scheme.json solve.json trace.csv optimization_set.json dev_set.json"
         f" dev_report.json dev_baseline.json dev_report.csv -> {out}"
     )
-    return 0
 
 
 # -------------------------------------------------------------------- apply
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> None:
     scheme = load_scheme(args.scheme)
     ds = load_dataset(args.input, args.format)
     if ds.num_classes != scheme.num_classes:
@@ -269,7 +272,6 @@ def cmd_apply(args) -> int:
     if match:
         print("input is the scheme's optimization set; recorded best_z reproduced")
     print(f"wrote predictions.csv report.json report.csv -> {out}")
-    return 0
 
 
 # ------------------------------------------------------------------ compare
@@ -421,7 +423,7 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     if args.eval_input and len(args.eval_input) != len(args.input):
         raise ValidationError(
             f"got {len(args.input)} --input but {len(args.eval_input)} "
@@ -471,7 +473,6 @@ def cmd_compare(args) -> int:
             + f"  [{entry['kind_tally']}]"
         )
     print(f"wrote runs.csv summary.csv -> {out}")
-    return 0
 
 
 # ------------------------------------------------------------------- report
@@ -488,25 +489,24 @@ class _SolveRow(Record):
     outer_loops_run: int
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     rows = [read_record(p, _SolveRow, "solve file") for p in args.solve_files]
     header = ["task", "num_classes", "search_space", "wall_time", "outer_loops"]
     # str(float) is repr(float): wall_time round-trips exactly
     values = [r.to_dict().values() for r in rows]
     if args.out is None:
         csv.writer(sys.stdout).writerows([header, *values])
-        return 0
+        return
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, header, values)
     print(f"report: {len(rows)} run(s) -> {out}")
-    return 0
 
 
 # ------------------------------------------------------------------- oracle
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     ds = load_dataset(args.input, args.format)
     catalog = _catalog_from_args(args)
     weights = _weights_from_args(args)
@@ -529,7 +529,6 @@ def cmd_oracle(args) -> int:
         f"best_z {result.best_z:.6f}, {result.ties} tie(s) at the optimum"
     )
     print(f"wrote oracle.json -> {out}")
-    return 0
 
 
 # ----------------------------------------------------------------- generate
@@ -539,7 +538,7 @@ def cmd_oracle(args) -> int:
 _PROFILE_ROWS = 2000
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     if args.profile is None:
         for flag, value in (
             ("--name", args.name),
@@ -594,7 +593,6 @@ def cmd_generate(args) -> int:
         )
     write_json(out / "suite.json", {"tasks": manifest})
     print(f"wrote {len(manifest)} task(s) + suite.json -> {out}")
-    return 0
 
 
 # ------------------------------------------------------------------- parser
@@ -759,16 +757,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        args.func(args)
+    except (ValidationError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ValidationError):
+            return 2
+        return 3 if isinstance(exc, PreconditionError) else 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -230,6 +230,118 @@ class TestOptimize:
         assert not (tmp_path / "inf").exists()
 
 
+@pytest.fixture()
+def p2_12_csv(tmp_path):
+    # 12 rows of p2, labels 1, 2, 2 four times over: too few for the default
+    # dev split. At --dev-fraction 0.25, seed 1's 3-row dev split holds both
+    # classes; seeds 0, 2 and 5 hold one.
+    path = tmp_path / "p2_12.csv"
+    save_dataset(synth_generate(benchmark_suite()[1].profile, 12), path)
+    return path
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("anneal ran")
+
+
+ONE_CLASS_IMBALANCE = (
+    "error: accuracy-imbalance term needs at least two classes present\n"
+)
+ONE_CLASS_WALK = (
+    "error: annealing needs at least two classes present, found 1\n"
+)
+
+
+class TestDevFraction:
+    """``--dev-fraction`` is how a set of fewer than 20 rows is fitted.
+    The tests assert no probability bits."""
+
+    def test_default_fraction_on_12_rows_exit_2(
+        self, tmp_path, capsys, p2_12_csv
+    ):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["optimize", "--input", str(p2_12_csv), "--seed", "1",
+                   "--max-outer", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dev fraction 0.05 yields an empty dev set for M=12\n"
+        )
+        assert not out.exists()
+
+    def test_quarter_split_on_12_rows(self, tmp_path, capsys, p2_12_csv):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["optimize", "--input", str(p2_12_csv),
+                   "--dev-fraction", "0.25", "--seed", "1",
+                   "--max-outer", "2", "--out", str(out)])
+        assert rc == 0
+        opt = load_dataset(out / "optimization_set.json")
+        dev = load_dataset(out / "dev_set.json")
+        assert (opt.num_instances, dev.num_instances) == (9, 3)
+        assert sorted(opt.instance_ids + dev.instance_ids) == sorted(
+            load_dataset(p2_12_csv).instance_ids
+        )
+        assert set(dev.labels.tolist()) == {1, 2}
+        assert capsys.readouterr().out.startswith(
+            "optimize: 12 rows -> 9 optimization + 3 dev, mode dcs, "
+        )
+
+
+class TestHeldOutScoredFirst:
+    """A held-out set that the objective cannot score is refused before
+    the walk: exit 3, ``anneal`` never called, no ``--out``."""
+
+    @pytest.mark.parametrize("seed", ["0", "2", "5"])
+    def test_one_class_dev_split(
+        self, tmp_path, capsys, monkeypatch, p2_12_csv, seed
+    ):
+        monkeypatch.setattr(dcs.cli, "anneal", _no_walk)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["optimize", "--input", str(p2_12_csv),
+                   "--dev-fraction", "0.25", "--seed", seed,
+                   "--max-outer", "2", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (3, ONE_CLASS_IMBALANCE)
+        assert not out.exists()
+
+    def test_one_class_compare_eval_set(
+        self, tmp_path, capsys, monkeypatch, p2_12_csv
+    ):
+        monkeypatch.setattr(dcs.cli, "anneal", _no_walk)
+        one_class = tmp_path / "one.csv"
+        one_class.write_text("id,label,p_1,p_2\na,1,0.9,0.1\nb,1,0.2,0.8\n")
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(p2_12_csv),
+                   "--eval-input", str(one_class), "--seed", "0",
+                   "--max-outer", "2", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (3, ONE_CLASS_IMBALANCE)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "objective, message",
+        [
+            # the held-out baseline's imbalance term refuses it first
+            ("full", ONE_CLASS_IMBALANCE),
+            # without the imbalance term the baseline scores; anneal refuses
+            ("err", ONE_CLASS_WALK),
+        ],
+    )
+    def test_one_class_set_precedence(
+        self, tmp_path, capsys, objective, message
+    ):
+        one_class = tmp_path / "one.csv"
+        save_dataset(make_dataset([[0.7, 0.3]] * 20, [2] * 20), one_class)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["optimize", "--input", str(one_class), "--seed", "0",
+                   "--objective", objective, "--max-outer", "2",
+                   "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (3, message)
+        assert not out.exists()
+
+
 # a catalog whose Don't Change is not its first entry
 SHOULDER_FIRST = FunctionSet(
     memberships=(
