@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _index_vector
+from .data import _index_vector, _probabilities
 from .errors import PreconditionError, ValidationError
 from .records import Record, read_record, write_json
 
@@ -74,15 +74,6 @@ def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
         # rewrites p = b with the same 1.0
         np.divide(c - p, c - b, out=out, where=(p >= b) & (p <= c))
     return out
-
-
-def _probabilities(p) -> np.ndarray:
-    """``p`` as a float64 array, checked against [0, 1]."""
-    arr = np.asarray(p, dtype=np.float64)
-    # negated, so that a NaN (which min and max propagate) fails it too
-    if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):
-        raise ValidationError("probability outside [0, 1]")
-    return arr
 
 
 def _on_values(p, kernel, *args):

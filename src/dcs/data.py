@@ -163,6 +163,34 @@ def _index_vector(values, top: int, name: str, at: str = "row") -> np.ndarray:
     return values.astype(np.int64)
 
 
+def _at(index: tuple) -> str:
+    """Where an entry sits, counted from 1: `` at row r, class c`` in a
+    matrix, `` at entry i`` in a vector and nothing for a scalar."""
+    if len(index) == 2:
+        return f" at row {index[0] + 1}, class {index[1] + 1}"
+    return " at entry " + ", ".join(str(i + 1) for i in index) if index else ""
+
+
+def _probabilities(values) -> np.ndarray:
+    """``values`` as a float64 array of probabilities, each finite and in
+    [0, 1].
+
+    The one rule for dataset matrices and for the values the correction
+    kernels take. A min/max test passes valid input; only a failure looks
+    further, and names the first non-finite entry anywhere, else the first
+    entry out of [0, 1] with its value, each where ``_at`` says.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    # negated, so that a NaN (which min and max propagate) fails it too
+    if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):
+        at = np.unravel_index(np.argmax(~np.isfinite(arr)), arr.shape)
+        if not np.isfinite(arr[at]):
+            raise ValidationError(f"non-finite probability{_at(at)}")
+        at = np.unravel_index(np.argmax((arr < 0.0) | (arr > 1.0)), arr.shape)
+        raise ValidationError(f"probability out of [0, 1]{_at(at)}: {arr[at].item()!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """An M x N matrix of class probabilities with 1-based true labels.
@@ -196,18 +224,7 @@ class LabeledDataset:
         if len(ids) != m:
             raise ValidationError(f"expected {m} instance ids, got {len(ids)}")
 
-        if not np.all(np.isfinite(probs)):
-            r, c = np.argwhere(~np.isfinite(probs))[0]
-            raise ValidationError(
-                f"non-finite probability at row {r + 1}, class {c + 1}"
-            )
-        bad = np.argwhere((probs < 0.0) | (probs > 1.0))
-        if bad.size:
-            r, c = bad[0]
-            raise ValidationError(
-                f"probability out of [0, 1] at row {r + 1}, class {c + 1}: "
-                f"{float(probs[r, c])!r}"
-            )
+        _probabilities(probs)
         # after the probabilities, so that a file reports them first
         labels = _index_vector(self.labels, n, "label")
         if labels.shape != (m,):

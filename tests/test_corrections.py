@@ -367,13 +367,21 @@ class TestApplySelection:
         with pytest.raises(ValidationError, match="2 entries, expected 3"):
             apply_selection(fs, (1, 20), probs)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
-    def test_value_outside_unit_interval_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (-0.1, "probability out of [0, 1] at row 8, class 3: -0.1"),
+            (1.5, "probability out of [0, 1] at row 8, class 3: 1.5"),
+            (math.nan, "non-finite probability at row 8, class 3"),
+        ],
+    )
+    def test_value_outside_unit_interval_rejected(self, bad, message):
         fs = default_function_set()
         probs, xi = self._matrix(10, 3, seed=7)
         probs[7, 2] = bad
-        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+        with pytest.raises(ValidationError) as info:
             apply_selection(fs, xi, probs)
+        assert str(info.value) == message
 
 
 class TestDefaultCatalog:
