@@ -91,11 +91,8 @@ def _write_per_class_csv(
 ) -> None:
     """Human-readable per-class table for one evaluation report."""
     rows = []
-    for c, k in enumerate(selection):
-        desc = fs.describe_index(k)
-        params = ";".join(
-            f"{key}={desc[key]}" for key in sorted(desc) if key != "kind"
-        )
+    for c, (k, desc) in enumerate(zip(selection, report.correction_params)):
+        params = ";".join(f"{key}={desc[key]}" for key in sorted(desc) if key != "kind")
         acc = report.per_class_accuracy[c]  # an absent class: None, written ""
         rows.append([c + 1, report.class_counts[c], acc, kind_bucket(fs, k), params])
     write_csv(

@@ -85,6 +85,7 @@ import gc
 import hashlib
 import itertools
 import math
+import numbers
 import operator
 import struct
 import warnings
@@ -176,10 +177,22 @@ def _probabilities(values) -> np.ndarray:
     [0, 1].
 
     The one rule for dataset matrices and for the values the correction
-    kernels take. A min/max test passes valid input; only a failure looks
-    further, and names the first non-finite entry anywhere, else the first
-    entry out of [0, 1] with its value, each where ``_at`` says.
+    kernels take. A numpy array must have an integer or float dtype; any
+    other input must hold real numbers that are not bools (``numbers.Real``,
+    JSON's rule), so a string, a bool or None is refused rather than parsed
+    or read as 1 or 0. A min/max test passes valid values; only a failure
+    looks further, and names the first non-finite entry anywhere, else the
+    first entry out of [0, 1] with its value. Every message names the dtype
+    or says where its entry sits, as ``_at`` words it.
     """
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        values = np.array(values, dtype=object)
+        if not set(map(type, values.flat)) <= _JSON_NUMBERS:
+            for at, v in np.ndenumerate(values):
+                if type(v) is bool or not isinstance(v, numbers.Real):
+                    raise ValidationError(f"non-numeric probability{_at(at)}: {v!r}")
+    elif values.dtype.kind not in "iuf":
+        raise ValidationError(f"probabilities must be real, got dtype {values.dtype}")
     arr = np.asarray(values, dtype=np.float64)
     # negated, so that a NaN (which min and max propagate) fails it too
     if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):
@@ -211,12 +224,14 @@ class LabeledDataset:
     instance_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probabilities, dtype=np.float64)
+        if isinstance(self.instance_ids, (str, bytes)):
+            raise ValidationError("instance ids must be a sequence, not one string")
+        shape = np.shape(self.probabilities)
         ids = tuple(self.instance_ids)
 
-        if probs.ndim != 2:
+        if len(shape) != 2:
             raise ValidationError("probabilities must be a 2-d matrix")
-        m, n = probs.shape
+        m, n = shape
         if m < 1:
             raise ValidationError("dataset must contain at least one instance")
         if n < 2:
@@ -224,7 +239,7 @@ class LabeledDataset:
         if len(ids) != m:
             raise ValidationError(f"expected {m} instance ids, got {len(ids)}")
 
-        _probabilities(probs)
+        probs = _probabilities(self.probabilities).copy()
         # after the probabilities, so that a file reports them first
         labels = _index_vector(self.labels, n, "label")
         if labels.shape != (m,):

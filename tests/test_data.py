@@ -8,6 +8,7 @@ import math
 import struct
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from dcs import (
     LabeledDataset,
     TriangularMembership,
     ValidationError,
+    apply_selection,
+    default_function_set,
+    eval_membership,
     load_dataset,
     save_dataset,
 )
@@ -1717,3 +1721,122 @@ class TestIndexVectorRule:
                 j in expected for j in range(1, top + 1)
             ]
             assert all(a == 1.0 or math.isnan(a) for a in accuracy)
+
+
+# a bad entry and its repr in the message
+NON_NUMBERS = [
+    # numpy would parse these
+    pytest.param("0.5", "'0.5'", id="str"),
+    pytest.param(b"0.5", "b'0.5'", id="bytes"),
+    # numpy would read these as 1.0 and nan
+    pytest.param(True, "True", id="bool"),
+    pytest.param(None, "None", id="None"),
+    pytest.param(1 + 0j, "(1+0j)", id="complex"),
+]
+WRONG_DTYPES = [
+    pytest.param(np.array([0.5, 0.5]) > 0, "bool", id="bool"),
+    pytest.param(np.array(["0.5", "0.5"]), "<U3", id="str"),
+    pytest.param(np.array([0.5, 0.5], dtype=complex), "complex128", id="complex"),
+]
+
+
+class TestProbabilityRule:
+    """``LabeledDataset`` and the correction kernels check probabilities
+    through one helper, so they take the same values and word a bad one the
+    same way: by row and class in a matrix, by entry in a vector, with no
+    position for a scalar."""
+
+    @pytest.mark.parametrize("bad, shown", NON_NUMBERS)
+    def test_dataset_refuses_non_numbers(self, bad, shown):
+        with pytest.raises(ValidationError) as info:
+            LabeledDataset([[0.5, 0.5], [0.25, bad]], [1, 2], ("a", "b"))
+        assert str(info.value) == f"non-numeric probability at row 2, class 2: {shown}"
+
+    @pytest.mark.parametrize("bad, shown", NON_NUMBERS)
+    def test_apply_selection_refuses_non_numbers(self, bad, shown):
+        with pytest.raises(ValidationError) as info:
+            apply_selection(default_function_set(), (1, 1), [0.25, bad])
+        assert str(info.value) == f"non-numeric probability at entry 2: {shown}"
+
+    @pytest.mark.parametrize("bad, shown", NON_NUMBERS)
+    def test_eval_membership_refuses_non_numbers(self, bad, shown):
+        with pytest.raises(ValidationError) as info:
+            eval_membership(TriangularMembership(0.0, 1.0, 1.0), bad)
+        assert str(info.value) == f"non-numeric probability: {shown}"
+
+    @pytest.mark.parametrize("row, dtype", WRONG_DTYPES)
+    def test_every_door_refuses_a_wrong_dtype(self, row, dtype):
+        message = f"probabilities must be real, got dtype {dtype}"
+        calls = [
+            lambda: LabeledDataset(np.stack([row, row]), [1, 2], ("a", "b")),
+            lambda: apply_selection(default_function_set(), (1, 1), row),
+            lambda: eval_membership(TriangularMembership(0.0, 1.0, 1.0), row),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_real_numbers_of_any_type_are_taken(self):
+        probs = [[1, 0], [np.float32(0.25), Fraction(3, 4)]]
+        expected = np.array([[1.0, 0.0], [0.25, 0.75]])
+        for values in (probs, np.array(probs, dtype=object)):
+            ds = LabeledDataset(values, [1, 2], ("a", "b"))
+            assert ds.probabilities.tobytes() == expected.tobytes()
+            out = apply_selection(default_function_set(), (1, 1), values)
+            assert out.tobytes() == expected.tobytes()
+        assert eval_membership(TriangularMembership(0.0, 1.0, 1.0), np.uint8(1)) == 1.0
+
+    def test_dataset_checks_its_shape_before_its_values(self):
+        with pytest.raises(ValidationError) as info:
+            LabeledDataset([["x", 0.5]], [1], ("a", "b"))
+        assert str(info.value) == "expected 1 instance ids, got 2"
+
+    def test_dataset_keeps_a_private_copy(self):
+        probs = np.full((2, 2), 0.5)
+        ds = LabeledDataset(probs, [1, 2], ("a", "b"))
+        probs[0, 0] = 0.25
+        assert ds.probabilities[0, 0] == 0.5
+
+    @pytest.mark.parametrize("ids", ["ab", b"ab"], ids=["str", "bytes"])
+    def test_one_string_is_not_a_list_of_ids(self, ids):
+        # tuple("ab") would give the ids 'a' and 'b'
+        with pytest.raises(ValidationError) as info:
+            LabeledDataset([[0.5, 0.5], [0.2, 0.8]], [1, 2], ids)
+        assert str(info.value) == "instance ids must be a sequence, not one string"
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_one_message_whichever_door(self, data):
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 5))
+        dtype = data.draw(st.sampled_from([np.float16, np.float32, np.float64]))
+        width = 8 * np.dtype(dtype).itemsize
+        probs = data.draw(
+            hnp.arrays(dtype, (m, n), elements=st.floats(0.0, 1.0, width=width))
+        )
+        fs, keep = default_function_set(), (1,) * n
+        labels, ids = np.arange(m) % n + 1, tuple(map(str, range(m)))
+        bits = np.asarray(probs, np.float64).tobytes()
+        assert LabeledDataset(probs, labels, ids).probabilities.tobytes() == bits
+        assert apply_selection(fs, keep, probs).tobytes() == bits
+
+        r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.25, 1.5]))
+        probs[r, c] = bad
+        if math.isfinite(bad):
+            message = "probability out of [0, 1]{}: " + repr(bad)
+        else:
+            message = "non-finite probability{}"
+        doors = {
+            f" at row {r + 1}, class {c + 1}": [
+                lambda: LabeledDataset(probs, labels, ids),
+                lambda: apply_selection(fs, keep, probs),
+            ],
+            f" at entry {c + 1}": [lambda: apply_selection(fs, keep, probs[r])],
+            "": [lambda: eval_membership(fs.memberships[0], probs[r, c])],
+        }
+        for where, calls in doors.items():
+            for call in calls:
+                with pytest.raises(ValidationError) as info:
+                    call()
+                assert str(info.value) == message.format(where)
