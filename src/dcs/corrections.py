@@ -78,7 +78,7 @@ def _membership_array(f: TriangularMembership, p: np.ndarray) -> np.ndarray:
 
 def _on_values(p, kernel, *args):
     """Run an array kernel on ``p``: a scalar in gives a float out, an array
-    gives an array. Values are checked against [0, 1] first."""
+    gives an array. Values go through ``data._probabilities`` first."""
     out = kernel(*args, _probabilities(p))
     return float(out) if np.ndim(out) == 0 else out
 

@@ -178,9 +178,9 @@ def _probabilities(values) -> np.ndarray:
 
     The one rule for dataset matrices and for the values the correction
     kernels take. A numpy array must have an integer or float dtype; any
-    other input must hold real numbers that are not bools (``numbers.Real``,
-    JSON's rule), so a string, a bool or None is refused rather than parsed
-    or read as 1 or 0. A min/max test passes valid values; only a failure
+    other input, an object array included, must hold real numbers that are
+    not bools (``numbers.Real``, JSON's rule), so a string, a bool or None
+    is refused rather than parsed or read as 1, 0 or NaN. A min/max test passes valid values; only a failure
     looks further, and names the first non-finite entry anywhere, else the
     first entry out of [0, 1] with its value. Every message names the dtype
     or says where its entry sits, as ``_at`` words it.
