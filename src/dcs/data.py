@@ -226,7 +226,10 @@ class LabeledDataset:
     def __post_init__(self) -> None:
         if isinstance(self.instance_ids, (str, bytes)):
             raise ValidationError("instance ids must be a sequence, not one string")
-        shape = np.shape(self.probabilities)
+        try:
+            shape = np.shape(self.probabilities)
+        except ValueError:  # a ragged list, which numpy cannot shape
+            shape = ()
         ids = tuple(self.instance_ids)
 
         if len(shape) != 2:

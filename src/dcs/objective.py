@@ -286,7 +286,8 @@ def z_pmi(
 def combine_terms(
     err: float, cobias: float | None, pmi: float, w: ObjectiveWeights
 ) -> float:
-    """Weighted sum of the enabled terms, in a fixed order."""
+    """Weighted sum of the enabled terms, in a fixed order. A sum that
+    overflows raises PreconditionError: no Z can rank selections then."""
     z = 0.0
     if w.enable_err:
         z = z + err
@@ -294,6 +295,8 @@ def combine_terms(
         z = z + w.beta * cobias
     if w.enable_pmi:
         z = z + w.tau * pmi
+    if math.isinf(z):
+        raise PreconditionError(f"beta {w.beta!r} and tau {w.tau!r} overflow Z to {z}")
     return z
 
 

@@ -10,12 +10,12 @@ conversion, and arrays or objects nested too deeply to parse. A missing or
 unreadable file raises ``OSError``.
 ``read_json_chunks`` parses a top-level array of objects one chunk of text
 at a time, so that a dataset's records need not all be held at once. It
-cuts each chunk after a ``}`` that JSON whitespace and then ``,``, ``]`` or
-the end of the text read so far follow, and keeps only cuts that parse. It
-gives ``read_json``'s elements or raises, without a message of its own: a
-caller that gets an error, which bad JSON or a text the reader declines
-gives, reads the file again with ``read_json``, which decides what is
-wrong. A file that parses is read once.
+cuts each chunk after a ``}`` that JSON whitespace and then ``,`` or ``]``
+follow, and keeps only cuts that parse. It gives ``read_json``'s elements
+or raises, without a message of its own: a caller that gets an error,
+which bad JSON or a text the reader declines gives, reads the file again
+with ``read_json``, which decides what is wrong. A file that parses is
+read once.
 
 ``write_json``, ``write_csv`` and ``write_rows`` are the package's only
 writers. JSON floats go out as ``repr``, so a write followed by a read
@@ -67,9 +67,8 @@ _CSV_QUOTED = ',"\r\n'
 _JSON_CHUNK_CHARS = 1 << 16
 # the whitespace JSON allows between tokens
 _JSON_SPACE = " \t\n\r"
-# a "}" that can end an array element: JSON whitespace, then "," or "]" or
-# the end of the text read so far
-_JSON_ELEMENT_END = re.compile(r"\}[ \t\n\r]*(?:[,\]]|\Z)")
+# a "}" that can end an array element: JSON whitespace, then "," or "]"
+_JSON_ELEMENT_END = re.compile(r"\}[ \t\n\r]*[,\]]")
 # characters of text that ``read_json_chunks`` carries over cuts that do
 # not parse before it declines a file
 _JSON_CARRY_CHARS = 4 * _JSON_CHUNK_CHARS
@@ -106,38 +105,35 @@ def read_json_chunks(path: str | Path):
 
     The file is opened as ``read_json`` opens it, so both parse the same
     characters. Each segment runs to the last ``}`` read so far that can end
-    an element (``_JSON_ELEMENT_END``): only JSON whitespace and then ``,``,
-    ``]`` or the end of the text read so far follow it. After its leading
-    ``[`` or ``,``, the segment parses as the body of one array, which it
-    can only when the cut ends an element, not inside a string or a nested
-    object. When the cut's ``}`` ends the text read so far, as where a
-    chunk ends inside an id, and the segment does not parse, the ``}``
-    before it that can end an element is tried once. When there is no such
-    ``}`` or the segment does not parse, the text is kept and cut again
-    with the next chunk that holds a ``}``, up to ``_JSON_CARRY_CHARS``
-    characters of it: past that, the file is declined. So a ``}`` inside an
-    id costs one more parse where a chunk ends at it, and nothing else
-    unless ``,`` or ``]`` follows it there: then the cut costs one carried
-    chunk, and ids that mostly hold ``},`` or ``}]`` get the file declined.
-    A file that keeps failing costs a few parses of at most that much text
-    more than one that fails at its first cut. Only JSON whitespace may
-    come before the first ``[`` or a later ``,``, and only ``]`` and
-    whitespace after the last segment.
+    an element (``_JSON_ELEMENT_END``): only JSON whitespace and then ``,``
+    or ``]`` follow it. After its leading ``[`` or ``,``, the segment parses
+    as the body of one array, which it can only when the cut ends an
+    element, not inside a string or a nested object. A cut is tried when a
+    chunk holds a ``}`` or a ``]``: a ``}`` at a chunk's end waits for the
+    next chunk, and a last chunk of ``]`` still closes the array. When there
+    is no such ``}`` or the segment does not parse, the text is kept and cut
+    again with the next chunk that holds a ``}`` or a ``]``, up to
+    ``_JSON_CARRY_CHARS`` characters of it: past that, the file is declined.
+    So a ``}`` inside an id costs nothing unless ``,`` or ``]`` follows it
+    there: then the cut costs one carried chunk, and ids that mostly hold
+    ``},`` or ``}]`` get the file declined. A file that keeps failing costs
+    a few parses of at most that much text more than one that fails at its
+    first cut. Only JSON whitespace may come before the first ``[`` or a
+    later ``,``, and only ``]`` and whitespace after the last segment.
     """
     with Path(path).open(encoding="utf-8") as fh:
         pieces: list[str] = []  # the text since the last cut
         opener = "["
         while chunk := fh.read(_JSON_CHUNK_CHARS):
             pieces.append(chunk)
-            if "}" not in chunk:
+            if "}" not in chunk and "]" not in chunk:
                 continue
             text = "".join(pieces)
-            cut = _element_end(text, len(text))
+            cut = text.rfind("}")
+            while cut >= 0 and not _JSON_ELEMENT_END.match(text, cut):
+                cut = text.rfind("}", 0, cut)
+            cut += 1  # one past that "}", or 0 if there is none
             elements = _parse_segment(text, cut, opener)
-            if elements is None and not text[cut:].strip(_JSON_SPACE):
-                # the text ends at this "}", which may lie inside an id
-                cut = _element_end(text, cut - 1)
-                elements = _parse_segment(text, cut, opener)
             if elements is None:
                 if len(text) > _JSON_CARRY_CHARS:
                     raise ValueError("no cut parses in the carried text")
@@ -148,15 +144,6 @@ def read_json_chunks(path: str | Path):
             opener = ","
         if opener == "[" or "".join(pieces).strip(_JSON_SPACE) != "]":
             raise ValueError("no object, or text after the last one")
-
-
-def _element_end(text: str, end: int) -> int:
-    """One past the last ``}`` before ``end`` in ``text`` that can end an
-    element (``_JSON_ELEMENT_END``), or 0 if there is none."""
-    cut = text.rfind("}", 0, end)
-    while cut >= 0 and not _JSON_ELEMENT_END.match(text, cut):
-        cut = text.rfind("}", 0, cut)
-    return cut + 1
 
 
 def _parse_segment(text: str, cut: int, opener: str) -> list | None:

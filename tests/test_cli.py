@@ -55,6 +55,15 @@ def train_csv(tmp_path):
 
 
 class TestOptimize:
+    def test_large_tau_with_a_finite_z_runs(self, tmp_path, train_csv):
+        # tau * Z_pmi stays finite at 1e306; at 1e308 it overflows and the
+        # run is refused (TestRefusedRunWritesNothing)
+        out = tmp_path / "run"
+        rc = main(["optimize", "--input", str(train_csv), "--seed", "0",
+                   "--tau", "1e306", "--out", str(out), *FAST])
+        assert rc == 0
+        assert math.isfinite(load_scheme(out / "scheme.json").best_z)
+
     def test_writes_complete_layout(self, tmp_path, train_csv):
         out = tmp_path / "run"
         rc = main(
@@ -1137,6 +1146,16 @@ def _refused_run(case, tmp_path, train_csv, out):
         "generate-train-size": (2, ["generate", "--profile", profile,
                                     "--train-size", str(10**20),
                                     "--out", out]),
+        # tau * Z_pmi overflows to -inf at the first Z each of these scores
+        "optimize-tau": (3, ["optimize", "--input", train_csv, "--seed", "0",
+                             "--tau", "1e308", *FAST, "--out", out]),
+        "compare-tau": (3, ["compare", "--input", train_csv, "--seed", "0",
+                            "--mode", "dcs", "--tau", "1e308", *FAST,
+                            "--out", out]),
+        "oracle-tau": (3, ["oracle", "--input", train_csv, "--mode", "furud",
+                           "--tau", "1e308", "--out", out]),
+        "apply-tau": (3, ["apply", "--scheme", str(tmp_path / "tau.json"),
+                          "--input", train_csv, "--out", out]),
     }[case]
 
 
@@ -1148,13 +1167,17 @@ class TestRefusedRunWritesNothing:
         "optimize-alpha", "apply-class-count", "compare-eval-input",
         "oracle-limit", "report-missing-solve", "generate-missing-profile",
         "generate-malformed-profile", "generate-eval-size",
-        "generate-train-size",
+        "generate-train-size", "optimize-tau", "compare-tau", "oracle-tau",
+        "apply-tau",
     ])
     def test_no_out_after_refusal(self, tmp_path, capsys, train_csv, case):
         (tmp_path / "two.csv").write_text(
             "id,label,p_1,p_2\na,1,0.9,0.1\nb,2,0.2,0.8\n"
         )
         (tmp_path / "bad.json").write_text("{")
+        scheme = json.loads((GOLDEN_DIR / "scheme.json").read_text())
+        scheme["objective"]["tau"] = 1e308
+        (tmp_path / "tau.json").write_text(json.dumps(scheme))
         save_profile(benchmark_suite()[1].profile, tmp_path / "p2.json")
         out = tmp_path / "sub"
         code, argv = _refused_run(case, tmp_path, str(train_csv), str(out))

@@ -87,6 +87,7 @@ class TestValidation:
         "probs, ids, message",
         [
             (np.full(2, 0.5), ("a", "b"), "probabilities must be a 2-d matrix"),
+            ([[0.5, 0.5], [0.2]], ("a", "b"), "probabilities must be a 2-d matrix"),
             (np.full((2, 2), 0.5), ("a",), "expected 2 instance ids, got 1"),
         ],
     )
@@ -1217,7 +1218,8 @@ class TestJsonChunks:
         )
     )
     def test_saved_files_never_fall_back(self, fuzz_dir, ds):
-        # a cut at a "}" inside an id moves back to the record before it
+        # a "}" inside an id is a cut only where "," or "]" follows it, and
+        # such a cut is carried to the next chunk
         path = fresh_file(fuzz_dir, "json")
         save_dataset(ds, path)
         expected = ds.fingerprint()
@@ -1312,6 +1314,42 @@ class TestJsonChunks:
         with json_chunks(size):
             assert read_chunked(path) == dcs.records.read_json(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" + RECORD % ("a", 1) + "]\n", id="one-record"),
+            pytest.param(
+                "[" + ", ".join(
+                    RECORD % (i, 1 + n % 2)
+                    for n, i in enumerate(("a}", "b]", "c},", "d}]", "}", "]"))
+                ) + "]",
+                id="brackets-in-ids",
+            ),
+            pytest.param(
+                "[ " + " \n ,\t".join(
+                    RECORD % (i, 1 + n % 2) for n, i in enumerate("abc")
+                ) + " \r\n]",
+                id="spaces-around-commas",
+            ),
+            pytest.param(
+                "[" + ", ".join([RECORD % ("a", 1), RECORD % ("b", 2)])
+                + "\n]\n\t \r\n",
+                id="spaces-after-the-bracket",
+            ),
+        ],
+    )
+    def test_every_chunk_size_gives_the_elements(self, tmp_path, text):
+        # every boundary, so also a last chunk of only "]" and whitespace
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        expected = dcs.records.read_json(path)
+        wrong = []
+        for size in range(1, len(text) + 2):
+            with json_chunks(size):
+                if read_chunked(path) != expected:
+                    wrong.append(size)
+        assert wrong == []
+
     @pytest.mark.parametrize("size", [*CHUNK_SIZES, None])
     def test_braces_in_ids_stay_chunked(self, tmp_path, size):
         base = generate(benchmark_suite()[4].profile, 1_500)
@@ -1323,17 +1361,16 @@ class TestJsonChunks:
         with json_chunks(size) as mp:
             mp.setattr(dcs.data, "read_json", no_fallback)
             # about two records: a "}" in these ids is never followed by ","
-            # or "]", so it is a cut only where a chunk ends at it, and that
-            # cut steps back to the "}" before it instead of waiting for a
-            # chunk that ends after a record
+            # or "]", so it is never a cut, and each cut falls at the end of
+            # a record
             mp.setattr(dcs.records, "_JSON_CARRY_CHARS", 300)
             assert outcome(path) == ds.fingerprint()
 
     @pytest.mark.parametrize("size", [64, 4096])
-    def test_chunk_ending_inside_an_id_steps_back(self, tmp_path, size):
-        # the first chunk ends at the "}" inside the second id; the cut
-        # there does not parse, the one at the first record's end does, so
-        # the file loads chunked under a carry cap of half a chunk
+    def test_chunk_ending_inside_an_id_loads_chunked(self, tmp_path, size):
+        # the first chunk ends at the "}" inside the second id, which no ","
+        # or "]" follows there, so the cut falls at the first record's end
+        # and the file loads chunked under a carry cap of half a chunk
         head = "[" + RECORD % ("a", 1) + ", " + '{"id": "'
         padded = "x" * (size - 1 - len(head)) + "}b"
         text = "[" + ", ".join(

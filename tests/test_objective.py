@@ -548,6 +548,40 @@ class TestCombination:
         with pytest.raises(ValidationError):
             ObjectiveWeights(tau=math.inf)
 
+    @pytest.mark.parametrize(
+        "beta, tau, terms, z",
+        [
+            (1.0, 1e308, (0.25, 0.5, -2.0), "-inf"),
+            (1.0, 1e308, (0.25, 0.5, 2.0), "inf"),
+            # each product is finite, their sum is not
+            (1e308, 1e308, (0.0, 1.0, 1.0), "inf"),
+        ],
+    )
+    def test_overflowing_sum_is_refused(self, beta, tau, terms, z):
+        with pytest.raises(PreconditionError) as info:
+            combine_terms(*terms, ObjectiveWeights(beta=beta, tau=tau))
+        assert str(info.value) == f"beta {beta!r} and tau {tau!r} overflow Z to {z}"
+
+    def test_every_scoring_call_refuses_an_overflowing_objective(self):
+        ds = generate(benchmark_suite()[4].profile, 300)
+        fs = default_function_set()
+        xi = (1,) * ds.num_classes
+        # a large tau that keeps Z finite still scores
+        assert math.isfinite(objective_value(ds, fs, xi, ObjectiveWeights(tau=1e306)))
+        w = ObjectiveWeights(tau=1e308)
+        calls = [
+            lambda: score_predictions(
+                predict(ds, fs, xi), ds.labels, ds.num_classes, w
+            ),
+            lambda: objective_value(ds, fs, xi, w),
+            lambda: ObjectiveEvaluator(ds, fs, w).value(xi),
+            lambda: evaluate(ds, fs, xi, w),
+            lambda: dcs.anneal(ds, fs, w, AnnealConfig(seed=0, max_outer_loops=1)),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="^beta 1.0 and tau 1e"):
+                call()
+
     def test_from_mode_wiring(self):
         full = ObjectiveWeights.from_mode("full", beta=2.0, tau=0.5)
         assert (full.beta, full.tau) == (2.0, 0.5)
