@@ -228,21 +228,25 @@ def cmd_apply(args) -> None:
         )
     catalog = scheme.catalog
     preds = predict(ds, catalog, scheme.selection)
-    corrected = _report_from_predictions(
-        ds, catalog, scheme.selection, preds, scheme.objective
-    )
-    baseline = _baseline(ds, catalog, scheme.objective)
+    try:
+        corrected = _report_from_predictions(
+            ds, catalog, scheme.selection, preds, scheme.objective
+        )
+        baseline = _baseline(ds, catalog, scheme.objective)
 
-    match = scheme.matches_dataset(ds)
-    recomputed = None
-    if match:
-        # evaluate's z_value is the objective by construction: one scorer
-        recomputed = corrected.z_value
-        if recomputed != scheme.best_z:
-            raise PreconditionError(
-                "scheme does not reproduce its recorded objective on its own "
-                f"optimization set: recorded {scheme.best_z!r}, got {recomputed!r}"
-            )
+        match = scheme.matches_dataset(ds)
+        recomputed = None
+        if match:
+            # evaluate's z_value is the objective by construction: one scorer
+            recomputed = corrected.z_value
+            if recomputed != scheme.best_z:
+                raise PreconditionError(
+                    "scheme does not reproduce its recorded objective on its own "
+                    f"optimization set: recorded {scheme.best_z!r}, got {recomputed!r}"
+                )
+    except PreconditionError as exc:
+        # the weights and the recorded Z are the scheme's, the rows the input's
+        raise PreconditionError(f"{args.scheme} on {args.input}: {exc}") from None
 
     out = _out_dir(args)
     save_predictions(ds, preds, out / "predictions.csv")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _index_vector, _probabilities
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .records import Record, read_record, write_json
 
 # The largest catalog num_weights. Far past any useful catalog (the stock one
@@ -212,17 +212,14 @@ def validate_selection(fs: FunctionSet, xi, num_classes: int | None = None):
 def normalize_allowed(fs: FunctionSet, allowed_indices) -> tuple[int, ...]:
     """Sorted, deduplicated search indices; None means the whole catalog.
 
-    Every index must pass ``validate_selection``'s rule; one that does not
-    raises PreconditionError.
+    Every index must pass ``validate_selection``'s rule, or ValidationError
+    is raised.
     """
     if allowed_indices is None:
         return tuple(range(1, fs.size + 1))
-    try:
-        allowed = _index_vector(
-            tuple(allowed_indices), fs.size, "allowed value", at="entry"
-        )
-    except ValidationError as exc:
-        raise PreconditionError(str(exc)) from None
+    allowed = _index_vector(
+        tuple(allowed_indices), fs.size, "allowed value", at="entry"
+    )
     return tuple(sorted(set(allowed.tolist())))
 
 

@@ -60,6 +60,19 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# allowed index sets that break the index rule under the stock catalog (49
+# functions), each with the message of the index rule that every search
+# entry point raises as ValidationError
+BAD_ALLOWED = [
+    ((1.7, 2.2, True), "allowed values must be integers, got 1.7 at entry 1"),
+    ((2, True), "allowed values must be integers, got True at entry 2"),
+    ((1, 50), "allowed value out of range 1..49 at entry 2: 50"),
+    ((1, 0), "allowed value out of range 1..49 at entry 2: 0"),
+    ((1, np.float64(3.0)),
+     f"allowed values must be integers, got {np.float64(3.0)!r} at entry 2"),
+]
+
+
 @pytest.fixture
 def four_row_dataset() -> LabeledDataset:
     # raw argmax gives preds (1, 1, 2, 2) against labels (1, 2, 2, 2):

@@ -27,7 +27,7 @@ from dcs.annealing import (
 from dcs.corrections import MODES, mode_indices
 from dcs.objective import OBJECTIVES
 from dcs.synth import BiasProfile, generate
-from conftest import make_dataset
+from conftest import BAD_ALLOWED, make_dataset
 
 
 def small_dataset(m=60, seed=5):
@@ -305,6 +305,15 @@ class TestAnnealRun:
         w = ObjectiveWeights(beta=1.0, tau=1.0)
         with pytest.raises(PreconditionError):
             anneal(ds, fs, w, AnnealConfig(seed=0), allowed_indices=(20, 21))
+
+    @pytest.mark.parametrize("allowed, message", BAD_ALLOWED)
+    def test_allowed_indices_follow_the_index_rule(self, allowed, message):
+        with pytest.raises(ValidationError) as info:
+            anneal(
+                small_dataset(), default_function_set(), ObjectiveWeights(),
+                AnnealConfig(seed=0), allowed_indices=allowed,
+            )
+        assert str(info.value) == message
 
     def test_dont_change_alone_rejected(self):
         ds = small_dataset()

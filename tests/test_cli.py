@@ -538,7 +538,10 @@ class TestApply:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "does not reproduce its recorded objective" in err
+        assert err.startswith(
+            f"error: {moved} on {run_dir / 'optimization_set.json'}: "
+            "scheme does not reproduce its recorded objective"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_nan_beta_in_scheme_exit_2(self, tmp_path, run_dir, capsys):
@@ -1156,6 +1159,10 @@ def _refused_run(case, tmp_path, train_csv, out):
                            "--tau", "1e308", "--out", out]),
         "apply-tau": (3, ["apply", "--scheme", str(tmp_path / "tau.json"),
                           "--input", train_csv, "--out", out]),
+        # one present class leaves the accuracy-imbalance term undefined
+        "apply-one-class": (3, ["apply", "--scheme",
+                                str(GOLDEN_DIR / "scheme.json"), "--input",
+                                str(tmp_path / "one.csv"), "--out", out]),
     }[case]
 
 
@@ -1168,11 +1175,14 @@ class TestRefusedRunWritesNothing:
         "oracle-limit", "report-missing-solve", "generate-missing-profile",
         "generate-malformed-profile", "generate-eval-size",
         "generate-train-size", "optimize-tau", "compare-tau", "oracle-tau",
-        "apply-tau",
+        "apply-tau", "apply-one-class",
     ])
     def test_no_out_after_refusal(self, tmp_path, capsys, train_csv, case):
         (tmp_path / "two.csv").write_text(
             "id,label,p_1,p_2\na,1,0.9,0.1\nb,2,0.2,0.8\n"
+        )
+        (tmp_path / "one.csv").write_text(
+            "id,label,p_1,p_2,p_3\na,1,0.7,0.2,0.1\nb,1,0.2,0.5,0.3\n"
         )
         (tmp_path / "bad.json").write_text("{")
         scheme = json.loads((GOLDEN_DIR / "scheme.json").read_text())
@@ -1186,6 +1196,9 @@ class TestRefusedRunWritesNothing:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if argv[0] == "apply" and code == 3:
+            # apply's exit-3 refusals name the scheme and the input
+            assert err.startswith(f"error: {argv[2]} on {argv[4]}: ")
         assert not out.exists()
         assert _tree(tmp_path) == before
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dcs import (
     FunctionSet,
-    PreconditionError,
     TriangularMembership,
     ValidationError,
     apply_selection,
@@ -19,14 +18,16 @@ from dcs import (
 )
 from dcs.corrections import (
     MAX_WEIGHTS,
+    MODES,
     kind_bucket,
     load_catalog,
+    mode_indices,
     normalize_allowed,
     save_catalog,
     validate_selection,
 )
 
-from conftest import make_dataset
+from conftest import BAD_ALLOWED, make_dataset
 
 EXACT = 1e-12
 
@@ -511,18 +512,33 @@ class TestCatalogIndexRule:
         with pytest.raises(ValidationError, match="got 1.0 at entry 1"):
             kind_bucket(fs, 1.0)
 
-    @pytest.mark.parametrize(
-        "allowed, message",
-        [
-            ((1.7, 2.2, True), "allowed values must be integers, got 1.7 at entry 1"),
-            ((2, True), "allowed values must be integers, got True at entry 2"),
-            ((1, 50), "allowed value out of range 1..49 at entry 2: 50"),
-        ],
-    )
+    @pytest.mark.parametrize("allowed, message", BAD_ALLOWED)
     def test_allowed_indices_follow_the_rule(self, allowed, message):
-        with pytest.raises(PreconditionError) as info:
+        with pytest.raises(ValidationError) as info:
             normalize_allowed(default_function_set(), allowed)
         assert str(info.value) == message
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        others=st.lists(
+            memberships().filter(lambda f: not f.is_dont_change), max_size=24
+        ),
+        data=st.data(),
+        num_weights=st.integers(1, 60),
+    )
+    def test_every_mode_passes_the_rule(self, others, data, num_weights):
+        # no command can raise the rule's error for its allowed set: each
+        # passes mode_indices, which must pass normalize_allowed unchanged
+        at = data.draw(st.integers(0, len(others)))
+        fs = FunctionSet(
+            (*others[:at], TriangularMembership(0.0, 1.0, 1.0), *others[at:]),
+            num_weights,
+        )
+        assert fs.dont_change_index == at + 1
+        for mode in MODES:
+            indices = mode_indices(fs, mode)
+            assert normalize_allowed(fs, indices) == indices
+            assert fs.dont_change_index in indices
 
     @settings(deadline=None, max_examples=300)
     @given(v=SCALAR_INDICES)
@@ -544,7 +560,7 @@ class TestCatalogIndexRule:
         for name, call in callers.items():
             try:
                 outcomes[name] = call()
-            except (ValidationError, PreconditionError):
+            except ValidationError:
                 outcomes[name] = None
         if k is None:
             assert set(outcomes.values()) == {None}

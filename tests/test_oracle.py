@@ -10,15 +10,17 @@ from dcs import (
     ObjectiveWeights,
     PreconditionError,
     TriangularMembership,
+    ValidationError,
     anneal,
     default_function_set,
     exhaustive_search,
     objective_value,
 )
 from dcs.corrections import mode_indices
+from dcs.objective import ObjectiveEvaluator
 from dcs.oracle import OracleResult
 from dcs.synth import BiasProfile, generate
-from conftest import make_dataset
+from conftest import BAD_ALLOWED, make_dataset
 
 
 def test_enumerates_full_space(four_row_dataset, tiny_catalog):
@@ -116,6 +118,17 @@ def test_empty_allowed_set_rejected(four_row_dataset, tiny_catalog):
     w = ObjectiveWeights()
     with pytest.raises(PreconditionError, match="allowed index set is empty"):
         exhaustive_search(four_row_dataset, tiny_catalog, w, allowed_indices=())
+
+
+@pytest.mark.parametrize("allowed, message", BAD_ALLOWED)
+@pytest.mark.parametrize("door", [exhaustive_search, ObjectiveEvaluator])
+def test_allowed_indices_follow_the_index_rule(
+    four_row_dataset, door, allowed, message
+):
+    with pytest.raises(ValidationError) as info:
+        door(four_row_dataset, default_function_set(), ObjectiveWeights(),
+             allowed_indices=allowed)
+    assert str(info.value) == message
 
 
 # space > nan is False, so a NaN limit refuses only through the negated test
