@@ -137,10 +137,13 @@ def _require_integers(values, name: str, at: str | None = None) -> None:
                 )
 
 
-def _index_vector(values, top: int, name: str, at: str = "row") -> np.ndarray:
-    """``values`` as a new 1-d int64 array of integers in 1..top.
+def _index_vector(
+    values, top: int, name: str, at: str = "row", first: int = 1
+) -> np.ndarray:
+    """``values`` as a new 1-d int64 array of integers in first..top.
 
-    The one rule for labels, predictions, selections and catalog indices. A
+    The one rule for labels, predictions, selections, catalog indices and,
+    0-based, the row indices of ``LabeledDataset.subset``. A
     numpy array must have an integer dtype; any other vector must hold
     Python or numpy ints (``_require_integers``), so a float (even 1.0), a
     bool, None or a string is rejected rather than truncated or read as 0 or
@@ -156,10 +159,11 @@ def _index_vector(values, top: int, name: str, at: str = "row") -> np.ndarray:
         raise ValidationError(f"{name}s must be integers, got dtype {values.dtype}")
     if values.ndim != 1:
         raise ValidationError(f"{name}s must be a 1-d vector, got {values.shape}")
-    bad = np.flatnonzero((values < 1) | (values > top))
+    bad = np.flatnonzero((values < first) | (values > top))
     if bad.size:
         raise ValidationError(
-            f"{name} out of range 1..{top} at {at} {bad[0] + 1}: {values[bad[0]]}"
+            f"{name} out of range {first}..{top} at {at} {bad[0] + 1}: "
+            f"{values[bad[0]]}"
         )
     return values.astype(np.int64)
 
@@ -293,13 +297,19 @@ class LabeledDataset:
     def num_classes(self) -> int:
         return self.probabilities.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        """Dataset restricted to the given row indices, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
+    def subset(self, indices) -> "LabeledDataset":
+        """Dataset restricted to the given row indices, in the given order.
+
+        The indices take the index rule (``_index_vector``), 0-based: a 1-d
+        vector of Python or numpy ints, each in 0..M-1, or an integer numpy
+        array, which is checked by its dtype and one range test. A float, a
+        bool (so a mask) or a nested list raises ValidationError.
+        """
+        idx = _index_vector(indices, self.num_instances - 1, "row", "entry", 0)
         return LabeledDataset(
             probabilities=self.probabilities[idx],
             labels=self.labels[idx],
-            instance_ids=tuple(self.instance_ids[i] for i in idx),
+            instance_ids=tuple(map(self.instance_ids.__getitem__, idx.tolist())),
         )
 
     def fingerprint(self) -> str:

@@ -169,6 +169,34 @@ class TestSubset:
         with pytest.raises(ValidationError):
             four_row_dataset.subset([])
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            # each was truncated, wrapped or read as 1 and 0, or raised
+            # numpy's TypeError
+            ([1.9], "rows must be integers, got 1.9 at entry 1"),
+            ([-1], "row out of range 0..3 at entry 1: -1"),
+            ([True, False, True], "rows must be integers, got True at entry 1"),
+            ([[0, 1]], "rows must be a 1-d vector, got (1, 2)"),
+            (np.array([True, False, True, False]),
+             "rows must be integers, got dtype bool"),
+            (np.array([0, 4]), "row out of range 0..3 at entry 2: 4"),
+        ],
+    )
+    def test_subset_takes_the_index_rule(self, four_row_dataset, indices, message):
+        with pytest.raises(ValidationError) as info:
+            four_row_dataset.subset(indices)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[np.int64(3), 0], np.array([3, 0], dtype=np.uint8), (3, 0)],
+    )
+    def test_subset_takes_python_and_numpy_ints(self, four_row_dataset, indices):
+        sub = four_row_dataset.subset(indices)
+        assert sub.instance_ids == ("r3", "r0")
+        assert sub.labels.tolist() == four_row_dataset.labels[[3, 0]].tolist()
+
 
 class TestFingerprint:
     def test_stable_across_calls(self, four_row_dataset):
