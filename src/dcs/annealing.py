@@ -182,10 +182,11 @@ def anneal(
     """Minimize the objective over selection vectors for ``ds``.
 
     ``allowed_indices`` restricts the search domain to a subset of catalog
-    indices (it must contain the Don't Change index, which seeds the chain);
-    None searches the full catalog. The returned best_z is recomputed from
-    best_xi through the plain objective path, so it always equals
-    ``objective_value(ds, fs, best_xi, weights)``.
+    indices; None searches the full catalog. ``normalize_allowed`` checks
+    it first, as for every search; the walk then needs the Don't Change
+    index, which seeds the chain, and at least one more. The returned
+    best_z is recomputed from best_xi through the plain objective path, so
+    it always equals ``objective_value(ds, fs, best_xi, weights)``.
     """
     n = ds.num_classes
     # lambda1 <= lambda2, so this bounds both loop caps

@@ -323,9 +323,10 @@ class ObjectiveEvaluator:
     """Scores many selections over one dataset from precomputed rank keys.
 
     Every corrected value ``f_k(p_ij)`` (instance i, class j, and k one of
-    the D searchable catalog indices, ``allowed_indices``, the whole catalog
-    by default; 49, 31 or 19 for the stock catalog's ``dcs``, ``dnip`` and
-    ``furud`` modes) is computed once up front, by the kernel
+    the D searchable catalog indices, ``allowed_indices`` as
+    ``normalize_allowed`` checks them, the whole catalog by default; 49,
+    31 or 19 for the stock catalog's ``dcs``, ``dnip`` and ``furud``
+    modes) is computed once up front, by the kernel
     ``apply_selection`` uses, and stored as a small unsigned integer key::
 
         key = (N*D - 1 - r) << S | (label_i - 1) * N + j
@@ -384,8 +385,6 @@ class ObjectiveEvaluator:
         self._num_classes = ds.num_classes
         self._weights = w
         allowed = normalize_allowed(fs, allowed_indices)
-        if not allowed:
-            raise PreconditionError("allowed index set is empty")
         m, n, d = ds.num_instances, ds.num_classes, len(allowed)
         nd = n * d
         shift = (n * n - 1).bit_length()

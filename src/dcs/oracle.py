@@ -40,7 +40,8 @@ def exhaustive_search(
 
     ``ties`` counts all vectors whose score exactly equals the minimum
     (including the winner itself). ``num_evaluated`` is |allowed|**N, the
-    whole space. Raises PreconditionError when that exceeds ``limit``.
+    whole space. ``normalize_allowed`` checks ``allowed_indices``; raises
+    PreconditionError when the space exceeds ``limit``.
     """
     n = ds.num_classes
     allowed = normalize_allowed(fs, allowed_indices)

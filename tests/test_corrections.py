@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcs import (
+    AnnealConfig,
     FunctionSet,
+    ObjectiveWeights,
+    PreconditionError,
     TriangularMembership,
     ValidationError,
+    anneal,
     apply_selection,
     default_function_set,
     eval_membership,
     eval_weight,
+    exhaustive_search,
     heaviside,
     predict,
 )
@@ -26,8 +31,9 @@ from dcs.corrections import (
     save_catalog,
     validate_selection,
 )
+from dcs.objective import ObjectiveEvaluator
 
-from conftest import BAD_ALLOWED, make_dataset
+from conftest import BAD_ALLOWED, EMPTY_ALLOWED, make_dataset
 
 EXACT = 1e-12
 
@@ -517,6 +523,31 @@ class TestCatalogIndexRule:
         with pytest.raises(ValidationError) as info:
             normalize_allowed(default_function_set(), allowed)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("allowed", EMPTY_ALLOWED, ids=["tuple", "list", "array"])
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda ds, fs, allowed: normalize_allowed(fs, allowed),
+            lambda ds, fs, allowed: anneal(
+                ds, fs, ObjectiveWeights(), AnnealConfig(seed=0),
+                allowed_indices=allowed,
+            ),
+            lambda ds, fs, allowed: exhaustive_search(
+                ds, fs, ObjectiveWeights(), allowed_indices=allowed
+            ),
+            lambda ds, fs, allowed: ObjectiveEvaluator(
+                ds, fs, ObjectiveWeights(), allowed
+            ),
+        ],
+        ids=["normalize_allowed", "anneal", "exhaustive_search", "ObjectiveEvaluator"],
+    )
+    def test_empty_allowed_set_refused_at_every_door(
+        self, four_row_dataset, door, allowed
+    ):
+        with pytest.raises(PreconditionError) as info:
+            door(four_row_dataset, default_function_set(), allowed)
+        assert str(info.value) == "allowed index set is empty"
 
     @settings(deadline=None, max_examples=100)
     @given(

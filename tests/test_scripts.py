@@ -1,6 +1,8 @@
 """Smoke tests for the scripts under ``scripts/``."""
 import importlib.util
+import json
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -32,3 +34,67 @@ def test_run_comparison_leaves_no_temporary_suite(tmp_path, monkeypatch, capsys)
     mean = r"\nmean eval accuracy over the suite:\n +dnip: \d\.\d{4}\n$"
     assert re.search(mean, printed)
     assert list(scratch.iterdir()) == []
+
+
+def _bench_copy(dest: Path) -> Path:
+    """A checkout with only ``src/`` and ``bench/``, copied from this one."""
+    for name in ("src", "bench"):
+        shutil.copytree(
+            ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__")
+        )
+    return dest
+
+
+def _trajectory(tmp_path, parent, change, workload, pairs):
+    out = tmp_path / "report.json"
+    argv = [
+        "--parent", str(parent), "--change", str(change), "--pairs", str(pairs),
+        "--workload", workload, "--seed", "0", "--tiny", "--out", str(out),
+    ]
+    assert _script("trajectory").main(argv) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_trajectory_a_a_run(tmp_path, capsys):
+    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
+    report = _trajectory(tmp_path, parent, change, "apply_bulk", 2)
+
+    assert capsys.readouterr().out.startswith("digests: equal in all 2 pairs\n")
+    assert report["digests"] == {"equal": True, "differing": {}}
+    assert report["pairs"] == 2
+    assert [run["first"] for run in report["runs"]] == ["parent", "change"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in declared["end_to_end"]]
+    assert list(report["metrics"]) == names
+    for metric in report["metrics"].values():
+        assert 0 <= metric["wins"] <= 2
+        for side in ("parent", "change"):
+            quartiles = metric[side]
+            assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"]
+    for run in report["runs"]:
+        assert list(run["parent"]) == list(run["change"]) == names
+    sides = report["sides"]
+    assert sides["parent"]["source"] == str(parent)
+    assert sides["change"]["source"] == str(change)
+    assert sides["parent"]["src_sha256"] == sides["change"]["src_sha256"]
+    assert sides["parent"]["attempted"] == sides["change"]["attempted"] > 0
+    assert sides["parent"]["failed"] == sides["change"]["failed"] == 0
+    assert set(report["env"]) == {"cpu_model", "nproc", "python", "numpy"}
+
+
+def test_trajectory_reports_changed_outputs(tmp_path, capsys):
+    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
+    objective = change / "src" / "dcs" / "objective.py"
+    source = objective.read_text(encoding="utf-8")
+    assert source.count("z = z + w.tau * pmi") == 1
+    objective.write_text(
+        source.replace("z = z + w.tau * pmi", "z = z + 2 * w.tau * pmi"),
+        encoding="utf-8",
+    )
+    report = _trajectory(tmp_path, parent, change, "fit_suite", 1)
+
+    assert capsys.readouterr().out.startswith("digests DIFFER")
+    assert not report["digests"]["equal"]
+    assert report["digests"]["differing"]
+    for digests in report["digests"]["differing"].values():
+        assert not set(digests["parent"]) & set(digests["change"])
