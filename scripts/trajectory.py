@@ -9,24 +9,27 @@
 Each side is a checkout: a directory that holds ``src/dcs`` and ``bench/``,
 or a git ref of this repository, which ``git archive`` exports into a
 temporary directory removed at the end. ``--change`` defaults to the
-checkout that holds this script. Every run is a fresh process of the side's
-own benchmark, started in that side: the command of BENCHMARK.json
-(``bench/run.py --trace 0``) or, with ``--tiny``, the side's
-``run.run_workload(..., tiny=True)`` at the sizes ``bench/test_bench.py``
-uses. ``--seconds`` defaults to BENCHMARK.json's ``run_seconds``, or 1 with
-``--tiny``. Both sides of a pair run the same seed; the parent goes first in
-even pairs and the change in odd ones. Nothing under ``bench/`` is edited.
+checkout that holds this script. Every run is one fresh process started by
+the side's own ``bench/spread.py`` (``run_once``) in that side, at
+BENCHMARK.json's ``run_seconds`` with ``--trace 0``: the command of
+BENCHMARK.json or, with ``--tiny``, a program that takes the same flags
+and runs the side's ``run.run_workload(..., tiny=True)`` for 1 s at the
+sizes ``bench/test_bench.py`` uses. The output digests are read from the
+record each run writes to the side's ``.bench_out/``. Both sides of a pair
+run the same seed; the parent goes first in even pairs and the change in
+odd ones. Nothing under ``bench/`` is edited.
 
 The report is printed and, with ``--out``, written as one JSON object:
 
-* ``digests``: ``equal``, and ``differing``, which maps each op whose output
-  digest is not the same in every run of both sides to the digests each side
-  gave; a difference means the change alters outputs, so it comes first;
+* ``digests``: ``equal``, and ``differing``, which maps each op that does
+  not give one and the same digest in every run of both sides to the
+  digests each side gave; a difference means the change alters outputs, so
+  it comes first;
 * ``metrics``: per end-to-end metric of BENCHMARK.json, its ``unit`` and
-  ``better``; ``parent`` and ``change``, each ``median``, ``q1`` and ``q3``
-  (``statistics.quantiles``, n = 4) over the pairs; ``wins``, the pairs in
-  which the change is better; ``median_ratio``, the median of change /
-  parent over the pairs;
+  ``better``; ``parent`` and ``change``, each ``bench/spread.py``'s
+  ``summarize`` over the pairs (``median``, ``q1``, ``q3``, ``spread``,
+  ``n``); ``wins``, the pairs in which the change is better;
+  ``median_ratio``, the median of change / parent over the pairs;
 * ``workload``, ``seed``, ``seconds``, ``tiny``, ``pairs``;
 * ``sides``: per side, its ``source`` as given, ``commit`` and
   ``src_sha256``, and its ``attempted`` and ``failed`` ops over all runs;
@@ -38,6 +41,7 @@ The report is printed and, with ``--out``, written as one JSON object:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -47,14 +51,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-# one tiny run, in the side's bench/ directory: workload, seed, seconds
+# one tiny run with bench/run.py's flags, started in the side's root
 TINY_RUN = """
-import sys
+import argparse, os, sys
+sys.path.insert(0, os.path.abspath("bench"))
 import run
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag, required=True)
+args = parser.parse_args()
 if run.import_package() is None:
     sys.exit("error: no dcs package under " + str(run.ROOT / "src"))
-workload, seed, seconds = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-print(run.report(run.run_workload(workload, seed, seconds, 0, tiny=True, goldens={})))
+result = run.run_workload(args.workload, int(args.seed), int(args.seconds),
+                          int(args.trace), tiny=True, goldens={})
+run.save(result)
+print(run.report(result))
 """
 
 
@@ -65,55 +76,53 @@ def checkout(source: str, scratch: Path, name: str) -> tuple[Path, str | None]:
     if Path(source).is_dir():
         return Path(source).resolve(), None
 
-    def git(*args: str) -> bytes:
+    def run(cmd: list[str], stdin: bytes | None = None) -> bytes:
         return subprocess.run(
-            ["git", "-C", str(ROOT), *args], check=True, capture_output=True
+            cmd, input=stdin, check=True, capture_output=True
         ).stdout
 
-    commit = git("rev-parse", "--verify", f"{source}^{{commit}}").decode().strip()
+    commit = run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{source}^{{commit}}"]
+    ).decode().strip()
     dest = scratch / name
     dest.mkdir()
-    subprocess.run(
-        ["tar", "-x", "-C", str(dest)], input=git("archive", commit), check=True
-    )
+    run(["tar", "-x", "-C", str(dest)],
+        run(["git", "-C", str(ROOT), "archive", commit]))
     return dest, commit
 
 
-def run_once(side: Path, command: list[str], workload: str, seed: int,
-             seconds: int, tiny: bool) -> dict:
-    """The last-line result of one benchmark process, with its digests and
-    environment."""
-    if tiny:
-        cmd = [sys.executable, "-c", TINY_RUN, workload, str(seed), str(seconds)]
-        cwd = side / "bench"
-    else:
-        cmd = [sys.executable, *command[1:], "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-        cwd = side
-    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"benchmark in {side} exited {proc.returncode}:\n{proc.stderr}"
+def load_spread(root: Path, name: str):
+    """The checkout's own ``bench/spread.py`` as a module of its own, so that
+    its ``ROOT``, where ``run_once`` starts the benchmark, is that checkout.
+    The bench modules it imports are dropped from ``sys.modules`` again."""
+    bench = root / "bench"
+    before = set(sys.modules)
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"spread_{name}", bench / "spread.py"
         )
-    lines = proc.stdout.strip().splitlines()
-    tagged = dict(
-        line.split(" ", 1) for line in lines if line.startswith(("digests ", "env "))
-    )
-    return {
-        **json.loads(lines[-1]),
-        "digests": json.loads(tagged["digests"]),
-        "env": json.loads(tagged["env"]),
-    }
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+        for key in set(sys.modules) - before:
+            path = getattr(sys.modules[key], "__file__", None)
+            if path and Path(path).parent == bench:
+                del sys.modules[key]
+    return module
 
 
-def summarize(values: list[float]) -> dict:
-    """Median and quartiles; one value is its own quartiles."""
-    median = statistics.median(values)
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": median, "q1": q1, "q3": q3}
+def run_once(spread, bench: dict, workload: str, seed: int) -> dict:
+    """The last-line result of one benchmark process, with its environment
+    and the output digests of the record it wrote."""
+    result, env = spread.run_once(bench, workload, seed, 0)
+    record = spread.ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+    digests = json.loads(record.read_text(encoding="utf-8"))["digests"]
+    return {**result, "env": env, "digests": digests}
 
 
-def verdict(runs: list[dict], declared: list[dict]) -> dict:
+def verdict(runs: list[dict], declared: list[dict], summarize) -> dict:
     """The per-metric block of the report from the pairs' results."""
     metrics = {}
     for m in declared:
@@ -145,7 +154,8 @@ def digest_check(runs: list[dict]) -> dict:
     differing = {
         op_id: {side: sorted(d) for side, d in sides.items()}
         for op_id, sides in sorted(seen.items())
-        if len(sides["parent"] | sides["change"]) != 1
+        if not (len(sides["parent"]) == len(sides["change"]) == 1
+                and sides["parent"] == sides["change"])
     }
     return {"equal": not differing, "differing": differing}
 
@@ -185,14 +195,15 @@ def main(argv=None) -> int:
         "--workload", required=True, choices=[w["name"] for w in bench["workloads"]]
     )
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=None)
     parser.add_argument("--tiny", action="store_true")
     parser.add_argument("--out", type=Path, help="write the report as JSON")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or (args.seconds or 1) < 1:
-        parser.error("--pairs and --seconds must be >= 1 and --seed >= 0")
+    if args.pairs < 2 or args.seed < 0:
+        parser.error("--pairs must be >= 2 and --seed >= 0")
 
-    seconds = args.seconds or (1 if args.tiny else bench["run_seconds"])
+    if args.tiny:
+        bench = {**bench, "command": [sys.executable, "-c", TINY_RUN],
+                 "run_seconds": 1}
     # the change defaults to this checkout, recorded as "."
     labels = {"parent": args.parent, "change": args.change or "."}
     sources = {**labels, "change": args.change or str(ROOT)}
@@ -204,25 +215,25 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
+        spreads = {side: load_spread(dirs[side], side) for side in SIDES}
         runs = []
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(
-                    dirs[side], bench["command"], args.workload, args.seed,
-                    seconds, args.tiny,
-                )
+                pair[side] = run_once(spreads[side], bench, args.workload, args.seed)
             runs.append(pair)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     env = runs[0]["parent"]["env"]
     report = {
         "digests": digest_check(runs),
-        "metrics": verdict(runs, bench["end_to_end"]),
+        "metrics": verdict(
+            runs, bench["end_to_end"], load_spread(ROOT, "here").summarize
+        ),
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": seconds,
+        "seconds": bench["run_seconds"],
         "tiny": args.tiny,
         "pairs": args.pairs,
         "sides": {

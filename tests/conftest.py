@@ -72,10 +72,6 @@ BAD_ALLOWED = [
      f"allowed values must be integers, got {np.float64(3.0)!r} at entry 2"),
 ]
 
-# empty allowed index sets, each of which every search entry point refuses
-# with PreconditionError("allowed index set is empty")
-EMPTY_ALLOWED = [(), [], np.array([], dtype=np.int64)]
-
 
 @pytest.fixture
 def four_row_dataset() -> LabeledDataset:

@@ -891,11 +891,17 @@ class TestEvaluatorEquivalence:
         ev._walk_put(1, moved[1])
         assert ev._walk_value() == objective_value(ds, fs, moved, w)
 
-    def test_empty_allowed_set_rejected(self, four_row_dataset):
-        with pytest.raises(PreconditionError, match="allowed index set is empty"):
+    @pytest.mark.parametrize(
+        "allowed",
+        [(), [], np.array([], dtype=np.int64)],
+        ids=["tuple", "list", "array"],
+    )
+    def test_empty_allowed_set_rejected(self, four_row_dataset, allowed):
+        with pytest.raises(PreconditionError) as info:
             ObjectiveEvaluator(
-                four_row_dataset, default_function_set(), ObjectiveWeights(), ()
+                four_row_dataset, default_function_set(), ObjectiveWeights(), allowed
             )
+        assert str(info.value) == "allowed index set is empty"
 
     def test_keys_past_64_bits_rejected(self):
         # 2^15 classes and a 2^20-weight catalog need a 66-bit key

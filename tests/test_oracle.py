@@ -114,10 +114,14 @@ def test_allowed_indices_restrict_enumeration(four_row_dataset, tiny_catalog):
     assert all(k in (1, 3) for k in result.best_xi)
 
 
-def test_empty_allowed_set_rejected(four_row_dataset, tiny_catalog):
+@pytest.mark.parametrize(
+    "allowed", [(), [], np.array([], dtype=np.int64)], ids=["tuple", "list", "array"]
+)
+def test_empty_allowed_set_rejected(four_row_dataset, tiny_catalog, allowed):
     w = ObjectiveWeights()
-    with pytest.raises(PreconditionError, match="allowed index set is empty"):
-        exhaustive_search(four_row_dataset, tiny_catalog, w, allowed_indices=())
+    with pytest.raises(PreconditionError) as info:
+        exhaustive_search(four_row_dataset, tiny_catalog, w, allowed_indices=allowed)
+    assert str(info.value) == "allowed index set is empty"
 
 
 @pytest.mark.parametrize("allowed, message", BAD_ALLOWED)

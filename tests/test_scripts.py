@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,6 +81,11 @@ def test_trajectory_a_a_run(tmp_path, capsys):
     assert sides["parent"]["attempted"] == sides["change"]["attempted"] > 0
     assert sides["parent"]["failed"] == sides["change"]["failed"] == 0
     assert set(report["env"]) == {"cpu_model", "nproc", "python", "numpy"}
+    # the copies' bench modules were loaded in this process and dropped again
+    assert not [
+        name for name, module in sys.modules.items()
+        if str(getattr(module, "__file__", None)).startswith(str(tmp_path))
+    ]
 
 
 def test_trajectory_reports_changed_outputs(tmp_path, capsys):
@@ -91,10 +97,32 @@ def test_trajectory_reports_changed_outputs(tmp_path, capsys):
         source.replace("z = z + w.tau * pmi", "z = z + 2 * w.tau * pmi"),
         encoding="utf-8",
     )
-    report = _trajectory(tmp_path, parent, change, "fit_suite", 1)
+    report = _trajectory(tmp_path, parent, change, "fit_suite", 2)
 
     assert capsys.readouterr().out.startswith("digests DIFFER")
     assert not report["digests"]["equal"]
     assert report["digests"]["differing"]
     for digests in report["digests"]["differing"].values():
         assert not set(digests["parent"]) & set(digests["change"])
+
+
+def test_trajectory_op_with_digests_on_one_side_differs():
+    trajectory = _script("trajectory")
+
+    def pair(parent, change):
+        return {"parent": {"digests": parent}, "change": {"digests": change}}
+
+    same = {"a": "1", "b": "2"}
+    assert trajectory.digest_check([pair(same, same)] * 2) == {
+        "equal": True, "differing": {}
+    }
+    # "b" fails in every run of the change, so only the parent digests it
+    runs = [pair(same, {"a": "1"}), pair(same, {"a": "1"})]
+    assert trajectory.digest_check(runs) == {
+        "equal": False, "differing": {"b": {"parent": ["2"], "change": []}}
+    }
+    # "a" changes its digest between two runs of the parent
+    runs = [pair(same, same), pair({"a": "3", "b": "2"}, same)]
+    assert trajectory.digest_check(runs)["differing"] == {
+        "a": {"parent": ["1", "3"], "change": ["1"]}
+    }
