@@ -5,6 +5,8 @@
         --workload fit_suite --seed 0 --out BENCH.json
     python3 scripts/trajectory.py --parent DIR --change DIR --pairs 2 \
         --workload apply_bulk --seed 0 --tiny
+    python3 scripts/trajectory.py --parent REF --pairs 10 \
+        --workload oracle --seed 0
 
 Each side is a checkout: a directory that holds ``src/dcs`` and ``bench/``,
 or a git ref of this repository, which ``git archive`` exports into a
@@ -14,10 +16,14 @@ the side's own ``bench/spread.py`` (``run_once``) in that side, at
 BENCHMARK.json's ``run_seconds`` with ``--trace 0``: the command of
 BENCHMARK.json or, with ``--tiny``, a program that takes the same flags
 and runs the side's ``run.run_workload(..., tiny=True)`` for 1 s at the
-sizes ``bench/test_bench.py`` uses. The output digests are read from the
-record each run writes to the side's ``.bench_out/``. Both sides of a pair
-run the same seed; the parent goes first in even pairs and the change in
-odd ones. Nothing under ``bench/`` is edited.
+sizes ``bench/test_bench.py`` uses. ``--workload oracle`` runs
+``scripts/oracle_leg.py`` instead, which takes the same flags, times
+``dcs oracle`` on two search spaces and reports through the side's own
+``run.save`` and ``run.report`` (``--tiny``: small spaces, for 1 s). The
+output digests are read from the record each run writes to the side's
+``.bench_out/``. Both sides of a pair run the same seed; the parent goes
+first in even pairs and the change in odd ones. Nothing under ``bench/``
+is edited.
 
 The report is printed and, with ``--out``, written as one JSON object:
 
@@ -34,7 +40,9 @@ The report is printed and, with ``--out``, written as one JSON object:
 * ``sides``: per side, its ``source`` as given, ``commit`` and
   ``src_sha256``, and its ``attempted`` and ``failed`` ops over all runs;
 * ``env``: CPU model and count and the Python and numpy versions, from the
-  first run;
+  first run, and ``simd``, the CPU features numpy enables in the
+  interpreter that runs the command, probed once per call under this
+  process's environment, so that ``NPY_DISABLE_CPU_FEATURES`` shows;
 * ``runs``: per pair, the side that went first and each side's metric
   values.
 """
@@ -51,6 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+ORACLE_LEG = ROOT / "scripts" / "oracle_leg.py"
 # one tiny run with bench/run.py's flags, started in the side's root
 TINY_RUN = """
 import argparse, os, sys
@@ -67,6 +76,21 @@ result = run.run_workload(args.workload, int(args.seed), int(args.seconds),
 run.save(result)
 print(run.report(result))
 """
+SIMD_PROBE = """
+import json
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+print(json.dumps(sorted(name for name, on in __cpu_features__.items() if on)))
+"""
+
+
+def simd_features(python: str) -> list[str]:
+    """The CPU features numpy enables in the interpreter ``python``."""
+    return json.loads(subprocess.run(
+        [python, "-c", SIMD_PROBE], check=True, capture_output=True, text=True
+    ).stdout)
 
 
 def checkout(source: str, scratch: Path, name: str) -> tuple[Path, str | None]:
@@ -192,7 +216,8 @@ def main(argv=None) -> int:
                         help="git ref or directory (default: this checkout)")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument(
-        "--workload", required=True, choices=[w["name"] for w in bench["workloads"]]
+        "--workload", required=True,
+        choices=[w["name"] for w in bench["workloads"]] + ["oracle"],
     )
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--tiny", action="store_true")
@@ -201,9 +226,13 @@ def main(argv=None) -> int:
     if args.pairs < 2 or args.seed < 0:
         parser.error("--pairs must be >= 2 and --seed >= 0")
 
+    if args.workload == "oracle":
+        bench["command"] = [sys.executable, str(ORACLE_LEG)] + ["--tiny"] * args.tiny
+    elif args.tiny:
+        bench["command"] = [sys.executable, "-c", TINY_RUN]
     if args.tiny:
-        bench = {**bench, "command": [sys.executable, "-c", TINY_RUN],
-                 "run_seconds": 1}
+        bench["run_seconds"] = 1
+    simd = simd_features(bench["command"][0])
     # the change defaults to this checkout, recorded as "."
     labels = {"parent": args.parent, "change": args.change or "."}
     sources = {**labels, "change": args.change or str(ROOT)}
@@ -246,7 +275,10 @@ def main(argv=None) -> int:
             }
             for side in SIDES
         },
-        "env": {key: env[key] for key in ("cpu_model", "nproc", "python", "numpy")},
+        "env": {
+            **{key: env[key] for key in ("cpu_model", "nproc", "python", "numpy")},
+            "simd": simd,
+        },
         "runs": [
             {
                 "first": pair["first"],

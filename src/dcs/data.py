@@ -17,10 +17,12 @@ A CSV file has two readers with one result. ``_load_csv_numpy`` parses the
 body with numpy's C reader: one ``np.loadtxt`` call, streamed from the open
 file after the header line into a structured (id, label, p) array.
 ``_load_csv_rows``, the reference reader, runs ``csv.reader`` and calls
-``int()`` and ``float()`` on every cell. The C reader declines, and the row
-loop reads the whole file, unless the header is the exact literal,
-``loadtxt`` raises no error and no warning, every line of the body is one
-row or blank (no quoted line break), no line is longer than
+``int()`` and ``float()`` on every cell. Both take the header through
+``_csv_header``, the one header rule, which undoes csv quoting, so a header
+that ``csv.QUOTE_ALL`` or R's ``write.csv`` writes passes it. The C reader
+declines, and the row loop reads the whole file, unless the header passes
+that rule, ``loadtxt`` raises no error and no warning, every line of the
+body is one row or blank (no quoted line break), no line is longer than
 ``csv.field_size_limit()`` and no line holds one of the ASCII separators
 that numpy strips around a number and ``int()`` and ``float()`` refuse. So
 every message, row number and error precedence is the row loop's. A file
@@ -385,6 +387,25 @@ def _load_csv(path: Path):
     return _load_csv_rows(path) if parsed is None else parsed
 
 
+def _csv_header(reader) -> int:
+    """The class count N of the header ``id,label,p_1,...,p_N``, the next
+    row of ``reader``, a ``csv.reader``: the one header rule of both CSV
+    readers. Any quoting that ``csv.reader`` undoes is allowed; a missing,
+    malformed or misnamed header raises ValidationError."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("empty file") from None
+    except csv.Error as exc:
+        raise ValidationError(f"header row: {exc}") from None
+    if len(header) < 4 or header[0] != "id" or header[1] != "label":
+        raise ValidationError("header must be id,label,p_1,...,p_N")
+    n = len(header) - 2
+    if header[2:] != [f"p_{j}" for j in range(1, n + 1)]:
+        raise ValidationError(f"probability columns must be named p_1..p_{n}")
+    return n
+
+
 def _load_csv_numpy(fh):
     """What ``_load_csv_rows`` returns for the CSV file open in ``fh``,
     read by numpy's C reader, or None if the file is one it declines (see
@@ -409,11 +430,8 @@ def _load_csv_numpy(fh):
             yield batch
 
     try:
-        header = fh.readline()
-        n = header.count(",") - 1
-        names = ",".join(f"p_{j}" for j in range(1, n + 1))
-        if n < 2 or header.rstrip("\r\n") != f"id,label,{names}":
-            return None
+        # the header rule reads one row, and numpy the lines after it
+        n = _csv_header(csv.reader(fh))
         dtype = [("id", object), ("label", np.int64), ("p", np.float64, (n,))]
         with warnings.catch_warnings():
             # numpy 1.x reads "3.0" as the int 3 with a DeprecationWarning;
@@ -424,7 +442,8 @@ def _load_csv_numpy(fh):
                 delimiter=",", comments=None, quotechar='"', ndmin=1,
             )
     except Exception:
-        # a decode error too: the row loop reports it, or an error before it
+        # a refused header or a decode error too: the row loop words it, or
+        # an error before it
         return None
     # numpy skips blank lines, as the row loop does, and joins a quoted line
     # break into its row, where a field can outgrow every line
@@ -439,18 +458,7 @@ def _load_csv_rows(path: Path) -> tuple[list[str], list[int], list[float], int]:
     ``_load_csv_numpy`` declines."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("empty file") from None
-        except csv.Error as exc:
-            raise ValidationError(f"header row: {exc}") from None
-        if len(header) < 4 or header[0] != "id" or header[1] != "label":
-            raise ValidationError("header must be id,label,p_1,...,p_N")
-        n = len(header) - 2
-        expected = [f"p_{j}" for j in range(1, n + 1)]
-        if header[2:] != expected:
-            raise ValidationError(f"probability columns must be named p_1..p_{n}")
+        n = _csv_header(reader)
         ids: list[str] = []
         labels: list[int] = []
         flat: list[float] = []

@@ -989,6 +989,30 @@ def numpy_reads(path):
 
 
 HEADER = b"id,label,p_1,p_2\n"
+
+
+def quoted_csv(quoting):
+    """GOLDEN_CSV's rows written by ``csv.writer`` with ``quoting``, the
+    header included, the labels as ints and the probabilities as floats."""
+    rows = list(csv.reader(io.StringIO(GOLDEN_CSV.decode())))
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=quoting)
+    writer.writerow(rows[0])
+    writer.writerows(
+        [ident, int(label), *map(float, probs)] for ident, label, *probs in rows[1:]
+    )
+    return buf.getvalue().encode()
+
+
+# as R's write.csv(..., row.names = FALSE) writes GOLDEN_CSV's rows: the
+# header and the ids quoted, the numbers bare at 15 significant digits
+R_STYLE_CSV = (
+    b'"id","label","p_1","p_2","p_3"\n'
+    b'"a,b",1,0.333333333333,0.3,0\n'
+    b'"say ""hi""",2,4.94065645841247e-324,1,0\n'
+    b'"plain",3,0.123456789012,1e-17,0.666666666667\n'
+    b'"x",1,0.5,1,1e-05\n'
+)
 # cells for the awkward-cell comparison: numbers in spaces that int(),
 # float() and numpy's parsers may strip differently, numbers that only some
 # of them read, and text near numbers
@@ -1023,8 +1047,17 @@ class TestCsvReaders:
                 id="bare-cr",
             ),
             pytest.param(
-                b'"id",label,p_1,p_2\na,1,0.5,0.5\n', False,
+                b'"id",label,p_1,p_2\na,1,0.5,0.5\n', True,
                 id="header-not-literal",
+            ),
+            pytest.param(quoted_csv(csv.QUOTE_ALL), True, id="quote-all"),
+            pytest.param(
+                quoted_csv(csv.QUOTE_NONNUMERIC), True, id="quote-nonnumeric"
+            ),
+            pytest.param(R_STYLE_CSV, True, id="r-write-csv"),
+            pytest.param(
+                b'"id","lbl",p_1,p_2\na,1,0.5,0.5\n', False,
+                id="quoted-header-refused",
             ),
             pytest.param(
                 b"id,label,p_1\na,1,0.5\n", False, id="one-class-header"
@@ -1059,6 +1092,11 @@ class TestCsvReaders:
         path.write_bytes(content)
         assert numpy_reads(path) is fast
         assert outcome(path) == reference_outcome(path)
+
+    def test_refused_quoted_header_keeps_its_message(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(b'"id","lbl",p_1,p_2\na,1,0.5,0.5\n')
+        assert outcome(path) == f"{path}: header must be id,label,p_1,...,p_N"
 
     def test_numpy_arrays_match_the_loop(self, tmp_path):
         path = tmp_path / "ds.csv"

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -80,7 +81,7 @@ def test_trajectory_a_a_run(tmp_path, capsys):
     assert sides["parent"]["src_sha256"] == sides["change"]["src_sha256"]
     assert sides["parent"]["attempted"] == sides["change"]["attempted"] > 0
     assert sides["parent"]["failed"] == sides["change"]["failed"] == 0
-    assert set(report["env"]) == {"cpu_model", "nproc", "python", "numpy"}
+    assert set(report["env"]) == {"cpu_model", "nproc", "python", "numpy", "simd"}
     # the copies' bench modules were loaded in this process and dropped again
     assert not [
         name for name, module in sys.modules.items()
@@ -88,15 +89,20 @@ def test_trajectory_a_a_run(tmp_path, capsys):
     ]
 
 
-def test_trajectory_reports_changed_outputs(tmp_path, capsys):
-    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
-    objective = change / "src" / "dcs" / "objective.py"
+def _double_tau(root: Path) -> None:
+    """Make ``combine_terms`` in the checkout ``root`` double the tau term."""
+    objective = root / "src" / "dcs" / "objective.py"
     source = objective.read_text(encoding="utf-8")
     assert source.count("z = z + w.tau * pmi") == 1
     objective.write_text(
         source.replace("z = z + w.tau * pmi", "z = z + 2 * w.tau * pmi"),
         encoding="utf-8",
     )
+
+
+def test_trajectory_reports_changed_outputs(tmp_path, capsys):
+    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
+    _double_tau(change)
     report = _trajectory(tmp_path, parent, change, "fit_suite", 2)
 
     assert capsys.readouterr().out.startswith("digests DIFFER")
@@ -126,3 +132,74 @@ def test_trajectory_op_with_digests_on_one_side_differs():
     assert trajectory.digest_check(runs)["differing"] == {
         "a": {"parent": ["1", "3"], "change": ["1"]}
     }
+
+
+def test_trajectory_oracle_leg_a_a_run(tmp_path, capsys):
+    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
+    report = _trajectory(tmp_path, parent, change, "oracle", 2)
+
+    assert capsys.readouterr().out.startswith("digests: equal in all 2 pairs\n")
+    assert report["digests"] == {"equal": True, "differing": {}}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in declared["end_to_end"]]
+    assert list(report["metrics"]) == names
+    for run in report["runs"]:
+        assert list(run["parent"]) == list(run["change"]) == names
+        assert all(value > 0 for value in run["parent"].values())
+    for side in ("parent", "change"):
+        assert report["sides"][side]["attempted"] > 0
+        assert report["sides"][side]["failed"] == 0
+    record = json.loads(
+        (parent / ".bench_out" / "oracle-seed0-trace0.json").read_text(encoding="utf-8")
+    )
+    assert sorted(record["digests"]) == ["p1/furud", "p2/dcs"]
+
+
+def test_trajectory_oracle_leg_reports_changed_outputs(tmp_path, capsys):
+    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
+    _double_tau(change)
+    report = _trajectory(tmp_path, parent, change, "oracle", 2)
+
+    assert capsys.readouterr().out.startswith("digests DIFFER")
+    assert sorted(report["digests"]["differing"]) == ["p1/furud", "p2/dcs"]
+    for digests in report["digests"]["differing"].values():
+        assert not set(digests["parent"]) & set(digests["change"])
+
+
+def test_trajectory_simd_shows_disabled_features(monkeypatch):
+    trajectory = _script("trajectory")
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+
+    enabled = sorted(name for name, on in features.items() if on)
+    assert trajectory.simd_features(sys.executable) == enabled
+    # only the features numpy dispatches to at run time can be disabled
+    disabled = [name for name in umath.__cpu_dispatch__ if features[name]]
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(disabled))
+    probed = set(trajectory.simd_features(sys.executable))
+    assert probed < set(enabled) or not disabled
+    assert not probed & set(disabled)
+
+
+def test_trajectory_git_refs_of_this_repository(tmp_path, capsys):
+    head = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    out = tmp_path / "report.json"
+    argv = [
+        "--parent", "HEAD", "--change", "HEAD", "--pairs", "2",
+        "--workload", "apply_bulk", "--seed", "0", "--tiny", "--out", str(out),
+    ]
+    assert _script("trajectory").main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+
+    assert capsys.readouterr().out.startswith("digests: equal in all 2 pairs\n")
+    assert report["digests"] == {"equal": True, "differing": {}}
+    for side in ("parent", "change"):
+        assert report["sides"][side]["source"] == "HEAD"
+        assert report["sides"][side]["commit"] == head
+        assert report["sides"][side]["failed"] == 0
