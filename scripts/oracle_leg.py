@@ -50,8 +50,10 @@ PASS_SECONDS = {False: 4.0, True: 0.25}
 
 @dataclass(frozen=True)
 class Op:
+    """One ``dcs oracle`` call, with what ``run.run_op`` and the metrics
+    need."""
+
     op_id: str
-    kind: str
     argv: tuple[str, ...]
     out: Path
     rows: int
@@ -63,6 +65,7 @@ def oracle_digest(result: dict) -> str:
 
 
 def setup(work: Path, seed: int, tiny: bool) -> list[Op]:
+    """Write the inputs under ``work``, emptied first; the ops of a pass."""
     from dcs.data import save_dataset
     from dcs.synth import benchmark_suite, generate
 
@@ -77,7 +80,7 @@ def setup(work: Path, seed: int, tiny: bool) -> list[Op]:
         save_dataset(generate(task.profile, rows, replica=seed), path)
         out = work / "out" / f"{name}_{mode}"
         argv = ("oracle", "--input", str(path), "--mode", mode, "--out", str(out))
-        ops.append(Op(f"{name}/{mode}", "oracle", argv, out, rows))
+        ops.append(Op(f"{name}/{mode}", argv, out, rows))
     return ops
 
 
@@ -195,7 +198,6 @@ def main(argv=None) -> int:
             "src_sha256": run.source_digest(run.ROOT),
             "workload": "oracle",
             "seed": args.seed,
-            "tiny": args.tiny,
             "passes": len(passes),
             "ops_per_pass": len(ops),
         },

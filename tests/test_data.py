@@ -1120,9 +1120,12 @@ class TestCsvReaders:
         at=st.tuples(st.integers(0, 3), st.integers(0, 3)),
         cell=AWKWARD_CELL,
         end=st.sampled_from(["\n", "\r\n", "\r"]),
+        quoting=st.sampled_from(
+            [csv.QUOTE_MINIMAL, csv.QUOTE_ALL, csv.QUOTE_NONNUMERIC]
+        ),
     )
     def test_awkward_cell_as_the_loop_reads_it(
-        self, fuzz_dir, probs, at, cell, end
+        self, fuzz_dir, probs, at, cell, end, quoting
     ):
         rows = [
             [f"r{i}", 1 + i % 2, repr(p1), repr(p2)]
@@ -1131,7 +1134,7 @@ class TestCsvReaders:
         rows[at[0] % len(rows)][at[1]] = cell
         path = fresh_file(fuzz_dir, "csv")
         with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator=end)
+            writer = csv.writer(fh, lineterminator=end, quoting=quoting)
             writer.writerow(["id", "label", "p_1", "p_2"])
             writer.writerows(rows)
         assert outcome(path) == reference_outcome(path)
