@@ -189,13 +189,7 @@ def test_trajectory_git_refs_of_this_repository(tmp_path, capsys):
         ["git", "-C", str(ROOT), "rev-parse", "HEAD"],
         check=True, capture_output=True, text=True,
     ).stdout.strip()
-    out = tmp_path / "report.json"
-    argv = [
-        "--parent", "HEAD", "--change", "HEAD", "--pairs", "2",
-        "--workload", "apply_bulk", "--seed", "0", "--tiny", "--out", str(out),
-    ]
-    assert _script("trajectory").main(argv) == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
+    report = _trajectory(tmp_path, "HEAD", "HEAD", "apply_bulk", 2)
 
     assert capsys.readouterr().out.startswith("digests: equal in all 2 pairs\n")
     assert report["digests"] == {"equal": True, "differing": {}}
