@@ -6,7 +6,7 @@
     python3 scripts/trajectory.py --parent DIR --change DIR --pairs 2 \
         --workload apply_bulk --seed 0 --tiny
     python3 scripts/trajectory.py --parent REF --pairs 10 \
-        --workload oracle --seed 0
+        --workload fit_k14 --seed 0
 
 Each side is a checkout: a directory that holds ``src/dcs`` and ``bench/``,
 or a git ref of this repository, which ``git archive`` exports into a
@@ -14,12 +14,11 @@ temporary directory removed at the end. ``--change`` defaults to the
 checkout that holds this script. Every run is one fresh process started by
 the side's own ``bench/spread.py`` (``run_once``) in that side, at
 BENCHMARK.json's ``run_seconds`` with ``--trace 0``: the command of
-BENCHMARK.json or, with ``--tiny``, a program that takes the same flags
-and runs the side's ``run.run_workload(..., tiny=True)`` for 1 s at the
-sizes ``bench/test_bench.py`` uses. ``--workload oracle`` runs
-``scripts/oracle_leg.py`` instead, which takes the same flags, times
-``dcs oracle`` on two search spaces and reports through the side's own
-``run.save`` and ``run.report`` (``--tiny``: small spaces, for 1 s). The
+BENCHMARK.json for its own workloads, and ``scripts/legs.py`` for the
+``oracle``, ``fit_k14`` and ``compare`` legs and for every ``--tiny`` run
+(1 s, at the sizes ``bench/test_bench.py`` uses). ``legs.py`` takes the
+same flags and runs the side's own ``run.run_workload``, ``run.save`` and
+``run.report``, so every leg is timed and recorded as a bench run. The
 output digests are read from the record each run writes to the side's
 ``.bench_out/``. Both sides of a pair run the same seed; the parent goes
 first in even pairs and the change in odd ones. Nothing under ``bench/``
@@ -59,23 +58,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-ORACLE_LEG = ROOT / "scripts" / "oracle_leg.py"
-# one tiny run with bench/run.py's flags, started in the side's root
-TINY_RUN = """
-import argparse, os, sys
-sys.path.insert(0, os.path.abspath("bench"))
-import run
-parser = argparse.ArgumentParser()
-for flag in ("--workload", "--seed", "--seconds", "--trace"):
-    parser.add_argument(flag, required=True)
-args = parser.parse_args()
-if run.import_package() is None:
-    sys.exit("error: no dcs package under " + str(run.ROOT / "src"))
-result = run.run_workload(args.workload, int(args.seed), int(args.seconds),
-                          int(args.trace), tiny=True, goldens={})
-run.save(result)
-print(run.report(result))
-"""
+LEGS_SCRIPT = ROOT / "scripts" / "legs.py"
+# the legs scripts/legs.py adds to BENCHMARK.json's workloads
+EXTRA_LEGS = ("oracle", "fit_k14", "compare")
 SIMD_PROBE = """
 import json
 try:
@@ -217,7 +202,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument(
         "--workload", required=True,
-        choices=[w["name"] for w in bench["workloads"]] + ["oracle"],
+        choices=[w["name"] for w in bench["workloads"]] + list(EXTRA_LEGS),
     )
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--tiny", action="store_true")
@@ -226,10 +211,8 @@ def main(argv=None) -> int:
     if args.pairs < 2 or args.seed < 0:
         parser.error("--pairs must be >= 2 and --seed >= 0")
 
-    if args.workload == "oracle":
-        bench["command"] = [sys.executable, str(ORACLE_LEG)] + ["--tiny"] * args.tiny
-    elif args.tiny:
-        bench["command"] = [sys.executable, "-c", TINY_RUN]
+    if args.tiny or args.workload in EXTRA_LEGS:
+        bench["command"] = [sys.executable, str(LEGS_SCRIPT)] + ["--tiny"] * args.tiny
     if args.tiny:
         bench["run_seconds"] = 1
     simd = simd_features(bench["command"][0])

@@ -8,6 +8,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -134,9 +136,18 @@ def test_trajectory_op_with_digests_on_one_side_differs():
     }
 
 
-def test_trajectory_oracle_leg_a_a_run(tmp_path, capsys):
+# each leg of scripts/legs.py with the ops of its tiny run
+LEGS = {
+    "oracle": ["p1/furud", "p2/dcs"],
+    "fit_k14": ["k14/dcs"],
+    "compare": ["suite/compare"],
+}
+
+
+@pytest.mark.parametrize("leg", LEGS)
+def test_trajectory_leg_a_a_run(tmp_path, capsys, leg):
     parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
-    report = _trajectory(tmp_path, parent, change, "oracle", 2)
+    report = _trajectory(tmp_path, parent, change, leg, 2)
 
     assert capsys.readouterr().out.startswith("digests: equal in all 2 pairs\n")
     assert report["digests"] == {"equal": True, "differing": {}}
@@ -150,18 +161,21 @@ def test_trajectory_oracle_leg_a_a_run(tmp_path, capsys):
         assert report["sides"][side]["attempted"] > 0
         assert report["sides"][side]["failed"] == 0
     record = json.loads(
-        (parent / ".bench_out" / "oracle-seed0-trace0.json").read_text(encoding="utf-8")
+        (parent / ".bench_out" / f"{leg}-seed0-trace0.json").read_text(encoding="utf-8")
     )
-    assert sorted(record["digests"]) == ["p1/furud", "p2/dcs"]
+    assert sorted(record["digests"]) == sorted(record["counters"]) == LEGS[leg]
+    # the record is bench/run.py's own
+    assert record["setup_runs_s"] and record["pass_walls_s"] and record["env"]["inputs"]
 
 
-def test_trajectory_oracle_leg_reports_changed_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("leg", LEGS)
+def test_trajectory_leg_reports_changed_outputs(tmp_path, capsys, leg):
     parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
     _double_tau(change)
-    report = _trajectory(tmp_path, parent, change, "oracle", 2)
+    report = _trajectory(tmp_path, parent, change, leg, 2)
 
     assert capsys.readouterr().out.startswith("digests DIFFER")
-    assert sorted(report["digests"]["differing"]) == ["p1/furud", "p2/dcs"]
+    assert sorted(report["digests"]["differing"]) == LEGS[leg]
     for digests in report["digests"]["differing"].values():
         assert not set(digests["parent"]) & set(digests["change"])
 
