@@ -164,10 +164,10 @@ def main(argv=None) -> int:
     if run.import_package() is None:
         print(f"error: no dcs package under {run.ROOT / 'src'}", file=sys.stderr)
         return 2
-    import gate
-    import workloads
-
     if args.workload in LEGS:
+        import gate
+        import workloads
+
         setup, seconds, checkers = LEGS[args.workload]
         workloads.WORKLOADS[args.workload] = setup
         workloads.PASS_SECONDS[args.workload] = seconds

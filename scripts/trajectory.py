@@ -59,8 +59,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 LEGS_SCRIPT = ROOT / "scripts" / "legs.py"
-# the legs scripts/legs.py adds to BENCHMARK.json's workloads
-EXTRA_LEGS = ("oracle", "fit_k14", "compare")
 SIMD_PROBE = """
 import json
 try:
@@ -195,6 +193,9 @@ def report_lines(report: dict) -> list[str]:
 
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = importlib.util.spec_from_file_location("legs", LEGS_SCRIPT)
+    legs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(legs)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref or directory")
     parser.add_argument("--change", default=None,
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument(
         "--workload", required=True,
-        choices=[w["name"] for w in bench["workloads"]] + list(EXTRA_LEGS),
+        choices=[w["name"] for w in bench["workloads"]] + list(legs.LEGS),
     )
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--tiny", action="store_true")
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     if args.pairs < 2 or args.seed < 0:
         parser.error("--pairs must be >= 2 and --seed >= 0")
 
-    if args.tiny or args.workload in EXTRA_LEGS:
+    if args.tiny or args.workload in legs.LEGS:
         bench["command"] = [sys.executable, str(LEGS_SCRIPT)] + ["--tiny"] * args.tiny
     if args.tiny:
         bench["run_seconds"] = 1
