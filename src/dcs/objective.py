@@ -55,7 +55,7 @@ from .corrections import (
     normalize_allowed,
     validate_selection,
 )
-from .data import LabeledDataset, _index_vector, _require_integers
+from .data import LabeledDataset, _index_vector
 from .errors import PreconditionError, ValidationError
 from .records import Record
 
@@ -343,10 +343,11 @@ class ObjectiveEvaluator:
     every value is finite: ``LabeledDataset`` rejects non-finite
     probabilities and every kernel maps [0, 1] into [0, 1]. Ranks within a
     subset keep the subset's order and ties, so every comparison of two keys
-    is the one the whole catalog's ranks would give. Functions outside the
-    searchable set get no keys; ``value`` and ``predictions`` reject them,
-    an entry that is not an int (``_index_vector``'s rule) and a selection
-    of the wrong length with ``ValidationError``. The keys take the
+    is the one the whole catalog's ranks would give. ``value`` and
+    ``predictions`` take a selection through ``validate_selection``, the
+    door ``evaluate``, ``apply_selection`` and ``CorrectionScheme`` share,
+    and then reject a catalog function outside the searchable set, which
+    gets no keys, with ``ValidationError``. The keys take the
     smallest unsigned type that holds them, uint16 for the stock catalog up
     to 10 classes and uint8 for ``dnip`` and ``furud`` at 2 classes.
 
@@ -359,10 +360,11 @@ class ObjectiveEvaluator:
 
     Scores come from one C-contiguous (N, M) key buffer of the current
     selection, where row j holds class j's keys: ``value(xi)`` writes all N
-    rows and scores the buffer. The annealer walks one coordinate at a time
-    on the same buffer. A step puts a row, scores, and after a rejection
-    puts the old row back: ``_walk_put(j, k)`` overwrites row j in place
-    with function k's keys, and ``_walk_value()`` scores the buffer. A step
+    rows and scores the buffer. Both searches step that buffer, unchecked:
+    ``_walk_put(j, k)`` overwrites row j in place with function k's keys,
+    and ``_walk_value()`` scores the buffer. The annealer puts a row,
+    scores, and after a rejection puts the old row back;
+    ``exhaustive_search`` puts every row of each vector and scores. A step
     costs one contiguous row copy, one ``minimum`` reduction into the top
     keys, one mask of them in place and one confusion count of those cells
     in the key dtype, with no range check: the labels were validated when
@@ -383,6 +385,7 @@ class ObjectiveEvaluator:
         allowed_indices=None,
     ) -> None:
         self._num_classes = ds.num_classes
+        self._fs = fs
         self._weights = w
         allowed = normalize_allowed(fs, allowed_indices)
         m, n, d = ds.num_instances, ds.num_classes, len(allowed)
@@ -453,16 +456,12 @@ class ObjectiveEvaluator:
     def _key_rows(self, xi) -> list[np.ndarray]:
         """Class j's key row of function xi[j], for every j.
 
-        Entries pass ``_index_vector``'s type rule before the lookup, as an
+        The selection passes ``validate_selection`` before the lookup, as an
         equal float, 13.0 for 13, would find the same key in the dict.
         """
-        if len(xi) != len(self._rows):
-            raise ValidationError(
-                f"selection has {len(xi)} entries, expected {len(self._rows)}"
-            )
-        _require_integers(xi, "selection value", "entry")
+        entries = validate_selection(self._fs, xi, num_classes=self._num_classes)
         try:
-            return [self._rows[j][k] for j, k in enumerate(xi)]
+            return [self._rows[j][k] for j, k in enumerate(entries)]
         except KeyError as exc:
             raise ValidationError(
                 f"function {exc.args[0]} is not one of the "

@@ -1,10 +1,10 @@
 """Exhaustive search over selection vectors, used as a ground-truth check.
 
 Enumerates the full cartesian product of allowed indices in lexicographic
-order and scores every vector with ``ObjectiveEvaluator.value``, the
-evaluator and column buffer the annealer walks, so values are
-bit-comparable. Intended for small instances; the space size is guarded by
-an explicit limit.
+order and scores every vector on the key buffer the annealer walks, with
+the two steps it takes (``ObjectiveEvaluator._walk_put`` and
+``_walk_value``), so values are bit-comparable. Intended for small
+instances; the space size is guarded by an explicit limit.
 """
 from __future__ import annotations
 
@@ -55,7 +55,9 @@ def exhaustive_search(
     best_z = float("inf")
     ties = 0
     for xi in itertools.product(allowed, repeat=n):
-        z = evaluator.value(xi)
+        for j, k in enumerate(xi):
+            evaluator._walk_put(j, k)
+        z = evaluator._walk_value()
         if z < best_z:
             best_xi, best_z, ties = xi, z, 1
         elif z == best_z:

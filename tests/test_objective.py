@@ -215,6 +215,12 @@ class TestSelectionEntries:
             dataset_num_classes=ds.num_classes,
             dataset_sha256=ds.fingerprint(),
         ),
+        "ObjectiveEvaluator.value": lambda ds, fs, xi: ObjectiveEvaluator(
+            ds, fs, ObjectiveWeights()
+        ).value(xi),
+        "ObjectiveEvaluator.predictions": lambda ds, fs, xi: ObjectiveEvaluator(
+            ds, fs, ObjectiveWeights()
+        ).predictions(xi),
     }
 
     @pytest.mark.parametrize("caller", sorted(CALLERS))
@@ -225,6 +231,7 @@ class TestSelectionEntries:
             (("13", "25"), "selection values must be integers, got '13' at entry 1"),
             ((1.0, 2.0), "selection values must be integers, got 1.0 at entry 1"),
             ((13, True), "selection values must be integers, got True at entry 2"),
+            ((13, [25]), "selection values must be integers, got [25] at entry 2"),
             (
                 np.array([13.0, 25.0]),
                 "selection values must be integers, got dtype float64",
@@ -241,28 +248,16 @@ class TestSelectionEntries:
 
     @pytest.mark.parametrize("caller", sorted(CALLERS))
     def test_numpy_integer_entries_accepted(self, four_row_dataset, caller):
+        # each gives what the equal Python ints give
         fs = default_function_set()
-        for xi in (np.array([13, 25], dtype=np.uint8), (np.int64(13), 25)):
-            self.CALLERS[caller](four_row_dataset, fs, xi)
-
-    def test_evaluator_checks_entries_before_the_lookup(self):
-        # 13.0 == 13 and True == 1 would find those functions' keys
-        train = benchmark_suite()[0].train_dataset()
-        ev = ObjectiveEvaluator(train, default_function_set(), ObjectiveWeights())
-        z = ev.value((13, 25, 1))
-        for xi, bad in [
-            ((13.0, 25.0, 1.0), "13.0 at entry 1"),
-            ((13, 25, True), "True at entry 3"),
-            (np.array([13.0, 25.0, 1.0]), f"{np.float64(13.0)!r} at entry 1"),
-            ((13, [25], 1), "[25] at entry 2"),
-        ]:
-            for call in (ev.value, ev.predictions):
-                with pytest.raises(ValidationError) as info:
-                    call(xi)
-                assert str(info.value) == (
-                    f"selection values must be integers, got {bad}"
-                )
-        assert ev.value((np.int64(13), np.uint8(25), 1)) == z
+        call = self.CALLERS[caller]
+        expected = call(four_row_dataset, fs, (13, 25))
+        for xi in (
+            np.array([13, 25], dtype=np.uint8),
+            (np.int64(13), 25),
+            (np.int64(13), np.uint8(25)),
+        ):
+            np.testing.assert_equal(call(four_row_dataset, fs, xi), expected)
 
     def test_objective_value_agrees_with_the_evaluator(self, four_row_dataset):
         # both reject what neither can score
@@ -858,11 +853,19 @@ class TestEvaluatorEquivalence:
         furud = mode_indices(fs, "furud")
         ev = ObjectiveEvaluator(four_row_dataset, fs, ObjectiveWeights(), furud)
         weight = max(furud) + 1  # a weight: in the catalog, not searched
-        for xi in ((1, weight), (0, 1), (fs.size + 1, 1)):
-            with pytest.raises(ValidationError, match="not one of the 19"):
-                ev.value(xi)
-            with pytest.raises(ValidationError, match="not one of the 19"):
-                ev.predictions(xi)
+        for xi, message in [
+            (
+                (1, weight),
+                f"function {weight} is not one of the 19 functions "
+                "this evaluator searches",
+            ),
+            ((0, 1), "selection value out of range 1..49 at entry 1: 0"),
+            ((fs.size + 1, 1), "selection value out of range 1..49 at entry 1: 50"),
+        ]:
+            for call in (ev.value, ev.predictions):
+                with pytest.raises(ValidationError) as info:
+                    call(xi)
+                assert str(info.value) == message
         # a short selection would score the rows the buffer still holds
         for xi in ((1,), (1, 1, 1)):
             with pytest.raises(ValidationError, match="expected 2"):
