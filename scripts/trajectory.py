@@ -11,18 +11,18 @@
 Each side is a checkout: a directory that holds ``src/dcs`` and ``bench/``,
 or a git ref of this repository, which ``git archive`` exports into a
 temporary directory removed at the end. ``--change`` defaults to the
-checkout that holds this script. Every run is one fresh process started by
-the side's own ``bench/spread.py`` (``run_once``) in that side, at
+checkout that holds this script. Every run is one fresh process started, as
+the benchmark pipeline starts it, in the side's directory, at
 BENCHMARK.json's ``run_seconds`` with ``--trace 0``: the command of
 BENCHMARK.json for its own workloads, and ``scripts/legs.py`` for the
 ``oracle``, ``fit_k14`` and ``compare`` legs and for every ``--tiny`` run
 (1 s, at the sizes ``bench/test_bench.py`` uses). ``legs.py`` takes the
 same flags and runs the side's own ``run.run_workload``, ``run.save`` and
-``run.report``, so every leg is timed and recorded as a bench run. The
-output digests are read from the record each run writes to the side's
-``.bench_out/``. Both sides of a pair run the same seed; the parent goes
-first in even pairs and the change in odd ones. Nothing under ``bench/``
-is edited.
+``run.report``, so every leg is timed and recorded as a bench run. A run's
+result is its last line, and its environment and output digests are the
+JSON of its ``env `` and ``digests `` lines. Both sides of a pair run the
+same seed; the parent goes first in even pairs and the change in odd ones.
+Nothing under ``bench/`` is edited.
 
 The report is printed and, with ``--out``, written as one JSON object:
 
@@ -36,8 +36,11 @@ The report is printed and, with ``--out``, written as one JSON object:
   ``n``); ``wins``, the pairs in which the change is better;
   ``median_ratio``, the median of change / parent over the pairs;
 * ``workload``, ``seed``, ``seconds``, ``tiny``, ``pairs``;
-* ``sides``: per side, its ``source`` as given, ``commit`` and
-  ``src_sha256``, and its ``attempted`` and ``failed`` ops over all runs;
+* ``sides``: per side, its ``source`` as given, ``commit`` (``unknown``
+  for a directory outside git), ``dirty`` (whether ``git status`` lists an
+  uncommitted file under a directory side's ``src``, ``bench`` or
+  ``scripts``), ``src_sha256``, and its ``attempted`` and ``failed`` ops
+  over all runs;
 * ``env``: CPU model and count and the Python and numpy versions, from the
   first run, and ``simd``, the CPU features numpy enables in the
   interpreter that runs the command, probed once per call under this
@@ -59,6 +62,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 LEGS_SCRIPT = ROOT / "scripts" / "legs.py"
+# a directory side is dirty when git status lists a file under these
+DIRTY_DIRS = ("src", "bench", "scripts")
 SIMD_PROBE = """
 import json
 try:
@@ -76,12 +81,24 @@ def simd_features(python: str) -> list[str]:
     ).stdout)
 
 
-def checkout(source: str, scratch: Path, name: str) -> tuple[Path, str | None]:
-    """(directory, commit) of a side: ``source`` itself, commit None, when it
-    is a directory, else the export of the git ref ``source`` under
-    ``scratch``."""
+def git(root: Path, *args: str) -> str | None:
+    """The output of ``git args`` run in ``root``, None when git fails."""
+    proc = subprocess.run(
+        ["git", "-C", str(root), *args], capture_output=True, text=True
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def checkout(source: str, scratch: Path, name: str) -> tuple[Path, dict]:
+    """(directory, ``commit`` and ``dirty``) of a side: ``source`` itself,
+    with git's view of it, when it is a directory, else the export of the
+    git ref ``source`` under ``scratch``."""
     if Path(source).is_dir():
-        return Path(source).resolve(), None
+        root = Path(source).resolve()
+        return root, {
+            "commit": git(root, "rev-parse", "HEAD") or "unknown",
+            "dirty": bool(git(root, "status", "--porcelain", "--", *DIRTY_DIRS)),
+        }
 
     def run(cmd: list[str], stdin: bytes | None = None) -> bytes:
         return subprocess.run(
@@ -95,38 +112,25 @@ def checkout(source: str, scratch: Path, name: str) -> tuple[Path, str | None]:
     dest.mkdir()
     run(["tar", "-x", "-C", str(dest)],
         run(["git", "-C", str(ROOT), "archive", commit]))
-    return dest, commit
+    return dest, {"commit": commit, "dirty": False}
 
 
-def load_spread(root: Path, name: str):
-    """The checkout's own ``bench/spread.py`` as a module of its own, so that
-    its ``ROOT``, where ``run_once`` starts the benchmark, is that checkout.
-    The bench modules it imports are dropped from ``sys.modules`` again."""
-    bench = root / "bench"
-    before = set(sys.modules)
-    sys.path.insert(0, str(bench))
-    try:
-        spec = importlib.util.spec_from_file_location(
-            f"spread_{name}", bench / "spread.py"
+def run_once(root: Path, bench: dict, workload: str, seed: int) -> dict:
+    """The last-line result of one benchmark process started in ``root``,
+    with the JSON of its ``env `` and ``digests `` lines."""
+    cmd = [
+        *bench["command"], "--workload", workload, "--seed", str(seed),
+        "--seconds", str(bench["run_seconds"]), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}"
         )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(bench))
-        for key in set(sys.modules) - before:
-            path = getattr(sys.modules[key], "__file__", None)
-            if path and Path(path).parent == bench:
-                del sys.modules[key]
-    return module
-
-
-def run_once(spread, bench: dict, workload: str, seed: int) -> dict:
-    """The last-line result of one benchmark process, with its environment
-    and the output digests of the record it wrote."""
-    result, env = spread.run_once(bench, workload, seed, 0)
-    record = spread.ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
-    digests = json.loads(record.read_text(encoding="utf-8"))["digests"]
-    return {**result, "env": env, "digests": digests}
+    lines = proc.stdout.strip().splitlines()
+    tagged = [line.split(" ", 1) for line in lines
+              if line.startswith(("env ", "digests "))]
+    return {**json.loads(lines[-1]), **{k: json.loads(v) for k, v in tagged}}
 
 
 def verdict(runs: list[dict], declared: list[dict], summarize) -> dict:
@@ -177,7 +181,8 @@ def report_lines(report: dict) -> list[str]:
     for side in SIDES:
         s = report["sides"][side]
         lines.append(
-            f"{side}: {s['source']} ({s['commit']}, src {s['src_sha256'][:12]}),"
+            f"{side}: {s['source']} ({s['commit']}{', dirty' if s['dirty'] else ''},"
+            f" src {s['src_sha256'][:12]}),"
             f" {s['failed']} of {s['attempted']} ops failed"
         )
     for name, m in report["metrics"].items():
@@ -192,6 +197,9 @@ def report_lines(report: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "bench"))
+    from spread import summarize
+
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     spec = importlib.util.spec_from_file_location("legs", LEGS_SCRIPT)
     legs = importlib.util.module_from_spec(spec)
@@ -222,28 +230,25 @@ def main(argv=None) -> int:
     sources = {**labels, "change": args.change or str(ROOT)}
     with tempfile.TemporaryDirectory(prefix="trajectory-") as scratch:
         try:
-            dirs, commits = {}, {}
+            dirs, states = {}, {}
             for side in SIDES:
-                dirs[side], commits[side] = checkout(sources[side], Path(scratch), side)
+                dirs[side], states[side] = checkout(sources[side], Path(scratch), side)
         except subprocess.CalledProcessError as exc:
             print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        spreads = {side: load_spread(dirs[side], side) for side in SIDES}
         runs = []
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(spreads[side], bench, args.workload, args.seed)
+                pair[side] = run_once(dirs[side], bench, args.workload, args.seed)
             runs.append(pair)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     env = runs[0]["parent"]["env"]
     report = {
         "digests": digest_check(runs),
-        "metrics": verdict(
-            runs, bench["end_to_end"], load_spread(ROOT, "here").summarize
-        ),
+        "metrics": verdict(runs, bench["end_to_end"], summarize),
         "workload": args.workload,
         "seed": args.seed,
         "seconds": bench["run_seconds"],
@@ -252,7 +257,7 @@ def main(argv=None) -> int:
         "sides": {
             side: {
                 "source": labels[side],
-                "commit": commits[side] or runs[0][side]["env"]["commit"],
+                **states[side],
                 "src_sha256": runs[0][side]["env"]["src_sha256"],
                 "attempted": sum(pair[side]["attempted"] for pair in runs),
                 "failed": sum(pair[side]["failed"] for pair in runs),

@@ -34,10 +34,12 @@ A JSON file has one record reader, ``_json_columns``, and one message
 finder, ``_json_record_error``. ``_load_json`` first runs
 ``records.read_json_chunks``, which parses the top-level array about 64 KiB
 of text at a time, and the reader checks each chunk's records by column:
-the fields through ``itemgetter``, one ``set(map(type, ...))`` per column
-against the rules below, every probs length against the first record's and
-one ``fromlist`` per record, so no Python code runs per record. Each
-chunk's records are freed before the next is read. The labels are
+the fields through ``itemgetter``, one ``set(map(type, ...))`` each for
+the labels, the ids and the probability cells against the rules below,
+every probs length against the first record's and one ``fromlist`` per
+record; the last three together refuse a probs that is not an array. No
+Python code runs per record. Each chunk's records are freed before the
+next is read. The labels are
 collected as Python ints and converted to int64 once; a label past int64
 is handed on as the list, and ``LabeledDataset``'s range check words it.
 At a chunk outside the rules the message finder walks its records and
@@ -529,7 +531,7 @@ def _json_columns(chunks) -> tuple[list[str], np.ndarray | list[int], array, int
         before = len(ids)  # the records in the chunks before
         try:
             # KeyError: a missing field; TypeError: a record that is not an
-            # object, or a first probs without a length
+            # object, or a probs without a length
             ids += map(_ID, records)
             labels += map(_LABEL, records)
             probs = list(map(_PROBS, records))
@@ -538,7 +540,6 @@ def _json_columns(chunks) -> tuple[list[str], np.ndarray | list[int], array, int
                 n = len(probs[0])
             if not (
                 set(map(type, labels[before:])) == {int}
-                and set(map(type, probs)) == {list}
                 and set(map(len, probs)) == {n}
                 and _JSON_NUMBERS.issuperset(
                     map(type, itertools.chain.from_iterable(probs))
@@ -546,8 +547,9 @@ def _json_columns(chunks) -> tuple[list[str], np.ndarray | list[int], array, int
                 and _JSON_IDS.issuperset(id_types)
             ):
                 raise ValueError("a record outside the rules")
-            # OverflowError: a probability past float range; one fromlist
-            # per record, run out in C
+            # TypeError: a probs that is not an array, such as "" when N is
+            # 0; OverflowError: a probability past float range; one
+            # fromlist per record, run out in C
             collections.deque(map(flat.fromlist, probs), 0)
         except (KeyError, TypeError, ValueError, OverflowError):
             try:

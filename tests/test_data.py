@@ -789,6 +789,13 @@ LOADER_CASES = [
         id="json-probs-string",
     ),
     pytest.param(
+        # N is 0, so only fromlist finds that the probs is not an array
+        "empty.json",
+        b'[{"id": "a", "label": 1, "probs": ""}]',
+        2, "{path}: record 1 probs must be a JSON array",
+        id="json-probs-empty-string",
+    ),
+    pytest.param(
         "big.json",
         b'[{"id": "a", "label": 1, "probs": [0.5, 0.5]},'
         b' {"id": "b", "label": 2, "probs": [0.5, 1' + b"0" * 400 + b']}]',

@@ -1,11 +1,9 @@
 """Smoke tests for the scripts under ``scripts/``."""
 import importlib.util
 import json
-import re
 import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,26 +16,6 @@ def _script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_run_comparison_leaves_no_temporary_suite(tmp_path, monkeypatch, capsys):
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setenv("TMPDIR", str(scratch))
-    # tempfile caches the directory it found first; make it read TMPDIR
-    monkeypatch.setattr(tempfile, "tempdir", None)
-    out = tmp_path / "out"
-    run_comparison = _script("run_comparison")
-
-    argv = ["--out", str(out), "--seeds", "0", "--modes", "dnip"]
-    assert run_comparison.main(argv) == 0
-
-    assert (out / "runs.csv").is_file()
-    assert (out / "summary.csv").is_file()
-    printed = capsys.readouterr().out
-    mean = r"\nmean eval accuracy over the suite:\n +dnip: \d\.\d{4}\n$"
-    assert re.search(mean, printed)
-    assert list(scratch.iterdir()) == []
 
 
 def _bench_copy(dest: Path) -> Path:
@@ -211,3 +189,42 @@ def test_trajectory_git_refs_of_this_repository(tmp_path, capsys):
         assert report["sides"][side]["source"] == "HEAD"
         assert report["sides"][side]["commit"] == head
         assert report["sides"][side]["failed"] == 0
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(root), "-c", "user.name=test",
+         "-c", "user.email=test@example.com", "-c", "commit.gpgsign=false", *args],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def _committed_copy(dest: Path) -> Path:
+    """A ``_bench_copy`` committed to a local git repository of its own."""
+    _bench_copy(dest)
+    _git(dest, "init", "-q")
+    _git(dest, "add", "-A")
+    _git(dest, "commit", "-q", "-m", "copy")
+    return dest
+
+
+def test_trajectory_reports_a_dirty_side(tmp_path, capsys):
+    parent, change = _committed_copy(tmp_path / "a"), _committed_copy(tmp_path / "b")
+    init = change / "src" / "dcs" / "__init__.py"
+    init.write_text(
+        init.read_text(encoding="utf-8") + "# an uncommitted edit\n", encoding="utf-8"
+    )
+    report = _trajectory(tmp_path, parent, change, "apply_bulk", 2)
+
+    printed = capsys.readouterr().out
+    for side, root, dirty in (("parent", parent, False), ("change", change, True)):
+        head = _git(root, "rev-parse", "HEAD")
+        assert report["sides"][side]["commit"] == head
+        assert report["sides"][side]["dirty"] is dirty
+        label = f"{side}: {root} ({head}" + ", dirty" * dirty + ", src "
+        assert label in printed
+    # a directory outside git has no commit to name and lists no file
+    plain = _bench_copy(tmp_path / "c")
+    assert _script("trajectory").checkout(str(plain), tmp_path, "c") == (
+        plain.resolve(), {"commit": "unknown", "dirty": False}
+    )
