@@ -35,6 +35,10 @@ The report is printed and, with ``--out``, written as one JSON object:
   ``summarize`` over the pairs (``median``, ``q1``, ``q3``, ``spread``,
   ``n``); ``wins``, the pairs in which the change is better;
   ``median_ratio``, the median of change / parent over the pairs;
+  ``bound``, the metric's bound in BENCHMARK.json; ``resolved``, whether
+  the runs can tell a change of that size: the parent's ``spread`` is at or
+  under ``bound``, or every change run beats every parent run. A metric
+  that is not resolved is printed with ``unresolved``;
 * ``workload``, ``seed``, ``seconds``, ``tiny``, ``pairs``;
 * ``sides``: per side, its ``source`` as given, ``commit`` (``unknown``
   for a directory outside git), ``dirty`` (whether ``git status`` lists an
@@ -145,12 +149,19 @@ def verdict(runs: list[dict], declared: list[dict], summarize) -> dict:
         sign = 1 if m["better"] == "higher" else -1
         pairs = list(zip(values["parent"], values["change"]))
         ratios = [c / p for p, c in pairs if p]
+        summary = {side: summarize(values[side]) for side in SIDES}
+        spread = summary["parent"]["spread"]
+        separated = min(sign * c for c in values["change"]) > max(
+            sign * p for p in values["parent"]
+        )
         metrics[name] = {
             "unit": m["unit"],
             "better": m["better"],
-            **{side: summarize(values[side]) for side in SIDES},
+            **summary,
             "wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "median_ratio": statistics.median(ratios) if ratios else None,
+            "bound": m["bound"],
+            "resolved": separated or (spread is not None and spread <= m["bound"]),
         }
     return metrics
 
@@ -192,6 +203,7 @@ def report_lines(report: dict) -> list[str]:
             f"  {name:12} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}"
             f"  wins {m['wins']}/{k}  ratio {ratio}"
+            + ("" if m["resolved"] else "  unresolved")
         )
     return lines
 

@@ -9,7 +9,10 @@ Z_imbalance is the mean absolute pairwise difference of per-class accuracies
 over classes present in the labels, and Z_pmi is the negated sum over present
 classes of the pointwise mutual information between "predicted j" and
 "labeled j" events. Each term can be disabled, in which case it contributes
-exactly 0; at least one must stay enabled.
+exactly 0; at least one must stay enabled. Which terms count is decided in
+one place, ``ObjectiveWeights.enabled_terms``, and what a term needs (the
+imbalance term two present classes) in another, ``combine_terms``, the one
+function that weighs them.
 
 Predicted labels are 1-based argmaxes of the probability rows corrected by
 ``apply_selection``, ties broken toward the lowest class index. Natural
@@ -65,6 +68,8 @@ PMI_EPSILON = 1e-12
 _CHUNK_VALUES = 1 << 15
 # the objective ablations ``ObjectiveWeights.from_mode`` builds
 OBJECTIVES = ("full", "err", "err+pmi")
+# the imbalance term's requirement, raised where the term is weighed
+_NEEDS_TWO_CLASSES = "accuracy-imbalance term needs at least two classes present"
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,17 @@ class ObjectiveWeights(Record):
 
     def __post_init__(self) -> None:
         self._check_fields()
-        if not (self.enable_err or self.enable_cobias or self.enable_pmi):
+        if not self.enabled_terms:
             raise ValidationError("at least one objective term must be enabled")
         # negated, so that a NaN fails it too
         if not all(w >= 0.0 and math.isfinite(w) for w in (self.beta, self.tau)):
             raise ValidationError("beta and tau must be finite and non-negative")
+
+    @property
+    def enabled_terms(self) -> tuple[str, ...]:
+        """The names of the enabled terms, in the order Z sums them."""
+        flags = (self.enable_err, self.enable_cobias, self.enable_pmi)
+        return tuple(name for name, on in zip(("err", "cobias", "pmi"), flags) if on)
 
     @classmethod
     def from_mode(
@@ -161,7 +172,9 @@ class _Scorer:
     ``flat[t * N + p]`` counts instances labeled t + 1 and predicted p + 1.
     What depends on the labels alone is computed once: the per-class true
     counts, M, the present classes with their t / M, and the pairs of
-    present classes.
+    present classes. It computes every term, enabled or not; which of them
+    count is ``ObjectiveWeights.enabled_terms``, and ``combine_terms``
+    weighs them and checks what an enabled term needs.
     """
 
     __slots__ = ("_true_counts", "_n", "_m", "_present", "_pairs")
@@ -173,21 +186,20 @@ class _Scorer:
         self._present = [(j, t, t / m) for j, t in enumerate(true_counts) if t]
         self._pairs = list(combinations(range(len(self._present)), 2))
 
-    def terms(self, flat: list[int], need_cobias: bool = False) -> _Terms:
+    def terms(self, flat: list[int]) -> _Terms:
         """An absent class's accuracy is None. ``cobias`` is None when
-        fewer than two classes are present, and that raises
-        PreconditionError when ``need_cobias`` is set."""
-        err, present_accuracy, cobias, pmi = self._score(flat, need_cobias)
+        fewer than two classes are present."""
+        err, present_accuracy, cobias, pmi = self._score(flat)
         accuracy = [None] * self._n
         for (j, _, _), a in zip(self._present, present_accuracy):
             accuracy[j] = a
         return _Terms(err, accuracy, self._true_counts, cobias, pmi)
 
     def value(self, flat: list[int], w: ObjectiveWeights) -> float:
-        err, _, cobias, pmi = self._score(flat, w.enable_cobias)
+        err, _, cobias, pmi = self._score(flat)
         return combine_terms(err, cobias, pmi, w)
 
-    def _score(self, flat: list[int], need_cobias: bool):
+    def _score(self, flat: list[int]):
         """err, the present classes' accuracies, cobias and PMI."""
         n, m = self._n, self._m
         correct = flat[:: n + 1]
@@ -201,15 +213,8 @@ class _Scorer:
             else:
                 total += math.log((c / m) / ((sum(flat[j::n]) / m) * t_m))
 
-        if self._pairs:
-            diffs = [abs(acc[i] - acc[j]) for i, j in self._pairs]
-            cobias = _pairwise_sum(diffs) / len(diffs)
-        elif need_cobias:
-            raise PreconditionError(
-                "accuracy-imbalance term needs at least two classes present"
-            )
-        else:
-            cobias = None
+        diffs = [abs(acc[i] - acc[j]) for i, j in self._pairs]
+        cobias = _pairwise_sum(diffs) / len(diffs) if diffs else None
         err = (m - sum(correct)) / m if m else math.nan
         return err, acc, cobias, -total
 
@@ -226,9 +231,7 @@ def _index_pair(predictions, labels, top: int):
     return preds, labels
 
 
-def _terms(
-    predictions, labels, num_classes: int, need_cobias: bool = False
-) -> _Terms:
+def _terms(predictions, labels, num_classes: int) -> _Terms:
     """Every term of one prediction vector: count, then score.
 
     The count is the flat N x N confusion count as Python ints:
@@ -240,7 +243,7 @@ def _terms(
     preds, labels = _index_pair(predictions, labels, n)
     flat = np.bincount((labels - 1) * n + (preds - 1), minlength=n * n).tolist()
     scorer = _Scorer([sum(flat[t * n : t * n + n]) for t in range(n)])
-    return scorer.terms(flat, need_cobias)
+    return scorer.terms(flat)
 
 
 def z_err(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -267,7 +270,10 @@ def z_cobias(
     predictions: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> float:
     """Mean absolute accuracy difference over pairs of present classes."""
-    return _terms(predictions, labels, num_classes, need_cobias=True).cobias
+    cobias = _terms(predictions, labels, num_classes).cobias
+    if cobias is None:
+        raise PreconditionError(_NEEDS_TWO_CLASSES)
+    return cobias
 
 
 def z_pmi(
@@ -286,12 +292,18 @@ def z_pmi(
 def combine_terms(
     err: float, cobias: float | None, pmi: float, w: ObjectiveWeights
 ) -> float:
-    """Weighted sum of the enabled terms, in a fixed order. A sum that
-    overflows raises PreconditionError: no Z can rank selections then."""
+    """Weighted sum of the terms ``w.enabled_terms`` names, in that order.
+
+    This is the one function that weighs terms, so it also checks what an
+    enabled term needs: the imbalance term, None when fewer than two classes
+    are present, raises PreconditionError. So does a sum that overflows: no
+    Z can rank selections then."""
     z = 0.0
     if w.enable_err:
         z = z + err
     if w.enable_cobias:
+        if cobias is None:
+            raise PreconditionError(_NEEDS_TWO_CLASSES)
         z = z + w.beta * cobias
     if w.enable_pmi:
         z = z + w.tau * pmi
@@ -307,7 +319,7 @@ def score_predictions(
     w: ObjectiveWeights,
 ) -> float:
     """Objective value of fixed predictions."""
-    t = _terms(predictions, labels, num_classes, need_cobias=w.enable_cobias)
+    t = _terms(predictions, labels, num_classes)
     return combine_terms(t.err, t.cobias, t.pmi, w)
 
 
@@ -524,17 +536,8 @@ def _report_from_predictions(
 ) -> EvalReport:
     """``evaluate``'s report for a validated selection whose predictions on
     ``ds`` are already computed."""
-    t = _terms(preds, ds.labels, ds.num_classes, need_cobias=w.enable_cobias)
+    t = _terms(preds, ds.labels, ds.num_classes)
     params = tuple(fs.describe_index(k) for k in entries)
-    enabled = tuple(
-        name
-        for name, on in (
-            ("err", w.enable_err),
-            ("cobias", w.enable_cobias),
-            ("pmi", w.enable_pmi),
-        )
-        if on
-    )
     return EvalReport(
         overall_accuracy=1.0 - t.err,
         err=t.err,
@@ -545,7 +548,7 @@ def _report_from_predictions(
         z_value=combine_terms(t.err, t.cobias, t.pmi, w),
         beta=w.beta,
         tau=w.tau,
-        enabled_terms=enabled,
+        enabled_terms=w.enabled_terms,
         correction_kinds=tuple(p["kind"] for p in params),
         correction_params=params,
     )

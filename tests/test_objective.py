@@ -577,6 +577,54 @@ class TestCombination:
             with pytest.raises(PreconditionError, match="^beta 1.0 and tau 1e"):
                 call()
 
+    @staticmethod
+    def _weighted_calls(ds, fs, xi, w):
+        """Each scoring call that takes weights, on one selection."""
+        return [
+            lambda: score_predictions(
+                predict(ds, fs, xi), ds.labels, ds.num_classes, w
+            ),
+            lambda: objective_value(ds, fs, xi, w),
+            lambda: evaluate(ds, fs, xi, w),
+            lambda: ObjectiveEvaluator(ds, fs, w).value(xi),
+        ]
+
+    def test_every_scoring_call_refuses_imbalance_on_one_present_class(self):
+        ds = make_dataset([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]], [1, 1, 1])
+        fs = default_function_set()
+        xi = (1, 1)
+        preds = predict(ds, fs, xi)
+        calls = self._weighted_calls(ds, fs, xi, ObjectiveWeights())
+        calls.append(lambda: z_cobias(preds, ds.labels, ds.num_classes))
+        for call in calls:
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert str(info.value) == (
+                "accuracy-imbalance term needs at least two classes present"
+            )
+        # with the imbalance term off, one present class scores
+        for mode in ("err", "err+pmi"):
+            w = ObjectiveWeights.from_mode(mode)
+            for call in self._weighted_calls(ds, fs, xi, w):
+                call()
+            assert evaluate(ds, fs, xi, w).cobias is None
+
+    @pytest.mark.parametrize(
+        "flags", [f for f in itertools.product((True, False), repeat=3) if any(f)]
+    )
+    def test_enabled_terms_are_the_terms_z_sums(self, flags, four_row_dataset):
+        names = ("err", "cobias", "pmi")
+        enable = dict(zip(("enable_err", "enable_cobias", "enable_pmi"), flags))
+        w = ObjectiveWeights(beta=1.0, tau=1.0, **enable)
+        expected = tuple(name for name, on in zip(names, flags) if on)
+        assert w.enabled_terms == expected
+        report = evaluate(four_row_dataset, default_function_set(), (1, 1), w)
+        assert report.enabled_terms == expected
+        # term values 1, 2 and 4: the bits of Z name the terms it sums
+        z = combine_terms(1.0, 2.0, 4.0, w)
+        summed = tuple(name for name, bit in zip(names, (1, 2, 4)) if int(z) & bit)
+        assert z == int(z) and summed == expected
+
     def test_from_mode_wiring(self):
         full = ObjectiveWeights.from_mode("full", beta=2.0, tau=0.5)
         assert (full.beta, full.tau) == (2.0, 0.5)

@@ -41,14 +41,20 @@ def test_trajectory_a_a_run(tmp_path, capsys):
     parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
     report = _trajectory(tmp_path, parent, change, "apply_bulk", 2)
 
-    assert capsys.readouterr().out.startswith("digests: equal in all 2 pairs\n")
+    printed = capsys.readouterr().out
+    assert printed.startswith("digests: equal in all 2 pairs\n")
     assert report["digests"] == {"equal": True, "differing": {}}
     assert report["pairs"] == 2
     assert [run["first"] for run in report["runs"]] == ["parent", "change"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [m["name"] for m in declared["end_to_end"]]
     assert list(report["metrics"]) == names
-    for metric in report["metrics"].values():
+    for m in declared["end_to_end"]:
+        metric = report["metrics"][m["name"]]
+        assert metric["bound"] == m["bound"]
+        assert isinstance(metric["resolved"], bool)
+        line = next(x for x in printed.splitlines() if x.startswith(f"  {m['name']} "))
+        assert line.endswith("  unresolved") is not metric["resolved"]
         assert 0 <= metric["wins"] <= 2
         for side in ("parent", "change"):
             quartiles = metric[side]
@@ -62,7 +68,8 @@ def test_trajectory_a_a_run(tmp_path, capsys):
     assert sides["parent"]["attempted"] == sides["change"]["attempted"] > 0
     assert sides["parent"]["failed"] == sides["change"]["failed"] == 0
     assert set(report["env"]) == {"cpu_model", "nproc", "python", "numpy", "simd"}
-    # the copies' bench modules were loaded in this process and dropped again
+    # every run is a process of its own: no module of a copy is ever
+    # imported into this one
     assert not [
         name for name, module in sys.modules.items()
         if str(getattr(module, "__file__", None)).startswith(str(tmp_path))
@@ -112,6 +119,36 @@ def test_trajectory_op_with_digests_on_one_side_differs():
     assert trajectory.digest_check(runs)["differing"] == {
         "a": {"parent": ["1", "3"], "change": ["1"]}
     }
+
+
+def test_trajectory_verdict_resolves_a_metric(monkeypatch):
+    trajectory = _script("trajectory")
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from spread import summarize
+
+    declared = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+    def verdict(parent, change):
+        runs = [
+            {side: {"metrics": {"wall_s": {"value": v}}} for side, v in
+             (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)
+        ]
+        return trajectory.verdict(runs, declared, summarize)["wall_s"]
+
+    # the parent spreads 4% of its median: a 25% change would show
+    narrow = verdict([1.0, 1.02, 0.98, 1.0], [1.01, 0.99, 1.03, 0.97])
+    assert narrow["bound"] == 0.25
+    assert narrow["parent"]["spread"] <= 0.25 and narrow["resolved"] is True
+    # it spreads 100%, and the sides overlap
+    wide = verdict([0.5, 1.0, 1.5, 1.0], [1.0, 1.2, 0.8, 0.9])
+    assert wide["parent"]["spread"] > 0.25 and wide["resolved"] is False
+    # as wide, but every change run beats every parent run
+    clean = verdict([0.5, 1.0, 1.5, 1.0], [0.1, 0.2, 0.3, 0.4])
+    assert clean["parent"]["spread"] > 0.25 and clean["resolved"] is True
+    # the same values where higher is better: the change is not the better
+    declared[0]["better"] = "higher"
+    assert verdict([0.5, 1.0, 1.5, 1.0], [0.1, 0.2, 0.3, 0.4])["resolved"] is False
 
 
 # each leg of scripts/legs.py with the ops of its tiny run
