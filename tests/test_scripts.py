@@ -136,11 +136,11 @@ def test_trajectory_verdict_resolves_a_metric(monkeypatch):
         ]
         return trajectory.verdict(runs, declared, summarize)["wall_s"]
 
-    # the parent spreads 4% of its median: a 25% change would show
+    # the parent spreads 3% of its median: a 25% change would show
     narrow = verdict([1.0, 1.02, 0.98, 1.0], [1.01, 0.99, 1.03, 0.97])
     assert narrow["bound"] == 0.25
     assert narrow["parent"]["spread"] <= 0.25 and narrow["resolved"] is True
-    # it spreads 100%, and the sides overlap
+    # it spreads 75%, and the sides overlap
     wide = verdict([0.5, 1.0, 1.5, 1.0], [1.0, 1.2, 0.8, 0.9])
     assert wide["parent"]["spread"] > 0.25 and wide["resolved"] is False
     # as wide, but every change run beats every parent run
