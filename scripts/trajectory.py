@@ -22,7 +22,9 @@ same flags and runs the side's own ``run.run_workload``, ``run.save`` and
 result is its last line, and its environment and output digests are the
 JSON of its ``env `` and ``digests `` lines. Both sides of a pair run the
 same seed; the parent goes first in even pairs and the change in odd ones.
-Nothing under ``bench/`` is edited.
+Nothing under ``bench/`` is edited. A run that exits non-zero ends the
+script with exit 2 and ``error: <side> run of pair <i>/<k>:``, then the
+command, its exit code and its stderr.
 
 The report is printed and, with ``--out``, written as one JSON object:
 
@@ -41,10 +43,11 @@ The report is printed and, with ``--out``, written as one JSON object:
   that is not resolved is printed with ``unresolved``;
 * ``workload``, ``seed``, ``seconds``, ``tiny``, ``pairs``;
 * ``sides``: per side, its ``source`` as given, ``commit`` (``unknown``
-  for a directory outside git), ``dirty`` (whether ``git status`` lists an
-  uncommitted file under a directory side's ``src``, ``bench`` or
-  ``scripts``), ``src_sha256``, and its ``attempted`` and ``failed`` ops
-  over all runs;
+  for a directory that is not the top level of a git work tree, such as a
+  copy outside git or in a subdirectory of another repository), ``dirty``
+  (whether ``git status`` lists an uncommitted file under a directory
+  side's ``src``, ``bench`` or ``scripts``; false when it is not a top level),
+  ``src_sha256``, and its ``attempted`` and ``failed`` ops over all runs;
 * ``env``: CPU model and count and the Python and numpy versions, from the
   first run, and ``simd``, the CPU features numpy enables in the
   interpreter that runs the command, probed once per call under this
@@ -94,11 +97,15 @@ def git(root: Path, *args: str) -> str | None:
 
 
 def checkout(source: str, scratch: Path, name: str) -> tuple[Path, dict]:
-    """(directory, ``commit`` and ``dirty``) of a side: ``source`` itself,
-    with git's view of it, when it is a directory, else the export of the
-    git ref ``source`` under ``scratch``."""
+    """(directory, ``commit`` and ``dirty``) of a side: ``source`` itself
+    when it is a directory, with git's view of it only when it is the top
+    level of a work tree, else the export of the git ref ``source`` under
+    ``scratch``."""
     if Path(source).is_dir():
         root = Path(source).resolve()
+        top = git(root, "rev-parse", "--show-toplevel")
+        if top is None or Path(top).resolve() != root:
+            return root, {"commit": "unknown", "dirty": False}
         return root, {
             "commit": git(root, "rev-parse", "HEAD") or "unknown",
             "dirty": bool(git(root, "status", "--porcelain", "--", *DIRTY_DIRS)),
@@ -253,7 +260,12 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(dirs[side], bench, args.workload, args.seed)
+                try:
+                    pair[side] = run_once(dirs[side], bench, args.workload, args.seed)
+                except RuntimeError as exc:
+                    print(f"error: {side} run of pair {i + 1}/{args.pairs}: {exc}",
+                          file=sys.stderr)
+                    return 2
             runs.append(pair)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 

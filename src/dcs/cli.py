@@ -129,19 +129,6 @@ def _baseline(ds, catalog, weights) -> EvalReport:
     )
 
 
-def _fit(train, held_out, catalog, weights, config, mode):
-    """Anneal on ``train`` over ``mode``'s functions; return the result and
-    the reports of its best selection and of the baseline on ``held_out``.
-
-    The baseline is scored first, so a ``held_out`` that the objective
-    cannot score is refused before the walk."""
-    baseline = _baseline(held_out, catalog, weights)
-    allowed = mode_indices(catalog, mode)
-    result = anneal(train, catalog, weights, config, allowed_indices=allowed)
-    corrected = evaluate(held_out, catalog, result.best_xi, weights)
-    return result, corrected, baseline
-
-
 def _print_before_after(baseline, corrected, accuracy, cobias) -> None:
     """"<accuracy> a -> b", then "<cobias> a -> b" when both define it."""
     print(
@@ -162,10 +149,13 @@ def cmd_optimize(args) -> None:
     config = AnnealConfig(seed=args.seed, **_schedule_from_args(args))
     split = split_dataset(ds, args.dev_fraction, args.seed)
     opt = split.optimization_set
-    result, dev_corrected, dev_baseline = _fit(
-        opt, split.dev_set, catalog, weights, config, args.mode
-    )
-    num_allowed = len(mode_indices(catalog, args.mode))
+    # scored first: a dev set the objective cannot score is refused before
+    # the walk
+    dev_baseline = _baseline(split.dev_set, catalog, weights)
+    allowed = mode_indices(catalog, args.mode)
+    result = anneal(opt, catalog, weights, config, allowed_indices=allowed)
+    dev_corrected = evaluate(split.dev_set, catalog, result.best_xi, weights)
+    num_allowed = len(allowed)
     scheme = CorrectionScheme(
         catalog=catalog,
         selection=result.best_xi,
@@ -279,10 +269,14 @@ def cmd_apply(args) -> None:
 
 
 def _run_cell(payload: tuple) -> dict:
-    """One (dataset, mode, seed) grid cell. Top level so it pickles."""
-    (name, train, eval_ds, mode, seed, catalog, weights, config_kw) = payload
-    config = AnnealConfig(seed=seed, **config_kw)
-    result, corrected, baseline = _fit(train, eval_ds, catalog, weights, config, mode)
+    """One (dataset, mode, seed) grid cell: a walk on ``train`` over
+    ``mode``'s functions, scored on ``eval_ds``. ``config`` is the seed's
+    AnnealConfig and ``baseline`` the report of ``eval_ds``'s baseline, both
+    built once for the grid. Top level so it pickles."""
+    (name, train, eval_ds, baseline, mode, config, catalog, weights) = payload
+    allowed = mode_indices(catalog, mode)
+    result = anneal(train, catalog, weights, config, allowed_indices=allowed)
+    corrected = evaluate(eval_ds, catalog, result.best_xi, weights)
     train_corrected = evaluate(train, catalog, result.best_xi, weights)
 
     kinds = Counter(kind_bucket(catalog, k) for k in result.best_xi)
@@ -297,7 +291,7 @@ def _run_cell(payload: tuple) -> dict:
     return {
         "dataset": name,
         "mode": mode,
-        "seed": seed,
+        "seed": config.seed,
         "num_classes": train.num_classes,
         "best_z": result.best_z,
         "train_accuracy": train_corrected.overall_accuracy,
@@ -347,19 +341,27 @@ def run_compare_grid(
     neither ``concurrent.futures`` nor ``multiprocessing``. A repeated
     dataset name, mode or seed raises ValidationError: its rows would merge
     into one summary row.
+
+    Before the first walk, after those checks and DCS_THREADS's, it builds
+    each seed's AnnealConfig once, so a bad seed raises PreconditionError,
+    then scores each eval set's baseline once, so an eval set the objective
+    cannot score raises too; the cells share both. A train set that
+    ``anneal`` refuses is refused at its first cell.
     """
     names = [name for name, _, _ in named_datasets]
     for what, values in (("dataset name", names), ("mode", modes), ("seed", seeds)):
         repeated = [v for v, n in Counter(values).items() if n > 1]
         if repeated:
             raise ValidationError(f"compare grid repeats {what} {repeated[0]!r}")
+    threads = _thread_budget()
+    configs = {seed: AnnealConfig(seed=seed, **config_kw) for seed in seeds}
+    baselines = {n: _baseline(ds, catalog, weights) for n, _, ds in named_datasets}
     cells = [
-        (name, train, eval_ds, mode, seed, catalog, weights, config_kw)
+        (name, train, eval_ds, baselines[name], mode, configs[seed], catalog, weights)
         for name, train, eval_ds in named_datasets
         for mode in modes
         for seed in seeds
     ]
-    threads = _thread_budget()
     if threads > 1 and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

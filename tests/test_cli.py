@@ -328,6 +328,53 @@ class TestHeldOutScoredFirst:
         assert (rc, capsys.readouterr().err) == (3, ONE_CLASS_IMBALANCE)
         assert not out.exists()
 
+    def test_bad_compare_seed(self, tmp_path, capsys, monkeypatch, p2_12_csv):
+        # seed 0 is valid, yet its cells do not run before -1 is refused
+        monkeypatch.setattr(dcs.cli, "anneal", _no_walk)
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(p2_12_csv), "--seed", "0,-1",
+                   "--max-outer", "2", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            3, "error: seed must be a non-negative integer\n"
+        )
+        assert not out.exists()
+
+    def test_one_class_second_compare_eval_set(
+        self, tmp_path, capsys, monkeypatch, p2_12_csv
+    ):
+        # the first dataset's cells would run; the second's eval set is
+        # refused before them
+        monkeypatch.setattr(dcs.cli, "anneal", _no_walk)
+        second = tmp_path / "second.csv"
+        second.write_bytes(p2_12_csv.read_bytes())
+        one_class = tmp_path / "one.csv"
+        one_class.write_text("id,label,p_1,p_2\na,1,0.9,0.1\nb,1,0.2,0.8\n")
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        rc = main(["compare", "--input", str(p2_12_csv), "--input", str(second),
+                   "--eval-input", str(p2_12_csv), "--eval-input", str(one_class),
+                   "--seed", "0", "--max-outer", "2", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (3, ONE_CLASS_IMBALANCE)
+        assert not out.exists()
+
+    def test_one_baseline_per_compare_dataset(
+        self, tmp_path, monkeypatch, p2_12_csv, train_csv
+    ):
+        scored = []
+
+        def counted(ds, catalog, weights):
+            scored.append(ds.num_instances)
+            return _baseline(ds, catalog, weights)
+
+        monkeypatch.setattr(dcs.cli, "_baseline", counted)
+        rc = main(["compare", "--input", str(p2_12_csv), "--input", str(train_csv),
+                   "--mode", "dcs,furud", "--seed", "0,1", "--max-outer", "2",
+                   "--out", str(tmp_path / "cmp"), *FAST])
+        assert rc == 0
+        # 8 cells, one baseline for each of the two held-out sets
+        assert sorted(scored) == [12, 300]
+
     @pytest.mark.parametrize(
         "objective, message",
         [

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -265,3 +266,47 @@ def test_trajectory_reports_a_dirty_side(tmp_path, capsys):
     assert _script("trajectory").checkout(str(plain), tmp_path, "c") == (
         plain.resolve(), {"commit": "unknown", "dirty": False}
     )
+
+
+def test_trajectory_names_no_commit_for_a_nested_directory(tmp_path):
+    trajectory = _script("trajectory")
+    outer = tmp_path / "outer"
+    outer.mkdir()
+    _git(outer, "init", "-q")
+    (outer / ".gitignore").write_text("sub/\n", encoding="utf-8")
+    _git(outer, "add", "-A")
+    _git(outer, "commit", "-q", "-m", "outer")
+    # a copy in an ignored subdirectory of another repository's work tree:
+    # that repository's HEAD is not the copy's commit
+    nested = _bench_copy(outer / "sub" / "copy")
+    assert trajectory.checkout(str(nested), tmp_path, "n") == (
+        nested.resolve(), {"commit": "unknown", "dirty": False}
+    )
+    # a tree that is itself a repository's top level keeps its HEAD
+    top = _committed_copy(tmp_path / "top")
+    assert trajectory.checkout(str(top), tmp_path, "t") == (
+        top.resolve(), {"commit": _git(top, "rev-parse", "HEAD"), "dirty": False}
+    )
+
+
+def test_trajectory_reports_a_failed_run(tmp_path, capsys, monkeypatch):
+    parent, change = _bench_copy(tmp_path / "a"), _bench_copy(tmp_path / "b")
+    # SystemExit prints its message with no traceback, so a traceback on
+    # stderr could only be the script's own
+    (change / "src" / "dcs" / "__init__.py").write_text(
+        'raise SystemExit("dcs does not import")\n', encoding="utf-8"
+    )
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    argv = [
+        "--parent", str(parent), "--change", str(change), "--pairs", "2",
+        "--workload", "apply_bulk", "--seed", "0", "--tiny",
+    ]
+    assert _script("trajectory").main(argv) == 2
+
+    err = capsys.readouterr().err
+    assert err.startswith("error: change run of pair 1/2: ")
+    assert "exited 1:\ndcs does not import\n" in err
+    assert "Traceback" not in err
+    assert not list(scratch.iterdir())
